@@ -12,9 +12,9 @@ filtration" refinement used when merging independently derived values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
 class ModuleId(str, Enum):
@@ -50,10 +50,14 @@ class Element:
     filtration: int
     name: str
     periodic: bool = False
+    _key: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", f"{self.module.value}:{self.name}")
 
     @property
     def key(self) -> str:
-        return f"{self.module.value}:{self.name}"
+        return self._key
 
     def check_name_convention(self) -> None:
         """Names of the form x_{i,j} must encode stem i and filtration j."""
@@ -257,10 +261,16 @@ class ActionFact:
 
 
 class ActionTable:
-    """Partial generator-action data with a linear-extension query."""
+    """Partial generator-action data with a linear-extension query.
+
+    The sorted fact list and the reverse index (single target → actions) are
+    built on first use and dropped by ``add``.
+    """
 
     def __init__(self, facts: Iterable[ActionFact] = ()) -> None:
         self._facts: dict[tuple[str, str], ActionFact] = {}
+        self._sorted: Optional[List[ActionFact]] = None
+        self._landing: Optional[Dict[Element, Tuple[ActionFact, ...]]] = None
         for fact in facts:
             self.add(fact)
 
@@ -270,12 +280,27 @@ class ActionTable:
         if existing is not None and existing != fact:
             raise ValueError(f"conflicting action facts for {fact.generator.name}·{fact.source}")
         self._facts[key] = fact
+        self._sorted = self._landing = None
 
     def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
         return self._facts.get((generator_name, source.key))
 
     def facts(self) -> list[ActionFact]:
-        return sorted(self._facts.values(), key=lambda f: (f.generator.name, f.source.key))
+        if self._sorted is None:
+            self._sorted = sorted(
+                self._facts.values(), key=lambda f: (f.generator.name, f.source.key)
+            )
+        return list(self._sorted)
+
+    def landing_on(self, target: Element) -> Tuple[ActionFact, ...]:
+        """Actions whose value is exactly ``target``, in ``facts()`` order."""
+        if self._landing is None:
+            landing: Dict[Element, List[ActionFact]] = {}
+            for fact in self.facts():
+                if fact.value is not None and len(fact.value) == 1:
+                    landing.setdefault(next(iter(fact.value)), []).append(fact)
+            self._landing = {target: tuple(facts) for target, facts in landing.items()}
+        return self._landing.get(target, ())
 
     def act(self, generator_name: str, span: F2Span) -> Optional[Value]:
         """Linear extension of recorded actions to spans.

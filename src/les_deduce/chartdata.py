@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -153,7 +154,11 @@ class MapAxiom:
 
 @dataclass
 class ChartFile:
-    """A fully validated chart dataset, immutable by convention after load."""
+    """A fully validated chart dataset, immutable by convention after load.
+
+    The lookup indexes behind ``elements_of`` and ``classification`` are built
+    on first use and kept for the life of the chart.
+    """
 
     schema_version: str
     max_stem: int
@@ -176,19 +181,28 @@ class ChartFile:
     def element(self, key: str) -> Element:
         return self.elements[key]
 
+    @cached_property
+    def _elements_by_degree(self) -> Dict[tuple, List[Element]]:
+        # (module, stem) and (module, None) -> sorted elements
+        index: Dict[tuple, List[Element]] = {}
+        for e in sorted(self.elements.values()):
+            index.setdefault((e.module, e.stem), []).append(e)
+            index.setdefault((e.module, None), []).append(e)
+        return index
+
+    @cached_property
+    def _kinds(self) -> Dict[tuple, ClassificationKind]:
+        # (element, context) -> kind of its first classification
+        index: Dict[tuple, ClassificationKind] = {}
+        for c in self.classifications:
+            index.setdefault((c.element, c.context), c.kind)
+        return index
+
     def elements_of(self, module: ModuleId, stem: Optional[int] = None) -> List[Element]:
-        out = [
-            e
-            for e in self.elements.values()
-            if e.module is module and (stem is None or e.stem == stem)
-        ]
-        return sorted(out)
+        return list(self._elements_by_degree.get((module, stem), ()))
 
     def classification(self, element: Element, context: LesContext) -> Optional[ClassificationKind]:
-        for c in self.classifications:
-            if c.element == element and c.context is context:
-                return c.kind
-        return None
+        return self._kinds.get((element, context))
 
     def torsion_elements(self, module: ModuleId, context: LesContext) -> List[Element]:
         keys = {

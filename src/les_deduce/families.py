@@ -66,12 +66,18 @@ class TableRow:
         return None
 
 
-def _find_lift(store: FactStore, include_map: str, target: Element) -> Optional[Element]:
-    candidates = []
-    for source, value in store.known_facts(include_map):
-        if value.is_known_nonzero and value.span == frozenset({target}):
-            candidates.append(source)
-    return min(candidates) if candidates else None
+def _minimal_lifts(store: FactStore, include_map: str) -> Dict[Element, Element]:
+    """Target → least source among the ``include_map`` facts valued exactly that target."""
+    lifts: Dict[Element, Element] = {}
+    for key, value in store.facts.items():
+        name, _, _ = key.partition("|")
+        if name != include_map or not value.is_known_nonzero or len(value.span) != 1:
+            continue
+        target = next(iter(value.span))
+        source = store.sources[key]
+        if target not in lifts or source < lifts[target]:
+            lifts[target] = source
+    return lifts
 
 
 def _ordered_labels(labels: FrozenSet[str]) -> Tuple[str, ...]:
@@ -87,6 +93,7 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
     """
     labels = fact_labels(store)
     contradicted = {c.fact for c in store.contradictions}
+    lifts = _minimal_lifts(store, "i1")
     rows: List[TableRow] = []
     for y in store.p3_image:
         p2_key = fact_key("p2", y)
@@ -109,7 +116,7 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
                 name = chart.tmf_name(s, y.key, "imgP1")
                 tech_p1 = _ordered_labels(p1_labels)
             elif img_p1 is not None and img_p1.is_zero:
-                lift = _find_lift(store, "i1", m)
+                lift = lifts.get(m)
                 lift_labels = (
                     labels.get(fact_key("i1", lift), frozenset()) if lift is not None else frozenset()
                 )

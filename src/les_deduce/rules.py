@@ -4,6 +4,12 @@ Each rule is a pure function of (store, chart) returning emissions; firing a
 rule twice adds nothing new, and every guard reads only dataset structure or
 already-present facts, so the saturated store is independent of rule order.
 
+``saturate`` evaluates in two strata.  PERIODIC, EXC, T1, T2 and T3 read only
+the chart, so they fire once.  T4, LIN and EXACT read the store and loop to
+the fixpoint.  LIN is semi-naive (Bancilhon & Ramakrishnan, 1986): after its
+first call it revisits only the facts whose keys were logged since its
+previous call.  A shuffled schedule permutes the rules within each stratum.
+
 Rule inventory, matching the techniques used to fill the summary table:
 
 * ``T1``   vanishing kernel: rank-0 kernel kills the projection on the whole
@@ -295,12 +301,6 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
-def _actions_landing_on(chart: ChartFile, target: Element):
-    for fact in chart.actions.facts():
-        if fact.value is not None and fact.value == frozenset({target}):
-            yield fact
-
-
 def rule_t4(store: FactStore, chart: ChartFile) -> List[Emission]:
     """Extended linearity: push a known projection through a generator.
 
@@ -318,7 +318,7 @@ def rule_t4(store: FactStore, chart: ChartFile) -> List[Emission]:
         project = record.project_map
         generator = record.kernel[0]
         for y in record.middle:
-            for action in _actions_landing_on(chart, y):
+            for action in chart.actions.landing_on(y):
                 parent_key = fact_key(project, action.source)
                 parent = store.facts.get(parent_key)
                 if parent is None or not parent.is_known:
@@ -342,11 +342,19 @@ def rule_t4(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
-def rule_linearity(store: FactStore, chart: ChartFile) -> List[Emission]:
-    """Module linearity p(t·x) = t·p(x) over recorded generator actions."""
+def rule_linearity(
+    store: FactStore, chart: ChartFile, delta: Optional[Iterable[str]] = None
+) -> List[Emission]:
+    """Module linearity p(t·x) = t·p(x) over recorded generator actions.
+
+    A fact's emissions depend only on its own value, so ``delta`` (the keys
+    whose value may have changed since the previous call) restricts the visit
+    to those facts; without it every fact is visited.
+    """
     out: List[Emission] = []
     generator_names = sorted(chart.generators)
-    for key, value in list(store.facts.items()):
+    for key in list(store.facts) if delta is None else delta:
+        value = store.facts[key]
         if not value.is_known:
             continue
         map_name, _, _ = key.partition("|")
@@ -449,6 +457,9 @@ ALL_RULES: Tuple[Tuple[str, Rule], ...] = (
     ("EXACT", rule_exact),
 )
 
+# Rules that never read the store: their emissions are fixed by the chart.
+CHART_ONLY = frozenset({"PERIODIC", "EXC", "T1", "T2", "T3"})
+
 
 def saturate(
     chart: ChartFile,
@@ -458,28 +469,56 @@ def saturate(
 ) -> FactStore:
     """Run all rules to a fixpoint; deterministic result for any schedule.
 
-    ``rng`` shuffles the rule order each pass (used by the determinism
-    harness); axioms and the p₃ image are loaded before any rule fires, so
-    every guard sees the same static data regardless of schedule.
+    Saturation runs in two strata.  The chart-only rules (``CHART_ONLY``)
+    fire once, since firing them again would emit the same facts.  T4, LIN
+    and EXACT read the store and loop until a pass adds nothing.  LIN is
+    semi-naive: after its first call it visits only the facts logged since
+    its previous call, because every value change appends to ``store.log``.
+
+    ``rng`` shuffles the rule order within each stratum (used by the
+    determinism harness); axioms and the p₃ image are loaded before any rule
+    fires, so every guard sees the same static data regardless of schedule.
     """
     if store is None:
         store = FactStore()
         load_axioms(store, chart)
         image_of_p3(store, chart)
     rules = [(name, rule) for name, rule in ALL_RULES if with_periodic or name != "PERIODIC"]
+    chart_only = [(name, rule) for name, rule in rules if name in CHART_ONLY]
+    looping = [(name, rule) for name, rule in rules if name not in CHART_ONLY]
+    if rng is not None:
+        rng.shuffle(chart_only)
+    for _, rule in chart_only:
+        _insert_all(store, rule(store, chart))
+    lin_seen: Optional[int] = None  # length of store.log at LIN's previous call
     changed = True
     while changed:
         changed = False
-        ordered = list(rules)
         if rng is not None:
-            rng.shuffle(ordered)
-        for _, rule in ordered:
-            for emission in rule(store, chart):
-                if store.insert(
-                    emission.map, emission.source, emission.value, emission.rule, emission.inputs
-                ):
-                    changed = True
+            rng.shuffle(looping)
+        for name, rule in looping:
+            if name == "LIN":
+                delta = None
+                if lin_seen is not None:
+                    delta = dict.fromkeys(key for key, _ in store.log[lin_seen:])
+                lin_seen = len(store.log)
+                emissions = rule(store, chart, delta)
+            else:
+                emissions = rule(store, chart)
+            if _insert_all(store, emissions):
+                changed = True
     return store
+
+
+def _insert_all(store: FactStore, emissions: List[Emission]) -> bool:
+    """Insert every emission; True when any of them grew the store."""
+    grew = False
+    for emission in emissions:
+        if store.insert(
+            emission.map, emission.source, emission.value, emission.rule, emission.inputs
+        ):
+            grew = True
+    return grew
 
 
 # ---------------------------------------------------------------------------

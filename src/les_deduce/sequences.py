@@ -146,13 +146,12 @@ class FactStore:
         A known nonzero value must respect the filtration law (maps of the
         filtered charts never decrease filtration); violations are recorded as
         contradictions against the incoming derivation and otherwise ignored.
+        Each distinct contradiction is recorded once, however often it recurs.
         """
         key = fact_key(map_name, source)
         derivation = Derivation(rule, tuple(inputs), value)
         if value.is_known_nonzero and filtration_floor(value.span) < source.filtration:
-            self.contradictions.append(
-                Contradiction(key, value, value, rule, f"{rule} (filtration law)")
-            )
+            self._record(Contradiction(key, value, value, rule, f"{rule} (filtration law)"))
             return False
 
         existing = self.facts.get(key)
@@ -193,15 +192,11 @@ class FactStore:
 
     def _contradict(self, key: str, existing: Value, incoming: Value, rule: str) -> None:
         existing_rule = self.derivations.get(key, [Derivation("?", (), existing)])[0].rule
-        self.contradictions.append(Contradiction(key, existing, incoming, existing_rule, rule))
+        self._record(Contradiction(key, existing, incoming, existing_rule, rule))
 
-    def known_facts(self, map_name: str) -> List[Tuple[Element, Value]]:
-        out = []
-        for key, value in self.facts.items():
-            name, _, _ = key.partition("|")
-            if name == map_name:
-                out.append((self.sources[key], value))
-        return sorted(out, key=lambda pair: (pair[0].stem, pair[0].filtration, pair[0].name))
+    def _record(self, contradiction: Contradiction) -> None:
+        if contradiction not in self.contradictions:
+            self.contradictions.append(contradiction)
 
     def serialize(self) -> str:
         """Canonical byte representation of the saturated knowledge.

@@ -137,6 +137,21 @@ class TestAct:
         c = el("Y", 62, 7, "c")
         assert self.table.act("κ̄", span_of(self.a, c)) is None
 
+    def test_landing_on_follows_add(self):
+        assert self.table.landing_on(self.ka) == (self.table.get("κ̄", self.a),)
+        c = el("Y", 62, 1, "c")
+        assert self.table.landing_on(self.a) == ()
+        self.table.add(ActionFact(self.kbar, c, value=span_of(self.ka)))
+        assert [f.source for f in self.table.landing_on(self.ka)] == [self.a, c]
+        assert len(self.table.facts()) == 3
+
+    def test_landing_on_skips_sums_and_nonzero_marks(self):
+        c = el("Y", 62, 1, "c")
+        d = el("Y", 62, 0, "d")
+        self.table.add(ActionFact(self.kbar, c, value=span_of(self.ka, self.kb)))
+        self.table.add(ActionFact(self.kbar, d, nonzero=True))
+        assert [f.source for f in self.table.landing_on(self.ka)] == [self.a]
+
     def test_act_on_shipped_chart(self, chart):
         y62 = chart.element("Y:y_{62,2}")
         got = chart.actions.act("κ̄", frozenset({y62}))

@@ -97,6 +97,20 @@ class TestLoad:
         with pytest.raises(ChartValidationError, match="stem 8"):
             chartdata.from_document(doc)
 
+    def test_elements_of_is_sorted_per_degree(self, chart):
+        ys = chart.elements_of(ModuleId.Y)
+        assert ys == sorted(e for e in chart.elements.values() if e.module is ModuleId.Y)
+        assert chart.elements_of(ModuleId.Y, 45) == [e for e in ys if e.stem == 45]
+        assert chart.elements_of(ModuleId.Y, 500) == []
+
+    def test_classification_lookup(self, chart):
+        from les_deduce.algebra import ClassificationKind, LesContext
+
+        m50 = chart.element("M:m_{50,6}")
+        assert chart.classification(m50, LesContext.LES_23) is ClassificationKind.PERIODIC_EXCEPTIONAL
+        assert chart.classification(m50, LesContext.LES_24) is not ClassificationKind.PERIODIC_EXCEPTIONAL
+        assert chart.classification(chart.element("Y:y_{3,1}"), LesContext.LES_24) is None
+
     def test_round_trip_is_byte_exact(self, chart):
         text = chartdata.dumps(chart)
         again = chartdata.dumps(chartdata.loads(text))

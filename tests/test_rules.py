@@ -13,8 +13,10 @@ from les_deduce.algebra import (
     Value,
     span_of,
 )
-from les_deduce.chartdata import ChartFile, SesRecord, expand_periodic
+from les_deduce.chartdata import ChartFile, SesRecord, delta8_extend, expand_periodic
 from les_deduce.rules import (
+    ALL_RULES,
+    CHART_ONLY,
     exceptional_verdicts,
     fact_labels,
     rule_exact,
@@ -26,7 +28,7 @@ from les_deduce.rules import (
     rule_t4,
     saturate,
 )
-from les_deduce.sequences import FactStore, fact_key
+from les_deduce.sequences import FactStore, fact_key, image_of_p3, load_axioms
 
 
 def known(store, map_name, key):
@@ -36,6 +38,16 @@ def known(store, map_name, key):
 
 def rules_for(store, map_name, key):
     return {d.rule for d in store.derivations.get(f"{map_name}|{key}", [])}
+
+
+@pytest.fixture(scope="module")
+def chart_x2(chart):
+    return delta8_extend(chart, 2)
+
+
+@pytest.fixture(scope="module")
+def store_x2(chart_x2):
+    return saturate(chart_x2)
 
 
 def mini_chart(records, elements, actions=(), axioms=()):
@@ -286,10 +298,52 @@ class TestSaturation:
         assert len(again.facts) == count
         assert len(again.log) == log
 
-    def test_schedules_agree(self, chart, store):
-        for seed in range(5):
-            shuffled = saturate(chart, rng=random.Random(seed))
-            assert shuffled.serialize() == store.serialize()
+    def test_schedules_agree(self, chart, store, chart_x2, store_x2):
+        for target, expected in ((chart, store), (chart_x2, store_x2)):
+            for seed in range(5):
+                shuffled = saturate(target, rng=random.Random(seed))
+                assert shuffled.serialize() == expected.serialize()
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
+    def test_chart_only_rules_ignore_the_store(self, chart, store, chart_x2, store_x2, extended):
+        # The strata rest on this: a chart-only rule emits the same facts
+        # whatever the store holds, so firing it once suffices.
+        target, saturated = (chart_x2, store_x2) if extended else (chart, store)
+        chart_only = [(name, rule) for name, rule in ALL_RULES if name in CHART_ONLY]
+        assert {name for name, _ in chart_only} == {"PERIODIC", "EXC", "T1", "T2", "T3"}
+        for name, rule in chart_only:
+            assert rule(FactStore(), target) == rule(saturated, target), name
+
+    def test_given_store_reaches_the_same_fixpoint(self, chart, store):
+        # LIN's first call on a store passed in visits every fact already there.
+        seeded = FactStore()
+        load_axioms(seeded, chart)
+        image_of_p3(seeded, chart)
+        assert saturate(chart, store=seeded).serialize() == store.serialize()
+
+    def test_every_value_change_is_logged(self, chart, store):
+        # Semi-naive LIN reads changed facts off the log, so no insert may
+        # change a stored value without appending to it.
+        class CheckedStore(FactStore):
+            def insert(self, map_name, source, value, rule, inputs=()):
+                key = fact_key(map_name, source)
+                before, logged = self.facts.get(key), len(self.log)
+                grew = super().insert(map_name, source, value, rule, inputs)
+                if self.facts.get(key) != before:
+                    assert self.log[logged:] and self.log[-1][0] == key
+                return grew
+
+        checked = CheckedStore()
+        load_axioms(checked, chart)
+        image_of_p3(checked, chart)
+        assert saturate(chart, store=checked).serialize() == store.serialize()
+
+    def test_linearity_delta_restricts_the_visit(self, chart, store):
+        key = fact_key("p2", chart.element("Y:y_{65,13}"))
+        full = rule_linearity(store, chart)
+        assert rule_linearity(store, chart, []) == []
+        visited = rule_linearity(store, chart, [key])
+        assert visited and visited == [e for e in full if e.inputs[0] == key]
 
     def test_no_contradictions_on_shipped_data(self, store):
         assert store.contradictions == []

@@ -192,3 +192,15 @@ class TestExactness:
         store = saturate(poisoned)
         assert store.contradictions
         assert any("p2|Y:y_{8,2}" in c.fact for c in store.contradictions)
+
+    def test_poisoned_contradictions_recorded_once(self, chart_document):
+        import json
+        import random
+
+        doc = json.loads(json.dumps(chart_document))
+        doc["axioms"].append({"map": "p2", "source": "Y:y_{8,2}", "value": []})
+        poisoned = chartdata.from_document(doc)
+        outputs = {saturate(poisoned, rng=random.Random(seed)).serialize() for seed in range(20)}
+        assert len(outputs) == 1
+        (output,) = outputs
+        assert sum(line.startswith("contradiction: ") for line in output.splitlines()) == 2
