@@ -127,8 +127,6 @@ GENERATOR_STEMS = {
 }
 
 KAPPA_BAR = "κ̄"
-V1 = "v₁"
-DELTA8 = "Δ⁸"
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .algebra import (
     RingGenerator,
     span_of,
 )
+from .sequences import MAP_SPECS
 
 SCHEMA_VERSION = "1"
 
@@ -132,10 +133,6 @@ class SesRecord:
     MAPS = {"SES-2.7": ("i2", "p2"), "SES-2.8": ("i2", "p2"), "SES-2.9": ("i1", "p1")}
 
     @property
-    def kernel_stem(self) -> int:
-        return self.stem - self.KERNEL_SHIFT[self.context]
-
-    @property
     def include_map(self) -> str:
         return self.MAPS[self.context][0]
 
@@ -178,9 +175,6 @@ class ChartFile:
     axioms: List[MapAxiom]
     periodic_presentations: Dict[str, dict]
 
-    def element(self, key: str) -> Element:
-        return self.elements[key]
-
     @cached_property
     def _elements_by_degree(self) -> Dict[tuple, List[Element]]:
         # (module, stem) and (module, None) -> sorted elements
@@ -212,12 +206,6 @@ class ChartFile:
         }
         return sorted(e for e in self.elements.values() if e.module is module and e.key in keys)
 
-    def ses_record(self, context: str, stem: int) -> Optional[SesRecord]:
-        for record in self.ses_records:
-            if record.context == context and record.stem == stem:
-                return record
-        return None
-
     def tmf_name(self, element: Element, row_key: str = "", column: str = "") -> Optional[str]:
         if row_key and column:
             override = self.tmf_name_overrides.get((row_key, column))
@@ -236,15 +224,70 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise ChartValidationError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-_KEY_RE = re.compile(r"^(S|M|Y|A1):(.+)$")
+_REQUIRED = object()
+_JSON_TYPES = {
+    int: "an integer", str: "a string", bool: "a boolean", list: "a list",
+    dict: "an object", type(None): "null",
+}
+
+
+def _field(record: dict, name: str, types: tuple, where: str, default=_REQUIRED):
+    """``record[name]``, which must have one of the JSON ``types``.
+
+    Types are matched exactly, so nothing is coerced: ``"6"`` and ``true``
+    are not integers.
+    """
+    if name not in record:
+        if default is _REQUIRED:
+            raise ChartValidationError(f"{where}: missing field {name!r}")
+        return default
+    value = record[name]
+    if type(value) not in types:
+        wanted = " or ".join(_JSON_TYPES[t] for t in types)
+        raise ChartValidationError(f"{where}: {name} must be {wanted}, got {value!r}")
+    return value
+
+
+def _records(doc: dict, name: str, fields: set) -> List[tuple[str, dict]]:
+    """The top-level list ``name`` as (location, record) pairs; each record is
+    an object with no fields beyond ``fields``."""
+    out = []
+    for index, record in enumerate(_field(doc, name, (list,), "top level", [])):
+        where = f"{name}[{index}]"
+        if type(record) is not dict:
+            raise ChartValidationError(f"{where}: must be an object")
+        _require_keys(record, fields, where)
+        out.append((where, record))
+    return out
+
+
+def _choice(kind, record: dict, name: str, where: str):
+    """The string field ``name`` read as a member of the enum ``kind``."""
+    value = _field(record, name, (str,), where)
+    try:
+        return kind(value)
+    except ValueError:
+        raise ChartValidationError(f"{where}: unknown {name} {value!r}") from None
+
+
+def _element(record: dict, name: str, elements: Dict[str, Element], where: str) -> Element:
+    key = _field(record, name, (str,), where)
+    if key not in elements:
+        raise ChartValidationError(f"{where}: unknown element {key!r}")
+    return elements[key]
+
+
+def _keys(keys: Sequence, elements: Dict[str, Element], where: str) -> List[Element]:
+    members = []
+    for key in keys:
+        if type(key) is not str or key not in elements:
+            raise ChartValidationError(f"{where}: dangling element reference {key!r}")
+        members.append(elements[key])
+    return members
 
 
 def _parse_span(keys: Sequence[str], elements: Dict[str, Element], where: str) -> F2Span:
-    members = []
-    for key in keys:
-        if key not in elements:
-            raise ChartValidationError(f"{where}: dangling element reference {key!r}")
-        members.append(elements[key])
+    members = _keys(keys, elements, where)
     if len(set(members)) != len(members):
         raise ChartValidationError(f"{where}: duplicate element in span")
     try:
@@ -266,6 +309,8 @@ def load(path: str | Path) -> ChartFile:
 
 
 def from_document(doc: dict) -> ChartFile:
+    if type(doc) is not dict:
+        raise ChartValidationError("top level: must be an object")
     _require_keys(
         doc,
         {
@@ -279,15 +324,19 @@ def from_document(doc: dict) -> ChartFile:
         raise ChartValidationError(
             f"unsupported schemaVersion {doc.get('schemaVersion')!r}, want {SCHEMA_VERSION!r}"
         )
-    max_stem = int(doc.get("maxStem", 0))
+    max_stem = _field(doc, "maxStem", (int,), "top level", 0)
+    if max_stem < 0:
+        raise ChartValidationError(f"top level: maxStem must be ≥ 0, got {max_stem}")
 
     generators: Dict[str, RingGenerator] = {}
-    for record in doc.get("generators", []):
-        _require_keys(set(record) and record, {"name", "stem", "filtration"}, "generator")
+    for where, record in _records(doc, "generators", {"name", "stem", "filtration"}):
+        name = _field(record, "name", (str,), where)
+        stem = _field(record, "stem", (int,), where)
+        filtration = _field(record, "filtration", (int,), where)
         try:
-            gen = RingGenerator(record["name"], int(record["stem"]), int(record["filtration"]))
+            gen = RingGenerator(name, stem, filtration)
         except ValueError as exc:
-            raise ChartValidationError(f"generator {record.get('name')!r}: {exc}") from exc
+            raise ChartValidationError(f"{where}: generator {name!r}: {exc}") from exc
         if gen.name in generators:
             raise ChartValidationError(f"duplicate generator {gen.name}")
         generators[gen.name] = gen
@@ -297,17 +346,15 @@ def from_document(doc: dict) -> ChartFile:
     tmf_names: Dict[str, str] = {}
     nu_multiples = set()
     prior_order_two = set()
-    for record in doc.get("elements", []):
-        _require_keys(
-            record,
-            {"module", "name", "stem", "filtration", "order", "tmfName", "nuMultiple", "priorOrderTwo"},
-            f"element {record.get('name')!r}",
-        )
+    element_fields = {
+        "module", "name", "stem", "filtration", "order", "tmfName", "nuMultiple", "priorOrderTwo",
+    }
+    for where, record in _records(doc, "elements", element_fields):
         element = Element(
-            ModuleId(record["module"]),
-            int(record["stem"]),
-            int(record["filtration"]),
-            record["name"],
+            _choice(ModuleId, record, "module", where),
+            _field(record, "stem", (int,), where),
+            _field(record, "filtration", (int,), where),
+            _field(record, "name", (str,), where),
         )
         if element.stem < 0 or element.filtration < 0:
             raise ChartValidationError(f"element {element.key}: negative degree")
@@ -320,72 +367,66 @@ def from_document(doc: dict) -> ChartFile:
         elements[element.key] = element
         order = record.get("order")
         if order is not None:
-            if order != "inf" and order not in ALLOWED_ORDERS:
+            if order != "inf" and (type(order) is not int or order not in ALLOWED_ORDERS):
                 raise ChartValidationError(f"element {element.key}: bad order {order!r}")
             orders[element.key] = order
-        if record.get("tmfName"):
+        if _field(record, "tmfName", (str,), where, ""):
             tmf_names[element.key] = record["tmfName"]
-        if record.get("nuMultiple"):
+        if _field(record, "nuMultiple", (bool,), where, False):
             nu_multiples.add(element.key)
-        if record.get("priorOrderTwo"):
+        if _field(record, "priorOrderTwo", (bool,), where, False):
             prior_order_two.add(element.key)
 
     actions = ActionTable()
-    for record in doc.get("actions", []):
-        _require_keys(record, {"generator", "source", "value", "nonzero"}, "action")
-        gen_name = record["generator"]
+    for where, record in _records(doc, "actions", {"generator", "source", "value", "nonzero"}):
+        gen_name = _field(record, "generator", (str,), where)
         if gen_name not in generators:
-            raise ChartValidationError(f"action references unknown generator {gen_name!r}")
-        source_key = record["source"]
-        if source_key not in elements:
-            raise ChartValidationError(f"action on unknown element {source_key!r}")
-        where = f"action {gen_name}·{source_key}"
+            raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
+        source = _element(record, "source", elements, where)
+        where = f"action {gen_name}·{source.key}"
         value: Optional[F2Span]
-        if record.get("nonzero"):
+        nonzero = _field(record, "nonzero", (bool,), where, False)
+        if nonzero:
             if record.get("value") is not None:
                 raise ChartValidationError(f"{where}: both value and nonzero set")
             value = None
         else:
-            value = _parse_span(record.get("value", []), elements, where)
+            value = _parse_span(_field(record, "value", (list,), where, []), elements, where)
         try:
-            fact = ActionFact(
-                generators[gen_name],
-                elements[source_key],
-                value=value,
-                nonzero=record.get("nonzero", False),
-            )
-            actions.add(fact)
+            actions.add(ActionFact(generators[gen_name], source, value=value, nonzero=nonzero))
         except ValueError as exc:
             raise ChartValidationError(f"{where}: {exc}") from exc
 
     classifications: List[Classification] = []
     seen_classifications = set()
-    for record in doc.get("classifications", []):
-        _require_keys(record, {"element", "context", "kind"}, "classification")
-        key = record["element"]
-        if key not in elements:
-            raise ChartValidationError(f"classification of unknown element {key!r}")
-        context = LesContext(record["context"])
-        dedup = (key, context)
+    for where, record in _records(doc, "classifications", {"element", "context", "kind"}):
+        element = _element(record, "element", elements, where)
+        context = _choice(LesContext, record, "context", where)
+        dedup = (element, context)
         if dedup in seen_classifications:
-            raise ChartValidationError(f"duplicate classification for {key} in {context.value}")
+            raise ChartValidationError(
+                f"duplicate classification for {element.key} in {context.value}"
+            )
         seen_classifications.add(dedup)
-        classifications.append(Classification(elements[key], context, ClassificationKind(record["kind"])))
+        kind = _choice(ClassificationKind, record, "kind", where)
+        classifications.append(Classification(element, context, kind))
 
     hurewicz: Dict[str, bool] = {}
-    for key, flag in doc.get("hurewiczFlags", {}).items():
+    for key, flag in _field(doc, "hurewiczFlags", (dict,), "top level", {}).items():
+        where = f"hurewiczFlags[{key!r}]"
         if key not in elements:
-            raise ChartValidationError(f"hurewicz flag on unknown element {key!r}")
+            raise ChartValidationError(f"{where}: unknown element {key!r}")
         if elements[key].module is not ModuleId.S:
             raise ChartValidationError(f"hurewicz flag on non-sphere element {key}")
-        hurewicz[key] = bool(flag)
+        if type(flag) is not bool:
+            raise ChartValidationError(f"{where}: must be a boolean, got {flag!r}")
+        hurewicz[key] = flag
 
-    exc_doc = doc.get("exceptionalSets", {})
+    exc_doc = _field(doc, "exceptionalSets", (dict,), "top level", {})
     _require_keys(exc_doc, {"EM", "FS", "FM", "delta8Closure"}, "exceptionalSets")
     exceptional = {
-        "EM": tuple(exc_doc.get("EM", [])),
-        "FS": tuple(exc_doc.get("FS", [])),
-        "FM": tuple(exc_doc.get("FM", [])),
+        label: tuple(_field(exc_doc, label, (list,), "exceptionalSets", []))
+        for label in ("EM", "FS", "FM")
     }
     for label, want in (("EM", EXCEPTIONAL_EM), ("FS", EXCEPTIONAL_FS), ("FM", EXCEPTIONAL_FM)):
         if exceptional[label] and exceptional[label] != want:
@@ -393,32 +434,31 @@ def from_document(doc: dict) -> ChartFile:
 
     ses_records: List[SesRecord] = []
     seen_records = set()
-    for record in doc.get("ranks", []):
-        _require_keys(record, {"context", "stem", "middle", "cokernel", "kernel"}, "ranks record")
-        context = record["context"]
+    rank_fields = {"context", "stem", "middle", "cokernel", "kernel"}
+    for where, record in _records(doc, "ranks", rank_fields):
+        context = _field(record, "context", (str,), where)
         if context not in SesRecord.KERNEL_SHIFT:
-            raise ChartValidationError(f"ranks record: unknown context {context!r}")
-        stem = int(record["stem"])
+            raise ChartValidationError(f"{where}: unknown context {context!r}")
+        stem = _field(record, "stem", (int,), where)
         if (context, stem) in seen_records:
             raise ChartValidationError(f"duplicate ranks record for {context} at stem {stem}")
         seen_records.add((context, stem))
         where = f"ranks {context}@{stem}"
 
-        def _basis(keys_or_none, expected_module, expected_stem):
-            if keys_or_none is None:
+        def _basis(name, expected_module, expected_stem, default):
+            keys = _field(record, name, (list, type(None)), where, default)
+            if keys is None:
                 return None
-            basis = []
-            for key in keys_or_none:
-                if key not in elements:
-                    raise ChartValidationError(f"{where}: dangling reference {key!r}")
-                element = elements[key]
+            basis = _keys(keys, elements, where)
+            for element in basis:
                 if element.module is not expected_module:
                     raise ChartValidationError(
-                        f"{where}: {key} should live in module {expected_module.value}"
+                        f"{where}: {element.key} should live in module {expected_module.value}"
                     )
                 if element.stem != expected_stem:
-                    raise ChartValidationError(f"{where}: {key} should be in stem {expected_stem}")
-                basis.append(element)
+                    raise ChartValidationError(
+                        f"{where}: {element.key} should be in stem {expected_stem}"
+                    )
             return tuple(sorted(basis))
 
         if context in ("SES-2.7", "SES-2.8"):
@@ -428,9 +468,9 @@ def from_document(doc: dict) -> ChartFile:
             mid_mod, side_mod = ModuleId.M, ModuleId.S
             coker_mod = ModuleId.S
         kernel_stem = stem - SesRecord.KERNEL_SHIFT[context]
-        middle = _basis(record.get("middle", []), mid_mod, stem)
-        cokernel = _basis(record.get("cokernel"), coker_mod, stem)
-        kernel = _basis(record.get("kernel"), side_mod, kernel_stem)
+        middle = _basis("middle", mid_mod, stem, [])
+        cokernel = _basis("cokernel", coker_mod, stem, None)
+        kernel = _basis("kernel", side_mod, kernel_stem, None)
         if middle is None:
             raise ChartValidationError(f"{where}: middle basis is required")
         if cokernel is not None and kernel is not None and len(middle) != len(cokernel) + len(kernel):
@@ -441,29 +481,28 @@ def from_document(doc: dict) -> ChartFile:
         ses_records.append(SesRecord(context, stem, middle, cokernel, kernel))
 
     axioms: List[MapAxiom] = []
-    for record in doc.get("axioms", []):
-        _require_keys(record, {"map", "source", "value", "nonzero"}, "axiom")
-        source_key = record["source"]
-        if source_key not in elements:
-            raise ChartValidationError(f"axiom on unknown element {source_key!r}")
-        where = f"axiom {record['map']}({source_key})"
-        if record.get("nonzero"):
-            axioms.append(MapAxiom(record["map"], elements[source_key], None, True))
+    for where, record in _records(doc, "axioms", {"map", "source", "value", "nonzero"}):
+        map_name = _field(record, "map", (str,), where)
+        if map_name not in MAP_SPECS:
+            raise ChartValidationError(f"{where}: unknown map {map_name!r}")
+        source = _element(record, "source", elements, where)
+        where = f"axiom {map_name}({source.key})"
+        if _field(record, "nonzero", (bool,), where, False):
+            axioms.append(MapAxiom(map_name, source, None, True))
         else:
-            span = _parse_span(record.get("value", []), elements, where)
-            axioms.append(MapAxiom(record["map"], elements[source_key], span))
+            span = _parse_span(_field(record, "value", (list,), where, []), elements, where)
+            axioms.append(MapAxiom(map_name, source, span))
 
     overrides: Dict[tuple[str, str], str] = {}
-    for record in doc.get("tmfNameOverrides", []):
-        _require_keys(record, {"row", "column", "name"}, "tmfNameOverride")
-        if record["row"] not in elements:
-            raise ChartValidationError(f"tmfNameOverride for unknown row {record['row']!r}")
-        if record["column"] not in ("imgP1", "lift"):
-            raise ChartValidationError(f"tmfNameOverride: bad column {record['column']!r}")
-        overrides[(record["row"], record["column"])] = record["name"]
+    for where, record in _records(doc, "tmfNameOverrides", {"row", "column", "name"}):
+        row = _element(record, "row", elements, where)
+        column = _field(record, "column", (str,), where)
+        if column not in ("imgP1", "lift"):
+            raise ChartValidationError(f"tmfNameOverride: bad column {column!r}")
+        overrides[(row.key, column)] = _field(record, "name", (str,), where)
 
-    presentations = doc.get("periodicPresentations", {})
-    _require_keys(presentations, {"Y", "M", "S"}, "periodicPresentations")
+    presentations = _field(doc, "periodicPresentations", (dict,), "top level", {})
+    _check_presentations(presentations)
 
     chart = ChartFile(
         schema_version=doc["schemaVersion"],
@@ -479,13 +518,35 @@ def from_document(doc: dict) -> ChartFile:
         nu_multiples=frozenset(nu_multiples),
         prior_order_two=frozenset(prior_order_two),
         exceptional_sets=exceptional,
-        delta8_closure=bool(exc_doc.get("delta8Closure", False)),
+        delta8_closure=_field(exc_doc, "delta8Closure", (bool,), "exceptionalSets", False),
         ses_records=ses_records,
         axioms=axioms,
         periodic_presentations=presentations,
     )
     _validate_semantics(chart)
     return chart
+
+
+def _check_presentations(presentations: dict) -> None:
+    """The pattern data ``expand_periodic`` reads: eight minimal v₁-powers
+    for Y and, for M, the k = 0 flash positions of each Δ-power mod 8."""
+    where = "periodicPresentations"
+    _require_keys(presentations, {"Y", "M", "S"}, where)
+    for module in presentations:
+        _field(presentations, module, (dict,), where)
+    y_min = _field(presentations.get("Y", {}), "minV1ByDeltaMod8", (list,), f"{where}.Y", [0] * 8)
+    if len(y_min) != 8 or any(type(v) is not int or v < 0 for v in y_min):
+        raise ChartValidationError(f"{where}.Y needs eight minimal v₁-powers, got {y_min!r}")
+    k0 = _field(presentations.get("M", {}), "k0Positions", (dict,), f"{where}.M", None)
+    if k0 is None:
+        return
+    if sorted(map(str, k0)) != [str(n) for n in range(8)]:
+        raise ChartValidationError(f"{where}.M.k0Positions needs keys 0-7")
+    for key, positions in k0.items():
+        if type(positions) is not list or any(
+            type(pos) is not int or not 0 <= pos < len(FLASH_POSITIONS) for pos in positions
+        ):
+            raise ChartValidationError(f"{where}.M.k0Positions[{key!r}]: bad flash positions")
 
 
 def _validate_semantics(chart: ChartFile) -> None:
@@ -627,24 +688,21 @@ def expand_periodic(
 ) -> List[Monomial]:
     """All periodic-part monomials of one module with stem ≤ stem_bound.
 
-    ``presentations`` is the dataset's periodicPresentations section; it may
-    override the minimal v₁-powers of the Y pattern and, for the Moore module,
-    must be consulted for the per-element k = 0 flash fraction (no closed
-    formula covers it).  Without a presentation the module defaults apply.
+    ``presentations`` is the dataset's periodicPresentations section, as the
+    loader checked it; it may override the minimal v₁-powers of the Y pattern
+    and, for the Moore module, must be consulted for the per-element k = 0
+    flash fraction (no closed formula covers it).  Without a presentation the
+    module defaults apply.
     """
     if stem_bound < 0:
         raise ValueError("stem bound must be ≥ 0")
     presentations = presentations or {}
     y_min = tuple(presentations.get("Y", {}).get("minV1ByDeltaMod8", Y_MIN_V1))
-    if len(y_min) != 8:
-        raise ChartValidationError("periodicPresentations.Y needs eight minimal v₁-powers")
     k0_doc = presentations.get("M", {}).get("k0Positions")
     if k0_doc is None:
         k0_positions = M_K0_POSITIONS
     else:
         k0_positions = {int(key): tuple(value) for key, value in k0_doc.items()}
-        if set(k0_positions) != set(range(8)):
-            raise ChartValidationError("periodicPresentations.M.k0Positions needs keys 0-7")
     out: List[Monomial] = []
     if module is ModuleId.Y:
         n = 0

@@ -239,10 +239,6 @@ def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
         m = row.p2_element
         if m is None:
             continue
-        if row.img_p1 is not None and row.img_p1.is_zero and row.lift_i1 is None:
-            raise IncompleteRowError(
-                f"row {row.img_p3.key}: p1 image vanishes but no lift is recorded"
-            )
         if (
             row.img_p1 is not None
             and row.img_p1.is_zero

@@ -146,26 +146,6 @@ def rule_periodic(store: FactStore, chart: ChartFile, bound: Optional[int] = Non
 # Exceptional classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExceptionalVerdict:
-    element: Element
-    context: LesContext
-    verdict: bool
-
-
-def exceptional_verdicts(chart: ChartFile) -> List[ExceptionalVerdict]:
-    out = []
-    for c in chart.classifications:
-        if c.kind is ClassificationKind.TORSION:
-            continue
-        out.append(
-            ExceptionalVerdict(
-                c.element, c.context, c.kind is ClassificationKind.PERIODIC_EXCEPTIONAL
-            )
-        )
-    return out
-
-
 def rule_exceptional(store: FactStore, chart: ChartFile) -> List[Emission]:
     """Exceptional periodic classes include to nonzero torsion.
 

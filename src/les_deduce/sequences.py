@@ -6,15 +6,16 @@ including alternatives for already-known facts.  Conflicting known values
 that do not agree modulo higher filtration become contradictions; they are
 reported, never silently resolved, and never abort saturation.
 
-Exactness is checked junction-locally, and only on the genuine long exact
-sequences: facts whose source is a periodic-part monomial are bookkeeping for
-the localized rows, which are not exact in general, so the checker skips them.
+Exactness is checked junction-locally over the chart's elements.  Periodic-part
+monomials are never chart elements, so the checker never reads the facts on
+them: they are bookkeeping for the localized rows, which are not exact in
+general.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
     Element,
@@ -27,7 +28,9 @@ from .algebra import (
     span_key,
     values_equal_mod_higher,
 )
-from .chartdata import ChartFile
+
+if TYPE_CHECKING:  # chartdata checks axiom maps against MAP_SPECS
+    from .chartdata import ChartFile
 
 
 @dataclass(frozen=True)
@@ -278,40 +281,6 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
 
 
 @dataclass(frozen=True)
-class DerivedSES:
-    """One degree of a derived short exact sequence with its explicit bases."""
-
-    context: str
-    stem: int
-    cokernel: Tuple[Element, ...]
-    middle: Tuple[Element, ...]
-    kernel: Tuple[Element, ...]
-
-    @property
-    def left_rank(self) -> int:
-        return len(self.cokernel)
-
-    @property
-    def right_rank(self) -> int:
-        return len(self.kernel)
-
-
-def build_derived_ses(chart: ChartFile, stem: int, context: str) -> DerivedSES:
-    record = chart.ses_record(context, stem)
-    if record is None:
-        if not chart.elements_of(_middle_module(context), stem):
-            return DerivedSES(context, stem, (), (), ())
-        raise IncompleteDataError(f"no rank data for {context} at stem {stem}")
-    if record.cokernel is None or record.kernel is None:
-        raise IncompleteDataError(f"partial rank data for {context} at stem {stem}")
-    return DerivedSES(context, stem, record.cokernel, record.middle, record.kernel)
-
-
-def _middle_module(context: str) -> ModuleId:
-    return ModuleId.Y if context in ("SES-2.7", "SES-2.8") else ModuleId.M
-
-
-@dataclass(frozen=True)
 class JunctionVerdict:
     sequence: str
     stem: int
@@ -378,7 +347,7 @@ def check_exactness(store: FactStore, chart: ChartFile, sequence_id: str, stem: 
 
 
 def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
-    stems = sorted({e.stem for e in chart.elements.values() if not e.periodic})
+    stems = sorted({e.stem for e in chart.elements.values()})
     out: List[JunctionVerdict] = []
     for sequence_id in ("LES-2.2", "LES-2.3", "LES-2.4"):
         for stem in stems:

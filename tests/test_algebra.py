@@ -153,10 +153,10 @@ class TestAct:
         assert [f.source for f in self.table.landing_on(self.ka)] == [self.a]
 
     def test_act_on_shipped_chart(self, chart):
-        y62 = chart.element("Y:y_{62,2}")
+        y62 = chart.elements["Y:y_{62,2}"]
         got = chart.actions.act("κ̄", frozenset({y62}))
-        assert got == Value.known(frozenset({chart.element("Y:y_{82,6}")}))
-        y3 = chart.element("Y:y_{3,1}")
+        assert got == Value.known(frozenset({chart.elements["Y:y_{82,6}"]}))
+        y3 = chart.elements["Y:y_{3,1}"]
         assert chart.actions.act("v₁", frozenset({y3})) == Value.zero()
 
     @given(st.sets(st.integers(0, 3)), st.sets(st.integers(0, 3)))

@@ -1,5 +1,6 @@
 """Dataset loading, validation, periodic expansion, and the Δ⁸ extension."""
 
+import importlib.util
 import json
 
 import pytest
@@ -14,6 +15,9 @@ from les_deduce.chartdata import (
     monomial_name_y,
 )
 
+from les_deduce.cli import main
+
+from conftest import DATA, REPO
 from golden_table import ROWS
 
 MINIMAL = {
@@ -36,8 +40,8 @@ class TestLoad:
     def test_shipped_dataset_elements(self, chart):
         for img_p3, *_ in ROWS:
             assert f"Y:{img_p3}" in chart.elements
-        assert chart.element("Y:y_{3,1}").stem == 3
-        assert chart.element("Y:y_{170,4}").filtration == 4
+        assert chart.elements["Y:y_{3,1}"].stem == 3
+        assert chart.elements["Y:y_{170,4}"].filtration == 4
 
     def test_empty_dataset_is_valid(self):
         chart = chartdata.from_document(dict(MINIMAL))
@@ -106,10 +110,10 @@ class TestLoad:
     def test_classification_lookup(self, chart):
         from les_deduce.algebra import ClassificationKind, LesContext
 
-        m50 = chart.element("M:m_{50,6}")
+        m50 = chart.elements["M:m_{50,6}"]
         assert chart.classification(m50, LesContext.LES_23) is ClassificationKind.PERIODIC_EXCEPTIONAL
         assert chart.classification(m50, LesContext.LES_24) is not ClassificationKind.PERIODIC_EXCEPTIONAL
-        assert chart.classification(chart.element("Y:y_{3,1}"), LesContext.LES_24) is None
+        assert chart.classification(chart.elements["Y:y_{3,1}"], LesContext.LES_24) is None
 
     def test_round_trip_is_byte_exact(self, chart):
         text = chartdata.dumps(chart)
@@ -183,7 +187,7 @@ class TestDelta8Extend:
     def test_copies_one_replicates_elements(self, chart):
         ext = delta8_extend(chart, 1)
         assert "Y:y_{195,1}" in ext.elements
-        assert ext.element("Y:y_{195,1}").stem == 195
+        assert ext.elements["Y:y_{195,1}"].stem == 195
         assert ext.tmf_names["S:s_{216,0}"] == "Δ⁸·8Δ"
 
     def test_copies_zero_identity(self, chart):
@@ -215,3 +219,79 @@ class TestDelta8Extend:
         chart = chartdata.from_document(doc)
         with pytest.raises(ChartValidationError, match="collision"):
             delta8_extend(chart, 1)
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    """A mutation that sets the entry at ``path`` to ``value``, or deletes it."""
+
+    def mutate(doc):
+        for step in path[:-1]:
+            doc = doc[step]
+        if value is _DELETE:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+
+    return mutate
+
+
+# (mutation of the shipped document, location the error must name)
+MALFORMED = {
+    "element-without-module": (_set(("elements", 0, "module"), _DELETE), r"elements\[0\]"),
+    "action-without-generator": (_set(("actions", 0, "generator"), _DELETE), r"actions\[0\]"),
+    "axiom-without-map": (_set(("axioms", 0, "map"), _DELETE), r"axioms\[0\]"),
+    "stem-not-a-number": (_set(("elements", 0, "stem"), "x"), r"elements\[0\]: stem"),
+    "stem-as-string": (_set(("elements", 0, "stem"), "6"), r"elements\[0\]: stem"),
+    "unknown-module": (_set(("elements", 0, "module"), "Q"), r"elements\[0\]: unknown module"),
+    "unknown-context": (
+        _set(("classifications", 0, "context"), "LES-9"),
+        r"classifications\[0\]: unknown context",
+    ),
+    "elements-as-object": (_set(("elements",), {}), "top level: elements"),
+    "unknown-axiom-map": (_set(("axioms", 0, "map"), "nosuch"), r"axioms\[0\]: unknown map"),
+    "hurewicz-flag-not-bool": (
+        _set(("hurewiczFlags", "S:s_{100,20}"), "no"),
+        r"hurewiczFlags\['S:s_\{100,20\}'\]: must be a boolean",
+    ),
+    "negative-max-stem": (_set(("maxStem",), -1), "top level: maxStem"),
+    "flash-positions-not-a-list": (
+        _set(("periodicPresentations", "M", "k0Positions", "3"), 5),
+        "periodicPresentations.M.k0Positions",
+    ),
+    "min-v1-not-an-integer": (
+        _set(("periodicPresentations", "Y", "minV1ByDeltaMod8", 0), "0"),
+        "periodicPresentations.Y",
+    ),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_rejected_with_location(self, name, tmp_path, capsys):
+        mutate, location = MALFORMED[name]
+        doc = json.loads(DATA.read_text(encoding="utf-8"))
+        mutate(doc)
+        with pytest.raises(ChartValidationError, match=location):
+            chartdata.from_document(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_:
+            main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 1
+        assert err.startswith("validation error:") and "Traceback" not in err
+
+
+class TestShippedDataset:
+    def test_build_script_regenerates_the_shipped_file(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "build_dataset", REPO / "scripts" / "build_dataset.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path / "tmf_chart.json")
+        script.main()
+        assert (tmp_path / "tmf_chart.json").read_bytes() == DATA.read_bytes()

@@ -85,6 +85,8 @@ class TestClassifyThreeOptions:
         broken = replace(row, lift_i1=None)
         with pytest.raises(IncompleteRowError):
             classify_three_options(broken, chart)
+        with pytest.raises(IncompleteRowError):
+            emit_families([broken], chart)
 
     def test_low_stem_lift_reported_not_dropped(self, rows, chart):
         # A Hurewicz-image torsion lift in stem ≤ 3 falls outside the case-I
@@ -92,7 +94,7 @@ class TestClassifyThreeOptions:
         from dataclasses import replace
 
         row = row_by_name(rows, "y_{8,2}")
-        low = replace(row, lift_i1=chart.element("S:s_{3,1}"))
+        low = replace(row, lift_i1=chart.elements["S:s_{3,1}"])
         assert classify_three_options(low, chart) is None
         result = emit_families([low], chart)
         assert result.case_i == [] and result.case_ii == []

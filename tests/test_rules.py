@@ -1,23 +1,26 @@
 """Each inference rule against its recorded chart instances and its guards."""
 
 import random
+import re
 
 import pytest
 
 from les_deduce.algebra import (
     ActionFact,
     ActionTable,
+    ClassificationKind,
     Element,
+    LesContext,
     ModuleId,
     RingGenerator,
     Value,
     span_of,
 )
 from les_deduce.chartdata import ChartFile, SesRecord, delta8_extend, expand_periodic
+from les_deduce.families import build_table, emit_families
 from les_deduce.rules import (
     ALL_RULES,
     CHART_ONLY,
-    exceptional_verdicts,
     fact_labels,
     rule_exact,
     rule_linearity,
@@ -29,6 +32,8 @@ from les_deduce.rules import (
     saturate,
 )
 from les_deduce.sequences import FactStore, fact_key, image_of_p3, load_axioms
+
+_SHIFT = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
 
 def known(store, map_name, key):
@@ -112,18 +117,10 @@ class TestExceptionalRule:
         assert {e.name for e in value.span} == {"m_{24,6}"}
         assert "EXC" in rules_for(store, "i1", "S:s_{24,0}")
 
-    def test_verdicts(self, chart):
-        verdicts = {(v.element.key, v.context.value): v.verdict for v in exceptional_verdicts(chart)}
-        assert verdicts[("M:m_{50,6}", "LES-2.3")] is True
-        assert verdicts[("M:m_{50,6}", "LES-2.4")] is False
-        assert ("M:m_{48,6}", "LES-2.3") not in verdicts  # torsion: no verdict
-
     def test_delta8_closure_verdicts(self, chart):
-        from les_deduce.chartdata import delta8_extend
-
         ext = delta8_extend(chart, 1)
-        verdicts = {(v.element.key, v.context.value): v.verdict for v in exceptional_verdicts(ext)}
-        assert verdicts[("M:m_{242,6}", "LES-2.3")] is True  # Δ⁸·m_{50,6}
+        m242 = ext.elements["M:m_{242,6}"]  # Δ⁸·m_{50,6}
+        assert ext.classification(m242, LesContext.LES_23) is ClassificationKind.PERIODIC_EXCEPTIONAL
 
 
 class TestT1:
@@ -339,7 +336,7 @@ class TestSaturation:
         assert saturate(chart, store=checked).serialize() == store.serialize()
 
     def test_linearity_delta_restricts_the_visit(self, chart, store):
-        key = fact_key("p2", chart.element("Y:y_{65,13}"))
+        key = fact_key("p2", chart.elements["Y:y_{65,13}"])
         full = rule_linearity(store, chart)
         assert rule_linearity(store, chart, []) == []
         visited = rule_linearity(store, chart, [key])
@@ -347,3 +344,27 @@ class TestSaturation:
 
     def test_no_contradictions_on_shipped_data(self, store):
         assert store.contradictions == []
+
+
+class TestDelta8Equivariance:
+    def test_three_copies(self, chart):
+        # Criterion 8 checks one Δ⁸ copy; three copies must also carry every
+        # fact of the base range at +192·k, and the family golden sets.
+        extended = delta8_extend(chart, 3)
+        store = saturate(extended)
+        base = [
+            (key.partition("|")[0], source, m)
+            for key, source in store.sources.items()
+            if not source.periodic
+            and source.stem <= chart.max_stem
+            and (m := _SHIFT.match(source.name)) is not None
+        ]
+        assert len(base) > 400
+        missing = []
+        for map_name, source, m in base:
+            for k in (1, 2, 3):
+                shifted = f"{m.group(1)}_{{{source.stem + 192 * k},{m.group(3)}}}"
+                if f"{map_name}|{source.module.value}:{shifted}" not in store.facts:
+                    missing.append((map_name, source.key, k))
+        assert missing == []
+        assert emit_families(build_table(store, extended), extended).golden_diff() == []

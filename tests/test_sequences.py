@@ -1,4 +1,4 @@
-"""Fact store semantics, image of p₃, derived SES bases, exactness checking."""
+"""Fact store semantics, image of p₃, derived SES records, exactness checking."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from les_deduce.sequences import (
     IncompleteDataError,
     MAP_SPECS,
     SEQUENCES,
-    build_derived_ses,
     check_exactness,
     fact_key,
     image_of_p3,
@@ -116,25 +115,21 @@ class TestStore:
         assert self.store.get("p2", self.y) == Value.known(span_of(self.m))
 
 
+def ses_record(chart, context, stem):
+    (record,) = [r for r in chart.ses_records if (r.context, r.stem) == (context, stem)]
+    return record
+
+
 class TestDerivedSES:
     def test_degree_50_bases(self, chart):
-        ses = build_derived_ses(chart, 50, "SES-2.8")
+        ses = ses_record(chart, "SES-2.8", 50)
         assert [e.name for e in ses.cokernel] == ["m_{50,6}"]
         assert sorted(e.name for e in ses.middle) == ["y_{50,4}", "y_{50,6}"]
         assert [e.name for e in ses.kernel] == ["m_{48,6}"]
-        assert (ses.left_rank, ses.right_rank) == (1, 1)
 
     def test_degree_45_middle(self, chart):
-        ses = build_derived_ses(chart, 45, "SES-2.8")
+        ses = ses_record(chart, "SES-2.8", 45)
         assert sorted(e.name for e in ses.middle) == ["y_{45,3}", "y_{45,9}"]
-
-    def test_empty_degree(self, chart):
-        ses = build_derived_ses(chart, 37, "SES-2.8")
-        assert ses.middle == () and ses.cokernel == () and ses.kernel == ()
-
-    def test_partial_rank_data_is_an_error(self, chart):
-        with pytest.raises(IncompleteDataError):
-            build_derived_ses(chart, 3, "SES-2.8")  # cokernel unknown at stem 3
 
     def test_unrestricted_context_accepted(self):
         # SES-2.7 carries the full (not torsion-restricted) bases; its middle
@@ -165,10 +160,10 @@ class TestDerivedSES:
             "periodicPresentations": {},
         }
         chart = chartdata.from_document(doc)
-        ses = build_derived_ses(chart, 10, "SES-2.7")
-        assert ses.right_rank == 1
+        ses = ses_record(chart, "SES-2.7", 10)
+        assert [e.name for e in ses.kernel] == ["m_{8,2}"]
         store = saturate(chart, with_periodic=False)
-        value = store.get("p2", chart.element("Y:y_{10,2}"))
+        value = store.get("p2", chart.elements["Y:y_{10,2}"])
         assert value is not None and {e.name for e in value.span} == {"m_{8,2}"}
 
 
