@@ -13,12 +13,18 @@ bound; the per-part formulas of the deduction rules act on those monomials.
 The Moore-module pattern is a lightning flash on generators Δⁿv₁⁴ᵏ, full for
 k ≥ 1, with the k = 0 fraction listed per Δ-power (mod 8) because no closed
 formula covers it.
+
+``delta8_extend`` adds Δ⁸-shifted copies of every record to the document and
+loads the result with ``from_document``, so an extended chart passes the same
+checks as a loaded one.  Among those checks: every class classified torsion
+in LES-2.3 on Y needs a v₁ action, which ``image_of_p3`` reads.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -463,13 +469,11 @@ def from_document(doc: dict) -> ChartFile:
 
         if context in ("SES-2.7", "SES-2.8"):
             mid_mod, side_mod = ModuleId.Y, ModuleId.M
-            coker_mod = ModuleId.M
         else:
             mid_mod, side_mod = ModuleId.M, ModuleId.S
-            coker_mod = ModuleId.S
         kernel_stem = stem - SesRecord.KERNEL_SHIFT[context]
         middle = _basis("middle", mid_mod, stem, [])
-        cokernel = _basis("cokernel", coker_mod, stem, None)
+        cokernel = _basis("cokernel", side_mod, stem, None)
         kernel = _basis("kernel", side_mod, kernel_stem, None)
         if middle is None:
             raise ChartValidationError(f"{where}: middle basis is required")
@@ -550,6 +554,13 @@ def _check_presentations(presentations: dict) -> None:
 
 
 def _validate_semantics(chart: ChartFile) -> None:
+    # image_of_p3 reads the v₁ action on every torsion Y class.
+    for element in chart.torsion_elements(ModuleId.Y, LesContext.LES_23):
+        if chart.actions.get("v₁", element) is None:
+            raise ChartValidationError(
+                f"classification: torsion class {element.key} in {LesContext.LES_23.value} "
+                f"has no v₁ action"
+            )
     for record in chart.ses_records:
         if record.context == "SES-2.7":
             continue  # unrestricted middle: no classification obligation
@@ -574,8 +585,7 @@ def _validate_semantics(chart: ChartFile) -> None:
             listing = "EM" if classification.context is LesContext.LES_23 else (
                 "FS" if element.module is ModuleId.S else "FM"
             )
-            stems = _exceptional_stems(listing)
-            if stems and element.stem % 192 not in stems:
+            if element.stem % 192 not in _exceptional_stems(listing):
                 raise ChartValidationError(
                     f"classification: {element.key} marked exceptional in "
                     f"{classification.context.value} but no {listing} monomial lives in stem "
@@ -768,133 +778,69 @@ def _shifted_name(element: Element, copies: int) -> str:
     return element.name + "·Δ⁸" * copies
 
 
-def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
-    """Replicate every record at stem + 192k for k ≤ copies.
+def _renamed(record: dict, rename: Dict[str, str]) -> dict:
+    """A copy of ``record`` with every element reference renamed."""
+    copy = dict(record)
+    for field in ("element", "source", "row"):
+        if field in record:
+            copy[field] = rename[record[field]]
+    for field in ("value", "middle", "cokernel", "kernel"):
+        if record.get(field) is not None:
+            copy[field] = [rename[key] for key in record[field]]
+    return copy
 
-    Hurewicz flags replicate except on integer multiples of ν, whose shifted
-    copies leave the Hurewicz image.  Names following the x_{i,j} convention
-    are recomputed so the convention invariant still holds.
+
+def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
+    """Add a copy of every record at stem + 192k for each k ≤ copies.
+
+    The k-th copy renames elements by ``_shifted_name``, adds 192k to stems
+    and k times the filtration degree of Δ⁸ to filtrations, and prefixes tmf
+    names with Δ⁸· k times.  Copies of ν-multiples are not marked as such and
+    have Hurewicz flag false.  The copies are added to ``to_document(chart)``,
+    skipping any equal to a record already present, and the result is loaded
+    with ``from_document``, whose checks reject every other clash.
     """
     if copies < 0:
         raise ValueError("copies must be ≥ 0")
     if copies == 0:
         return chart
 
+    doc = to_document(chart)
     delta8 = chart.generators.get("Δ⁸")
     filt_shift = delta8.filtration_degree if delta8 else 0
-
-    def shift(element: Element, k: int) -> Element:
-        if k == 0:
-            return element
-        return Element(
-            element.module,
-            element.stem + 192 * k,
-            element.filtration + filt_shift * k,
-            _shifted_name(element, k),
-        )
-
-    elements = dict(chart.elements)
-    orders = dict(chart.orders)
-    tmf_names = dict(chart.tmf_names)
-    hurewicz = dict(chart.hurewicz)
-    nu_multiples = set(chart.nu_multiples)
-    prior_order_two = set(chart.prior_order_two)
-    base_elements = list(chart.elements.values())
+    new: Dict[str, List[dict]] = defaultdict(list)
     for k in range(1, copies + 1):
-        for element in base_elements:
-            copy = shift(element, k)
-            if copy.key in elements:
-                # Re-extending an already extended chart re-creates identical
-                # copies; only a genuinely different class is a collision.
-                if elements[copy.key] == copy:
-                    continue
-                raise ChartValidationError(f"Δ⁸ extension: name collision at {copy.key}")
-            elements[copy.key] = copy
-            if element.key in orders:
-                orders[copy.key] = orders[element.key]
-            if element.key in tmf_names:
-                tmf_names[copy.key] = "Δ⁸·" * k + tmf_names[element.key]
-            if element.key in hurewicz:
-                if element.key in nu_multiples:
-                    hurewicz[copy.key] = False
-                else:
-                    hurewicz[copy.key] = hurewicz[element.key]
-            if element.key in prior_order_two:
-                prior_order_two.add(copy.key)
-
-    def shift_span(span: F2Span, k: int) -> F2Span:
-        return frozenset(shift(e, k) for e in span)
-
-    actions = ActionTable(chart.actions.facts())
-    for k in range(1, copies + 1):
-        for fact in chart.actions.facts():
-            actions.add(
-                ActionFact(
-                    fact.generator,
-                    shift(fact.source, k),
-                    value=None if fact.value is None else shift_span(fact.value, k),
-                    nonzero=fact.nonzero,
+        prefix = "Δ⁸·" * k
+        rename = {key: f"{e.module.value}:{_shifted_name(e, k)}" for key, e in chart.elements.items()}
+        for record in doc["elements"]:
+            key = f"{record['module']}:{record['name']}"
+            copy = dict(
+                record,
+                name=_shifted_name(chart.elements[key], k),
+                stem=record["stem"] + 192 * k,
+                filtration=record["filtration"] + filt_shift * k,
+            )
+            copy.pop("nuMultiple", None)
+            if "tmfName" in record:
+                copy["tmfName"] = prefix + record["tmfName"]
+            new["elements"].append(copy)
+            if key in chart.hurewicz:
+                doc["hurewiczFlags"].setdefault(
+                    rename[key], chart.hurewicz[key] and key not in chart.nu_multiples
                 )
-            )
-
-    classifications = list(chart.classifications)
-    seen_classifications = {(c.element.key, c.context) for c in classifications}
-    for k in range(1, copies + 1):
-        for c in chart.classifications:
-            copy = Classification(shift(c.element, k), c.context, c.kind)
-            if (copy.element.key, copy.context) not in seen_classifications:
-                seen_classifications.add((copy.element.key, copy.context))
-                classifications.append(copy)
-
-    ses_records = list(chart.ses_records)
-    seen_records = {(r.context, r.stem) for r in ses_records}
-    for k in range(1, copies + 1):
-        for record in chart.ses_records:
-            copy = SesRecord(
-                record.context,
-                record.stem + 192 * k,
-                tuple(shift(e, k) for e in record.middle),
-                None if record.cokernel is None else tuple(shift(e, k) for e in record.cokernel),
-                None if record.kernel is None else tuple(shift(e, k) for e in record.kernel),
-            )
-            if (copy.context, copy.stem) not in seen_records:
-                seen_records.add((copy.context, copy.stem))
-                ses_records.append(copy)
-
-    axioms = list(chart.axioms)
-    for k in range(1, copies + 1):
-        for axiom in chart.axioms:
-            copy = MapAxiom(
-                axiom.map,
-                shift(axiom.source, k),
-                None if axiom.value is None else shift_span(axiom.value, k),
-                axiom.nonzero,
-            )
-            if copy not in axioms:
-                axioms.append(copy)
-
-    overrides = dict(chart.tmf_name_overrides)
-    for k in range(1, copies + 1):
-        for (row_key, column), name in chart.tmf_name_overrides.items():
-            shifted_row = shift(chart.elements[row_key], k)
-            overrides[(shifted_row.key, column)] = "Δ⁸·" * k + name
-
-    return ChartFile(
-        schema_version=chart.schema_version,
-        max_stem=chart.max_stem + 192 * copies,
-        generators=chart.generators,
-        elements=elements,
-        actions=actions,
-        classifications=classifications,
-        hurewicz=hurewicz,
-        orders=orders,
-        tmf_names=tmf_names,
-        tmf_name_overrides=overrides,
-        nu_multiples=frozenset(nu_multiples),
-        prior_order_two=frozenset(prior_order_two),
-        exceptional_sets=chart.exceptional_sets,
-        delta8_closure=chart.delta8_closure,
-        ses_records=ses_records,
-        axioms=axioms,
-        periodic_presentations=chart.periodic_presentations,
-    )
+        for name in ("actions", "classifications", "axioms"):
+            new[name] += [_renamed(record, rename) for record in doc[name]]
+        for record in doc["ranks"]:
+            new["ranks"].append(dict(_renamed(record, rename), stem=record["stem"] + 192 * k))
+        for record in doc["tmfNameOverrides"]:
+            new["tmfNameOverrides"].append(dict(_renamed(record, rename), name=prefix + record["name"]))
+    for name, records in new.items():
+        # A section's records share one field order, which the copies keep,
+        # so equal records have equal reprs.
+        present = set(map(repr, doc[name]))
+        for record in records:
+            if repr(record) not in present:
+                present.add(repr(record))
+                doc[name].append(record)
+    doc["maxStem"] += 192 * copies
+    return from_document(doc)

@@ -307,7 +307,7 @@ def check_exactness(store: FactStore, chart: ChartFile, sequence_id: str, stem: 
         source_stem = stem if idx == 0 else stem + sum(m.stem_shift for m in seq.maps[:idx])
         junction_stem = source_stem + map1.stem_shift
         label = f"{map1.name}->{map2.name}@{junction_stem}"
-        sources = [e for e in chart.elements_of(map1.source, source_stem)]
+        sources = chart.elements_of(map1.source, source_stem)
         junction_elems = chart.elements_of(map1.target, junction_stem)
         targets = chart.elements_of(map2.target, junction_stem + map2.stem_shift)
         if not sources and not junction_elems and not targets:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from les_deduce import chartdata
 from les_deduce.algebra import ModuleId
@@ -16,6 +17,7 @@ from les_deduce.chartdata import (
 )
 
 from les_deduce.cli import main
+from les_deduce.rules import saturate
 
 from conftest import DATA, REPO
 from golden_table import ROWS
@@ -217,7 +219,7 @@ class TestDelta8Extend:
             {"module": "Y", "name": "blob·Δ⁸", "stem": 7, "filtration": 1},
         ]
         chart = chartdata.from_document(doc)
-        with pytest.raises(ChartValidationError, match="collision"):
+        with pytest.raises(ChartValidationError, match="Y:blob·Δ⁸"):
             delta8_extend(chart, 1)
 
 
@@ -236,6 +238,15 @@ def _set(path, value):
             doc[path[-1]] = value
 
     return mutate
+
+
+SHIPPED_TEXT = DATA.read_text(encoding="utf-8")
+SHIPPED = json.loads(SHIPPED_TEXT)
+V1_ON_Y44 = next(
+    ("actions", i)
+    for i, action in enumerate(SHIPPED["actions"])
+    if (action["generator"], action["source"]) == ("v₁", "Y:y_{44,8}")
+)
 
 
 # (mutation of the shipped document, location the error must name)
@@ -265,7 +276,31 @@ MALFORMED = {
         _set(("periodicPresentations", "Y", "minV1ByDeltaMod8", 0), "0"),
         "periodicPresentations.Y",
     ),
+    "torsion-y-without-v1-action": (
+        _set(V1_ON_Y44, _DELETE),
+        r"torsion class Y:y_\{44,8\} in LES-2.3 has no v₁ action",
+    ),
 }
+
+
+def _sites(node, path=()):
+    """(path, value) of every record, field and list entry below ``node``."""
+    children = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _sites(child, path + (key,))
+
+
+SITES = list(_sites(SHIPPED))
+OTHER_TYPES = (7, "x", True, None, [], {})
+
+
+@st.composite
+def mutations(draw):
+    """Delete one entry of the shipped document, or give it another JSON type."""
+    path, value = draw(st.sampled_from(SITES))
+    replacements = [_DELETE] + [v for v in OTHER_TYPES if type(v) is not type(value)]
+    return path, draw(st.sampled_from(replacements))
 
 
 class TestMalformedDocuments:
@@ -283,6 +318,19 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert exit_.value.code == 1
         assert err.startswith("validation error:") and "Traceback" not in err
+
+    @given(mutations())
+    @example((V1_ON_Y44, _DELETE))
+    @settings(max_examples=100, deadline=None)
+    def test_single_mutation_is_rejected_or_saturates(self, mutation):
+        path, value = mutation
+        doc = json.loads(SHIPPED_TEXT)
+        _set(path, value)(doc)
+        try:
+            chart = chartdata.from_document(doc)
+        except ChartValidationError:
+            return
+        saturate(chart, with_periodic=False)
 
 
 class TestShippedDataset:
