@@ -311,7 +311,11 @@ def loads(text: str) -> ChartFile:
 
 
 def load(path: str | Path) -> ChartFile:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChartValidationError(f"not UTF-8 text: {exc}") from exc
+    return loads(text)
 
 
 def from_document(doc: dict) -> ChartFile:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``deduce``, ``table``, ``families``, ``check``.
-Exit codes: 0 success, 1 validation error, 2 contradictions in the saturated
-store, 3 acceptance mismatch against the frozen family sets.  The dataset path
-may be omitted when LES_DEDUCE_DATA is set.
+Exit codes: 0 success, 1 unreadable or invalid dataset, 2 contradictions in
+the saturated store, 3 acceptance mismatch against the frozen family sets.
+The dataset path may be omitted when LES_DEDUCE_DATA is set.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ def _load(path_arg: str | None):
         return chartdata.load(path)
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     except ChartValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -4,11 +4,16 @@ Each rule is a pure function of (store, chart) returning emissions; firing a
 rule twice adds nothing new, and every guard reads only dataset structure or
 already-present facts, so the saturated store is independent of rule order.
 
-``saturate`` evaluates in two strata.  PERIODIC, EXC, T1, T2 and T3 read only
-the chart, so they fire once.  T4, LIN and EXACT read the store and loop to
-the fixpoint.  LIN is semi-naive (Bancilhon & Ramakrishnan, 1986): after its
+``saturate`` evaluates in two strata.  EXC, T1, T2 and T3 read only the
+chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
+fixpoint.  LIN is semi-naive (Bancilhon & Ramakrishnan, 1986): after its
 first call it revisits only the facts whose keys were logged since its
 previous call.  A shuffled schedule permutes the rules within each stratum.
+
+The closed-form values on periodic-part monomials are not in the saturated
+store: no rule, check or report reads them, and they are a pure function of
+the chart, which ``periodic_values`` returns.  ``saturate(...,
+with_periodic=True)`` still inserts them, as the PERIODIC rule.
 
 Rule inventory, matching the techniques used to fill the summary table:
 
@@ -28,7 +33,7 @@ Rule inventory, matching the techniques used to fill the summary table:
   basis adjustment in the other, and the induced inclusion pin.  This is the
   same move T3/T4 end with, recorded with provenance "exactness".
 * ``PERIODIC`` the closed-form values of the inclusion/projection maps on
-  periodic-part monomials.
+  periodic-part monomials (``periodic_values``); off by default.
 * ``EXC``  exceptional classes: their inclusion image is nonzero torsion.
 """
 
@@ -85,8 +90,9 @@ def _sorted_by_filtration(elements: Iterable[Element]) -> List[Element]:
 # Periodic formulas
 # ---------------------------------------------------------------------------
 
-def rule_periodic(store: FactStore, chart: ChartFile, bound: Optional[int] = None) -> List[Emission]:
-    """Inclusion/projection values on periodic-part monomials.
+def periodic_values(chart: ChartFile, bound: Optional[int] = None) -> List[Emission]:
+    """Inclusion/projection values on periodic-part monomials up to ``bound``
+    (default ``chart.max_stem``).
 
     A formula instance fires only when both its domain monomial and its target
     monomial exist in the expanded presentations; the localized rows are not
@@ -140,6 +146,11 @@ def rule_periodic(store: FactStore, chart: ChartFile, bound: Optional[int] = Non
             if target is not None:
                 emit("p1", mon, target)
     return out
+
+
+def rule_periodic(store: FactStore, chart: ChartFile, bound: Optional[int] = None) -> List[Emission]:
+    """PERIODIC as a store rule, fired only by ``saturate(..., with_periodic=True)``."""
+    return periodic_values(chart, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +437,8 @@ def rule_exact(store: FactStore, chart: ChartFile) -> List[Emission]:
 # Saturation
 # ---------------------------------------------------------------------------
 
+# PERIODIC stays listed, though ``saturate`` skips it unless asked, because
+# the benchmark's tracer (``perfbench/spans.py``) wraps the rules by name.
 ALL_RULES: Tuple[Tuple[str, Rule], ...] = (
     ("PERIODIC", rule_periodic),
     ("EXC", rule_exceptional),
@@ -445,7 +458,7 @@ def saturate(
     chart: ChartFile,
     store: Optional[FactStore] = None,
     rng: Optional[random.Random] = None,
-    with_periodic: bool = True,
+    with_periodic: bool = False,
 ) -> FactStore:
     """Run all rules to a fixpoint; deterministic result for any schedule.
 
@@ -454,6 +467,10 @@ def saturate(
     and EXACT read the store and loop until a pass adds nothing.  LIN is
     semi-naive: after its first call it visits only the facts logged since
     its previous call, because every value change appends to ``store.log``.
+
+    PERIODIC fires only with ``with_periodic=True``: the store then also
+    holds the ``periodic_values`` of the chart, and every other fact is the
+    same.  By default the store holds no fact on a periodic-part monomial.
 
     ``rng`` shuffles the rule order within each stratum (used by the
     determinism harness); axioms and the p₃ image are loaded before any rule

@@ -33,6 +33,24 @@ class TestValidate:
             run(capsys, "validate", str(bad))
         assert err.value.code == 1
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"maxStem": "é"}'.encode("latin-1"))
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "validate", str(bad))
+        stderr = capsys.readouterr().err
+        assert err.value.code == 1
+        assert stderr.startswith("validation error: not UTF-8 text") and "Traceback" not in stderr
+        with pytest.raises(chartdata.ChartValidationError, match="not UTF-8"):
+            chartdata.load(bad)
+
+    def test_directory(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "validate", str(tmp_path))
+        stderr = capsys.readouterr().err
+        assert err.value.code == 1
+        assert stderr.startswith(f"error: cannot read {tmp_path}:") and "Traceback" not in stderr
+
     def test_env_var_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("LES_DEDUCE_DATA", str(DATA))
         code, _, _ = run(capsys, "validate")

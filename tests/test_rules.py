@@ -22,16 +22,16 @@ from les_deduce.rules import (
     ALL_RULES,
     CHART_ONLY,
     fact_labels,
+    periodic_values,
     rule_exact,
     rule_linearity,
-    rule_periodic,
     rule_t1,
     rule_t2,
     rule_t3,
     rule_t4,
     saturate,
 )
-from les_deduce.sequences import FactStore, fact_key, image_of_p3, load_axioms
+from les_deduce.sequences import FactStore, check_all, fact_key, image_of_p3, load_axioms
 
 _SHIFT = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
@@ -79,16 +79,14 @@ def mini_chart(records, elements, actions=(), axioms=()):
 
 class TestPeriodicFormulas:
     def test_inclusion_on_v1_powers(self, chart):
-        store = FactStore()
-        emissions = rule_periodic(store, chart)
+        emissions = periodic_values(chart)
         by_source = {(e.map, e.source.name): e.value for e in emissions}
         # i₂(Δ²v₁⁴) = Δ²v₁⁴
         value = by_source[("i2", "Δ²v₁⁴")]
         assert {el.name for el in value.span} == {"Δ²v₁⁴"}
 
     def test_projection_to_sphere(self, chart):
-        store = FactStore()
-        emissions = rule_periodic(store, chart)
+        emissions = periodic_values(chart)
         by_source = {(e.map, e.source.name): e.value for e in emissions}
         # p₁(v₁⁵η) = c₄η²
         value = by_source[("p1", "v₁⁵η")]
@@ -102,6 +100,57 @@ class TestPeriodicFormulas:
 
     def test_per_facts_do_not_reach_the_table(self, store):
         assert all(not e.periodic for e in store.p3_image)
+
+
+@pytest.fixture(
+    scope="module", params=[(0, 868), (1, 3656), (2, 8364), (4, 23540)],
+    ids=["shipped", "delta8x1", "delta8x2", "delta8x4"],
+)
+def with_and_without_periodic(request, chart):
+    copies, periodic_count = request.param
+    target = delta8_extend(chart, copies)
+    return target, saturate(target), saturate(target, with_periodic=True), periodic_count
+
+
+class TestPeriodicValuesOutOfTheStore:
+    """Default saturation leaves out the periodic values; nothing else moves."""
+
+    def test_default_store_has_no_periodic_fact(self, with_and_without_periodic):
+        _, default, _, _ = with_and_without_periodic
+        assert not any(source.periodic for source in default.sources.values())
+
+    def test_serialize_drops_exactly_the_periodic_lines(self, with_and_without_periodic):
+        _, default, full, periodic_count = with_and_without_periodic
+        periodic = {key for key, source in full.sources.items() if source.periodic}
+        assert len(periodic) == periodic_count
+        kept = [
+            line for line in full.serialize().splitlines(keepends=True)
+            if line.partition(" = ")[0] not in periodic
+        ]
+        assert "".join(kept) == default.serialize()
+
+    def test_stored_periodic_facts_are_the_periodic_values(self, with_and_without_periodic):
+        target, _, full, _ = with_and_without_periodic
+        values = {fact_key(e.map, e.source): e.value for e in periodic_values(target)}
+        stored = {key: full.facts[key] for key, s in full.sources.items() if s.periodic}
+        assert stored == values
+
+    def test_with_periodic_store_has_no_contradiction(self, with_and_without_periodic):
+        # Every periodic value still passes the filtration law in FactStore.insert.
+        _, _, full, _ = with_and_without_periodic
+        assert full.contradictions == []
+
+    def test_labels_rows_families_and_verdicts_agree(self, with_and_without_periodic):
+        target, default, full, _ = with_and_without_periodic
+        full_labels = {
+            key: labels for key, labels in fact_labels(full).items()
+            if not full.sources[key].periodic
+        }
+        assert full_labels == fact_labels(default)
+        rows = build_table(default, target)
+        assert rows == build_table(full, target)
+        assert emit_families(rows, target) == emit_families(build_table(full, target), target)
+        assert check_all(default, target) == check_all(full, target)
 
 
 class TestExceptionalRule:
@@ -355,8 +404,7 @@ class TestDelta8Equivariance:
         base = [
             (key.partition("|")[0], source, m)
             for key, source in store.sources.items()
-            if not source.periodic
-            and source.stem <= chart.max_stem
+            if source.stem <= chart.max_stem
             and (m := _SHIFT.match(source.name)) is not None
         ]
         assert len(base) > 400
