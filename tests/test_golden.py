@@ -1,0 +1,80 @@
+"""Byte snapshots of the shipped chart's reports, and their Δ⁸×2 shifts.
+
+Each snapshot under ``tests/golden/`` is regenerated here and compared byte
+for byte.  A snapshot changes only together with a CHANGES.md entry that says
+why; to refresh one, rerun the command named in its test and commit the
+output, e.g. ``les-deduce check data/tmf_chart.json --json >
+tests/golden/check.json``.
+"""
+
+import re
+
+import pytest
+
+from les_deduce import cli
+from les_deduce.chartdata import delta8_extend
+from les_deduce.rules import saturate
+
+from conftest import DATA, TESTS
+
+GOLDEN = TESTS / "golden"
+
+_SHIFT = re.compile(r"([a-z])_\{(-?\d+),(-?\d+)\}")
+
+
+def cli_output(capsys, *argv):
+    assert cli.main([*argv, str(DATA)]) == cli.EXIT_OK
+    return capsys.readouterr().out.encode("utf-8")
+
+
+def test_serialize(store):
+    assert store.serialize().encode("utf-8") == (GOLDEN / "serialize.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "snapshot, argv",
+    [
+        ("table.json", ("table", "--format", "json")),
+        ("families.txt", ("families",)),
+        ("check.json", ("check", "--json")),
+    ],
+)
+def test_cli_report(capsys, snapshot, argv):
+    assert cli_output(capsys, *argv) == (GOLDEN / snapshot).read_bytes()
+
+
+def shifted(text, copies):
+    """``text`` with every x_{i,j} name moved to x_{i+192k,j}, as criterion 8 renames."""
+    return _SHIFT.sub(
+        lambda m: f"{m.group(1)}_{{{int(m.group(2)) + 192 * copies},{m.group(3)}}}", text
+    )
+
+
+def shifted_value(value, copies):
+    """A serialized value (a '+'-joined sorted span) after the shift, re-sorted."""
+    return "+".join(sorted(shifted(value, copies).split("+")))
+
+
+def test_delta8x2_is_three_shifted_copies(chart):
+    """Δ⁸×2 is three disjoint copies of the shipped problem, so its store is
+    the shipped snapshot plus the snapshot's +192 and +384 shifts."""
+    lines = (GOLDEN / "serialize.txt").read_text(encoding="utf-8").splitlines()
+    facts = [line for line in lines if " = " in line]
+    (p3_line,) = [line for line in lines if line.startswith("p3image: ")]
+    contradictions = [line for line in lines if line.startswith("contradiction: ")]
+    assert len(facts) + 1 + len(contradictions) == len(lines)
+
+    got = saturate(delta8_extend(chart, 2)).serialize().splitlines()
+    expected_facts = []
+    for k in range(3):
+        for line in facts:
+            key, _, value = line.partition(" = ")
+            expected_facts.append(f"{shifted(key, k)} = {shifted_value(value, k)}")
+    expected_facts.sort(key=lambda line: line.partition(" = ")[0])
+    assert [line for line in got if " = " in line] == expected_facts
+    image = p3_line.removeprefix("p3image: ")
+    expected_p3 = "p3image: " + ",".join(shifted(image, k) for k in range(3))
+    assert [line for line in got if line.startswith("p3image: ")] == [expected_p3]
+    assert [line for line in got if line.startswith("contradiction: ")] == sorted(
+        shifted(line, k) for k in range(3) for line in contradictions
+    )
