@@ -261,14 +261,14 @@ class ActionFact:
 class ActionTable:
     """Partial generator-action data with a linear-extension query.
 
-    The sorted fact list and the reverse index (single target → actions) are
+    The sorted fact list and the index of single-valued actions by source are
     built on first use and dropped by ``add``.
     """
 
     def __init__(self, facts: Iterable[ActionFact] = ()) -> None:
         self._facts: dict[tuple[str, str], ActionFact] = {}
         self._sorted: Optional[List[ActionFact]] = None
-        self._landing: Optional[Dict[Element, Tuple[ActionFact, ...]]] = None
+        self._by_source: Optional[Dict[str, Tuple[ActionFact, ...]]] = None
         for fact in facts:
             self.add(fact)
 
@@ -278,7 +278,7 @@ class ActionTable:
         if existing is not None and existing != fact:
             raise ValueError(f"conflicting action facts for {fact.generator.name}·{fact.source}")
         self._facts[key] = fact
-        self._sorted = self._landing = None
+        self._sorted = self._by_source = None
 
     def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
         return self._facts.get((generator_name, source.key))
@@ -290,15 +290,15 @@ class ActionTable:
             )
         return list(self._sorted)
 
-    def landing_on(self, target: Element) -> Tuple[ActionFact, ...]:
-        """Actions whose value is exactly ``target``, in ``facts()`` order."""
-        if self._landing is None:
-            landing: Dict[Element, List[ActionFact]] = {}
+    def single_valued(self, source: Element) -> Tuple[ActionFact, ...]:
+        """Actions on ``source`` whose value is one element, by generator name."""
+        if self._by_source is None:
+            by_source: Dict[str, List[ActionFact]] = {}
             for fact in self.facts():
                 if fact.value is not None and len(fact.value) == 1:
-                    landing.setdefault(next(iter(fact.value)), []).append(fact)
-            self._landing = {target: tuple(facts) for target, facts in landing.items()}
-        return self._landing.get(target, ())
+                    by_source.setdefault(fact.source.key, []).append(fact)
+            self._by_source = {key: tuple(facts) for key, facts in by_source.items()}
+        return self._by_source.get(source.key, ())
 
     def act(self, generator_name: str, span: F2Span) -> Optional[Value]:
         """Linear extension of recorded actions to spans.

@@ -43,7 +43,7 @@ from .algebra import (
     RingGenerator,
     span_of,
 )
-from .sequences import MAP_SPECS
+from .sequences import MAP_SPECS, fact_key
 
 SCHEMA_VERSION = "1"
 
@@ -196,6 +196,17 @@ class ChartFile:
         index: Dict[tuple, ClassificationKind] = {}
         for c in self.classifications:
             index.setdefault((c.element, c.context), c.kind)
+        return index
+
+    @cached_property
+    def rank_one_records(self) -> Dict[str, List[SesRecord]]:
+        """Projection fact key p|x → the records with kernel rank 1 and middle
+        rank 2 that have x in their middle, in ``ses_records`` order."""
+        index: Dict[str, List[SesRecord]] = {}
+        for record in self.ses_records:
+            if record.kernel is not None and len(record.kernel) == 1 and len(record.middle) == 2:
+                for element in record.middle:
+                    index.setdefault(fact_key(record.project_map, element), []).append(record)
         return index
 
     def elements_of(self, module: ModuleId, stem: Optional[int] = None) -> List[Element]:

@@ -6,9 +6,11 @@ already-present facts, so the saturated store is independent of rule order.
 
 ``saturate`` evaluates in two strata.  EXC, T1, T2 and T3 read only the
 chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
-fixpoint.  LIN is semi-naive (Bancilhon & Ramakrishnan, 1986): after its
-first call it revisits only the facts whose keys were logged since its
-previous call.  A shuffled schedule permutes the rules within each stratum.
+fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
+``delta``, the fact keys that may have changed, visits only those facts
+(``None`` visits all) and reaches the rest through indexes built once per
+chart (``ActionTable.single_valued``, ``ChartFile.rank_one_records``).  A
+shuffled schedule permutes the rules within each stratum.
 
 The closed-form values on periodic-part monomials are not in the saturated
 store: no rule, check or report reads them, and they are a pure function of
@@ -79,7 +81,7 @@ class Emission:
     inputs: Tuple[str, ...] = ()
 
 
-Rule = Callable[[FactStore, ChartFile], List[Emission]]
+Rule = Callable[..., List[Emission]]  # (store, chart), plus ``delta`` if it loops
 
 
 def _sorted_by_filtration(elements: Iterable[Element]) -> List[Element]:
@@ -292,38 +294,35 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
-def rule_t4(store: FactStore, chart: ChartFile) -> List[Emission]:
+def rule_t4(
+    store: FactStore, chart: ChartFile, delta: Optional[Iterable[str]] = None
+) -> List[Emission]:
     """Extended linearity: push a known projection through a generator.
 
-    If the middle class is a generator multiple y = g·y′ with p(y′) known, and
-    the pushed value g·p(y′) is forced (by the generator's filtration degree)
-    strictly above everything in a rank-1 kernel, then p(y) = 0 and rank-1
-    surjectivity pins the other middle generator.  Applies only when the
-    action of g on p(y′) is itself uncharted; otherwise plain linearity runs.
+    If the middle class of a rank-1 record is a generator multiple y = g·y′
+    with p(y′) known, and the pushed value g·p(y′) is forced (by the
+    generator's filtration degree) strictly above everything in the kernel,
+    then p(y) = 0 and rank-1 surjectivity pins the other middle generator.
+    Applies only when the action of g on p(y′) is itself uncharted; otherwise
+    plain linearity runs.  The visited facts are the p(y′).
     """
     out: List[Emission] = []
-    for record in chart.ses_records:
-        if record.kernel is None or len(record.kernel) != 1 or len(record.middle) != 2:
+    for parent_key in list(store.facts) if delta is None else delta:
+        parent = store.facts[parent_key]
+        if not parent.is_known:
             continue
-        ref = f"{record.context}@{record.stem}"
-        project = record.project_map
-        generator = record.kernel[0]
-        for y in record.middle:
-            for action in chart.actions.landing_on(y):
-                parent_key = fact_key(project, action.source)
-                parent = store.facts.get(parent_key)
-                if parent is None or not parent.is_known:
-                    continue
-                if parent.is_zero:
-                    excluded = True
-                else:
-                    pushed = chart.actions.act(action.generator.name, parent.span)
-                    if pushed is not None:
+        project, _, _ = parent_key.partition("|")
+        for action in chart.actions.single_valued(store.sources[parent_key]):
+            (y,) = action.value
+            for record in chart.rank_one_records.get(fact_key(project, y), ()):
+                generator = record.kernel[0]
+                if not parent.is_zero:
+                    if chart.actions.act(action.generator.name, parent.span) is not None:
                         continue
                     floor = filtration_floor(parent.span) + action.generator.filtration_degree
-                    excluded = floor > generator.filtration
-                if not excluded:
-                    continue
+                    if floor <= generator.filtration:
+                        continue
+                ref = f"{record.context}@{record.stem}"
                 inputs = (parent_key, f"{action.generator.name}·{action.source.key}", ref)
                 out.append(Emission(project, y, Value.zero(), RULE_T4, inputs))
                 other = next(e for e in record.middle if e != y)
@@ -338,12 +337,10 @@ def rule_linearity(
 ) -> List[Emission]:
     """Module linearity p(t·x) = t·p(x) over recorded generator actions.
 
-    A fact's emissions depend only on its own value, so ``delta`` (the keys
-    whose value may have changed since the previous call) restricts the visit
-    to those facts; without it every fact is visited.
+    A fact's emissions depend only on its own value and the single-valued
+    actions on its source.
     """
     out: List[Emission] = []
-    generator_names = sorted(chart.generators)
     for key in list(store.facts) if delta is None else delta:
         value = store.facts[key]
         if not value.is_known:
@@ -354,11 +351,9 @@ def rule_linearity(
         source = store.sources[key]
         if source.periodic:
             continue
-        for name in generator_names:
-            action = chart.actions.get(name, source)
-            if action is None or action.value is None or len(action.value) != 1:
-                continue
-            new_source = next(iter(action.value))
+        for action in chart.actions.single_valued(source):
+            name = action.generator.name
+            (new_source,) = action.value
             if value.is_zero:
                 pushed: Optional[Value] = Value.zero()
             else:
@@ -377,30 +372,31 @@ def rule_linearity(
     return out
 
 
-def rule_exact(store: FactStore, chart: ChartFile) -> List[Emission]:
+def rule_exact(
+    store: FactStore, chart: ChartFile, delta: Optional[Iterable[str]] = None
+) -> List[Emission]:
     """Rank-1 completion at a recorded junction.
 
     With kernel {g} and middle {u, w} (u strictly below w): a vanishing value
     on one generator forces the other onto g by surjectivity; a value g on the
     higher generator lets the lower one be adjusted to 0 by a strictly
     higher-filtration basis change.  When the cokernel is rank 1 the induced
-    inclusion is pinned onto whichever middle generator dies.
+    inclusion is pinned onto whichever middle generator dies.  A record is
+    revisited when either of its two projection facts is visited.
     """
     out: List[Emission] = []
-    for record in chart.ses_records:
-        if record.kernel is None or len(record.kernel) != 1 or len(record.middle) != 2:
-            continue
+    keys = list(store.facts) if delta is None else delta
+    for record in dict.fromkeys(r for key in keys for r in chart.rank_one_records.get(key, ())):
         u, w = _sorted_by_filtration(record.middle)
         if u.filtration >= w.filtration:
             continue
         ref = f"{record.context}@{record.stem}"
         project, include = record.project_map, record.include_map
         generator = record.kernel[0]
-        fw = store.get(project, w)
-        fu = store.get(project, u)
+        key_u, key_w = fact_key(project, u), fact_key(project, w)
+        fu, fw = store.facts.get(key_u), store.facts.get(key_w)
         lift_target: Optional[Element] = None
         if fw is not None and fw.is_known:
-            key_w = fact_key(project, w)
             if fw.is_zero:
                 out.append(
                     Emission(project, u, Value.known(span_of(generator)), RULE_EXACT, (key_w, ref))
@@ -409,17 +405,14 @@ def rule_exact(store: FactStore, chart: ChartFile) -> List[Emission]:
             else:
                 out.append(Emission(project, u, Value.zero(), RULE_EXACT, (key_w, ref)))
                 lift_target = u
-        if fu is not None and fu.is_known and fu.is_zero:
-            key_u = fact_key(project, u)
+        if fu is not None and fu.is_zero:
             out.append(
                 Emission(project, w, Value.known(span_of(generator)), RULE_EXACT, (key_u, ref))
             )
             lift_target = lift_target or u
         if lift_target is not None and record.cokernel is not None and len(record.cokernel) == 1:
             parents = tuple(
-                fact_key(project, e)
-                for e, v in ((u, fu), (w, fw))
-                if v is not None and v.is_known
+                key for key, v in ((key_u, fu), (key_w, fw)) if v is not None and v.is_known
             )
             out.append(
                 Emission(
@@ -464,9 +457,9 @@ def saturate(
 
     Saturation runs in two strata.  The chart-only rules (``CHART_ONLY``)
     fire once, since firing them again would emit the same facts.  T4, LIN
-    and EXACT read the store and loop until a pass adds nothing.  LIN is
-    semi-naive: after its first call it visits only the facts logged since
-    its previous call, because every value change appends to ``store.log``.
+    and EXACT read the store and loop until a pass adds nothing; each call
+    after a rule's first visits only the keys logged since its own previous
+    call, because every value change appends to ``store.log``.
 
     PERIODIC fires only with ``with_periodic=True``: the store then also
     holds the ``periodic_values`` of the chart, and every other fact is the
@@ -487,22 +480,18 @@ def saturate(
         rng.shuffle(chart_only)
     for _, rule in chart_only:
         _insert_all(store, rule(store, chart))
-    lin_seen: Optional[int] = None  # length of store.log at LIN's previous call
+    seen: Dict[str, int] = {}  # length of store.log at each rule's previous call
     changed = True
     while changed:
         changed = False
         if rng is not None:
             rng.shuffle(looping)
         for name, rule in looping:
-            if name == "LIN":
-                delta = None
-                if lin_seen is not None:
-                    delta = dict.fromkeys(key for key, _ in store.log[lin_seen:])
-                lin_seen = len(store.log)
-                emissions = rule(store, chart, delta)
-            else:
-                emissions = rule(store, chart)
-            if _insert_all(store, emissions):
+            delta = None
+            if name in seen:
+                delta = dict.fromkeys(key for key, _ in store.log[seen[name]:])
+            seen[name] = len(store.log)
+            if _insert_all(store, rule(store, chart, delta)):
                 changed = True
     return store
 

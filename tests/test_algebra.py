@@ -137,20 +137,24 @@ class TestAct:
         c = el("Y", 62, 7, "c")
         assert self.table.act("κ̄", span_of(self.a, c)) is None
 
-    def test_landing_on_follows_add(self):
-        assert self.table.landing_on(self.ka) == (self.table.get("κ̄", self.a),)
+    def test_single_valued_follows_add(self):
+        assert self.table.single_valued(self.a) == (self.table.get("κ̄", self.a),)
         c = el("Y", 62, 1, "c")
-        assert self.table.landing_on(self.a) == ()
+        assert self.table.single_valued(c) == ()
         self.table.add(ActionFact(self.kbar, c, value=span_of(self.ka)))
-        assert [f.source for f in self.table.landing_on(self.ka)] == [self.a, c]
-        assert len(self.table.facts()) == 3
+        self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, value=span_of(el("Y", 64, 1, "vc"))))
+        assert [f.generator.name for f in self.table.single_valued(c)] == ["v₁", "κ̄"]
+        assert len(self.table.facts()) == 4
 
-    def test_landing_on_skips_sums_and_nonzero_marks(self):
+    def test_single_valued_skips_sums_and_nonzero_marks(self):
         c = el("Y", 62, 1, "c")
         d = el("Y", 62, 0, "d")
+        z = el("Y", 62, 3, "z")
         self.table.add(ActionFact(self.kbar, c, value=span_of(self.ka, self.kb)))
         self.table.add(ActionFact(self.kbar, d, nonzero=True))
-        assert [f.source for f in self.table.landing_on(self.ka)] == [self.a]
+        self.table.add(ActionFact(self.kbar, z, value=ZERO))
+        assert [self.table.single_valued(e) for e in (c, d, z)] == [(), (), ()]
+        assert [f.source for f in self.table.single_valued(self.a)] == [self.a]
 
     def test_act_on_shipped_chart(self, chart):
         y62 = chart.elements["Y:y_{62,2}"]

@@ -18,6 +18,7 @@ from les_deduce.algebra import (
 )
 from les_deduce.chartdata import ChartFile, SesRecord, delta8_extend, expand_periodic
 from les_deduce.families import build_table, emit_families
+from les_deduce.oracle import random_instance
 from les_deduce.rules import (
     ALL_RULES,
     CHART_ONLY,
@@ -53,6 +54,10 @@ def chart_x2(chart):
 @pytest.fixture(scope="module")
 def store_x2(chart_x2):
     return saturate(chart_x2)
+
+
+def derivation_sets(store):
+    return {key: set(derivations) for key, derivations in store.derivations.items()}
 
 
 def mini_chart(records, elements, actions=(), axioms=()):
@@ -349,6 +354,8 @@ class TestSaturation:
             for seed in range(5):
                 shuffled = saturate(target, rng=random.Random(seed))
                 assert shuffled.serialize() == expected.serialize()
+                assert derivation_sets(shuffled) == derivation_sets(expected)
+                assert fact_labels(shuffled) == fact_labels(expected)
 
     @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
     def test_chart_only_rules_ignore_the_store(self, chart, store, chart_x2, store_x2, extended):
@@ -384,15 +391,75 @@ class TestSaturation:
         image_of_p3(checked, chart)
         assert saturate(chart, store=checked).serialize() == store.serialize()
 
-    def test_linearity_delta_restricts_the_visit(self, chart, store):
-        key = fact_key("p2", chart.elements["Y:y_{65,13}"])
-        full = rule_linearity(store, chart)
-        assert rule_linearity(store, chart, []) == []
-        visited = rule_linearity(store, chart, [key])
+    @pytest.mark.parametrize(
+        "rule, key",
+        [
+            (rule_t4, "p2|Y:y_{30,2}"),
+            (rule_linearity, "p2|Y:y_{65,13}"),
+            (rule_exact, "p2|Y:y_{57,11}"),
+        ],
+        ids=["T4", "LIN", "EXACT"],
+    )
+    def test_delta_restricts_the_visit(self, chart, store, rule, key):
+        full = rule(store, chart)
+        assert rule(store, chart, []) == []
+        visited = rule(store, chart, [key])
         assert visited and visited == [e for e in full if e.inputs[0] == key]
+        # Semi-naive evaluation rests on this: the full visit is the union of
+        # the visits of single facts.
+        singles = [set(rule(store, chart, [k])) for k in store.facts]
+        assert all(single <= set(full) for single in singles)
+        assert set().union(*singles) == set(full)
 
     def test_no_contradictions_on_shipped_data(self, store):
         assert store.contradictions == []
+
+
+def naive_saturate(chart):
+    """Reference fixpoint: the chart-only rules once, then every looping rule
+    over every fact (``delta=None``) until a pass adds nothing."""
+    store = FactStore()
+    load_axioms(store, chart)
+    image_of_p3(store, chart)
+    for name, rule in ALL_RULES:
+        if name in CHART_ONLY and name != "PERIODIC":
+            for e in rule(store, chart):
+                store.insert(e.map, e.source, e.value, e.rule, e.inputs)
+    looping = [rule for name, rule in ALL_RULES if name not in CHART_ONLY]
+    changed = True
+    while changed:
+        changed = False
+        for rule in looping:
+            for e in rule(store, chart, None):
+                changed |= store.insert(e.map, e.source, e.value, e.rule, e.inputs)
+    return store
+
+
+# The four seeds are oracle instances where an EXACT result is pushed on by
+# T4 and LIN and then by EXACT again.
+ORACLE_SEEDS = [*range(200), 9298, 10783, 27349, 54073]
+
+
+class TestSemiNaiveMatchesNaive:
+    def assert_same(self, semi_naive, naive):
+        assert semi_naive.serialize() == naive.serialize()
+        assert derivation_sets(semi_naive) == derivation_sets(naive)
+        assert fact_labels(semi_naive) == fact_labels(naive)
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
+    def test_charts(self, chart, store, chart_x2, store_x2, extended):
+        target, saturated = (chart_x2, store_x2) if extended else (chart, store)
+        self.assert_same(saturated, naive_saturate(target))
+
+    def test_oracle_instances(self):
+        t4_seeds = []
+        for seed in ORACLE_SEEDS:
+            instance = random_instance(random.Random(seed))
+            semi_naive = saturate(instance)
+            self.assert_same(semi_naive, naive_saturate(instance))
+            if any(d.rule == "T4" for ds in semi_naive.derivations.values() for d in ds):
+                t4_seeds.append(seed)
+        assert {9298, 10783, 27349, 54073} <= set(t4_seeds)
 
 
 class TestDelta8Equivariance:
