@@ -7,6 +7,13 @@ periodicPresentations}.  Element references everywhere use the key format
 "MODULE:name".  Unknown top-level or record fields are rejected so golden files
 stay byte-stable.
 
+A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
+(SES-2.7, SES-2.8) or LES-2.4 (SES-2.9).  ``SesRecord`` reads its maps, the
+modules of its bases and its kernel stem off ``sequences.SEQUENCES``, and the
+loader checks every basis against them.  Axioms are checked against
+``MAP_SPECS`` the same way (source module, value module and stem), and a class
+classified exceptional needs a route in ``EXCEPTIONAL_LISTINGS``.
+
 Periodic parts are not stored element-by-element.  Each module carries a small
 presentation (a monomial pattern) that ``expand_periodic`` unfolds up to a stem
 bound; the per-part formulas of the deduction rules act on those monomials.
@@ -28,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     ActionFact,
@@ -43,7 +50,7 @@ from .algebra import (
     RingGenerator,
     span_of,
 )
-from .sequences import MAP_SPECS, fact_key
+from .sequences import MAP_SPECS, SEQUENCES, fact_key
 
 SCHEMA_VERSION = "1"
 
@@ -55,6 +62,22 @@ EXCEPTIONAL_FS = ("8Δ", "4Δ²", "8Δ³", "2Δ⁴", "8Δ⁵", "4Δ⁶", "8Δ⁷
 EXCEPTIONAL_FM = (
     "v₁η²", "Δv₁η²", "Δ²v₁η²", "Δ³v₁η²", "Δ⁴v₁η²", "Δ⁵v₁η²", "Δ⁶v₁η²",
 )
+
+# Where a periodic class may be exceptional: (LES, module of the class) → the
+# listing its monomial comes from, and the stems (mod 192) of that listing.
+EXCEPTIONAL_LISTINGS = {
+    (LesContext.LES_23, ModuleId.M): ("EM", frozenset({25, 50, 51, 76, 97, 122, 123, 148})),
+    (LesContext.LES_24, ModuleId.S): ("FS", frozenset({24, 48, 72, 96, 120, 144, 168})),
+    (LesContext.LES_24, ModuleId.M): ("FM", frozenset({4, 28, 52, 76, 100, 124, 148})),
+}
+
+
+def exceptional_map(context: LesContext, module: ModuleId) -> str:
+    """The map of ``context``'s LES out of ``module`` that is not its self-map:
+    the map on which an exceptional class of ``module`` is nonzero."""
+    return next(
+        m.name for m in SEQUENCES[context.value].maps if m.source is module and m.target is not module
+    )
 
 ALLOWED_ORDERS = {1, 2, 4, 8}  # plus None (unknown) and "inf" (torsion free)
 
@@ -122,29 +145,73 @@ class Monomial:
         return self.element.stem
 
 
-# A derived-SES record ties one degree of one short exact sequence to explicit
-# bases.  ``cokernel``/``kernel`` may be None (unknown); an empty list is a
-# known rank-0 assertion.  SES-2.7 is the unrestricted Y-level sequence (full
-# cokernel/kernel of the η map); SES-2.8/SES-2.9 are its torsion-and-
-# exceptional restrictions at the Y and sphere levels.
+# A derived SES 0 → coker → middle → ker → 0 is a slice of one LES, whose first
+# two maps are the inclusion and the projection.  Each context names its LES
+# and whether its middle classes must be classified torsion or exceptional
+# there: SES-2.7 is the unrestricted Y-level sequence (full cokernel/kernel of
+# the η map); SES-2.8/SES-2.9 are its torsion-and-exceptional restrictions at
+# the Y and sphere levels.
+SES_CONTEXTS: Dict[str, Tuple[LesContext, bool]] = {
+    "SES-2.7": (LesContext.LES_23, False),
+    "SES-2.8": (LesContext.LES_23, True),
+    "SES-2.9": (LesContext.LES_24, True),
+}
+
+
 @dataclass(frozen=True)
 class SesRecord:
-    context: str  # "SES-2.7", "SES-2.8" or "SES-2.9"
+    """One degree of a derived SES; each basis is stored sorted by (filtration,
+    name), and None is an unknown basis (an empty one asserts rank 0).  Maps,
+    modules and stems are read off the record's LES in ``SEQUENCES``."""
+
+    context: str  # a key of SES_CONTEXTS
     stem: int  # stem of the middle term
     middle: tuple[Element, ...]
     cokernel: Optional[tuple[Element, ...]]
     kernel: Optional[tuple[Element, ...]]
 
-    KERNEL_SHIFT = {"SES-2.7": 2, "SES-2.8": 2, "SES-2.9": 1}
-    MAPS = {"SES-2.7": ("i2", "p2"), "SES-2.8": ("i2", "p2"), "SES-2.9": ("i1", "p1")}
+    def __post_init__(self) -> None:
+        for name in ("middle", "cokernel", "kernel"):
+            basis = getattr(self, name)
+            if basis is not None:
+                basis = tuple(sorted(basis, key=lambda e: (e.filtration, e.name)))
+                object.__setattr__(self, name, basis)
+        # Not a field: the LES maps, (inclusion, projection, self-map).
+        object.__setattr__(self, "_maps", SEQUENCES[SES_CONTEXTS[self.context][0].value].maps)
 
     @property
     def include_map(self) -> str:
-        return self.MAPS[self.context][0]
+        return self._maps[0].name
 
     @property
     def project_map(self) -> str:
-        return self.MAPS[self.context][1]
+        return self._maps[1].name
+
+    @property
+    def middle_module(self) -> ModuleId:
+        return self._maps[1].source
+
+    @property
+    def side_module(self) -> ModuleId:  # of the cokernel and the kernel
+        return self._maps[0].source
+
+    @property
+    def kernel_stem(self) -> int:
+        return self.stem + self._maps[1].stem_shift
+
+    @property
+    def ref(self) -> str:
+        """The record's name in provenance and messages, e.g. ``SES-2.8@50``."""
+        return f"{self.context}@{self.stem}"
+
+    def place(self, map_name: str, source: Element) -> Optional[Tuple[tuple, tuple]]:
+        """Where the fact ``map_name`` on ``source`` sits in this record: the
+        basis holding ``source`` and the basis the value lies in, or None."""
+        if map_name == self.project_map and source in self.middle:
+            return self.middle, self.kernel or ()
+        if map_name == self.include_map and self.cokernel and source in self.cokernel:
+            return self.cokernel, self.middle
+        return None
 
 
 @dataclass(frozen=True)
@@ -303,6 +370,13 @@ def _keys(keys: Sequence, elements: Dict[str, Element], where: str) -> List[Elem
     return members
 
 
+def _require_degree(element: Element, module: ModuleId, stem: int, where: str) -> None:
+    if (element.module, element.stem) != (module, stem):
+        raise ChartValidationError(
+            f"{where}: {element.key} should live in module {module.value} at stem {stem}"
+        )
+
+
 def _parse_span(keys: Sequence[str], elements: Dict[str, Element], where: str) -> F2Span:
     members = _keys(keys, elements, where)
     if len(set(members)) != len(members):
@@ -458,59 +532,51 @@ def from_document(doc: dict) -> ChartFile:
     rank_fields = {"context", "stem", "middle", "cokernel", "kernel"}
     for where, record in _records(doc, "ranks", rank_fields):
         context = _field(record, "context", (str,), where)
-        if context not in SesRecord.KERNEL_SHIFT:
+        if context not in SES_CONTEXTS:
             raise ChartValidationError(f"{where}: unknown context {context!r}")
         stem = _field(record, "stem", (int,), where)
         if (context, stem) in seen_records:
             raise ChartValidationError(f"duplicate ranks record for {context} at stem {stem}")
         seen_records.add((context, stem))
         where = f"ranks {context}@{stem}"
-
-        def _basis(name, expected_module, expected_stem, default):
+        bases = {}
+        for name, default in (("middle", []), ("cokernel", None), ("kernel", None)):
             keys = _field(record, name, (list, type(None)), where, default)
-            if keys is None:
-                return None
-            basis = _keys(keys, elements, where)
-            for element in basis:
-                if element.module is not expected_module:
-                    raise ChartValidationError(
-                        f"{where}: {element.key} should live in module {expected_module.value}"
-                    )
-                if element.stem != expected_stem:
-                    raise ChartValidationError(
-                        f"{where}: {element.key} should be in stem {expected_stem}"
-                    )
-            return tuple(sorted(basis))
-
-        if context in ("SES-2.7", "SES-2.8"):
-            mid_mod, side_mod = ModuleId.Y, ModuleId.M
-        else:
-            mid_mod, side_mod = ModuleId.M, ModuleId.S
-        kernel_stem = stem - SesRecord.KERNEL_SHIFT[context]
-        middle = _basis("middle", mid_mod, stem, [])
-        cokernel = _basis("cokernel", side_mod, stem, None)
-        kernel = _basis("kernel", side_mod, kernel_stem, None)
-        if middle is None:
+            bases[name] = None if keys is None else _keys(keys, elements, where)
+        if bases["middle"] is None:
             raise ChartValidationError(f"{where}: middle basis is required")
-        if cokernel is not None and kernel is not None and len(middle) != len(cokernel) + len(kernel):
+        ses = SesRecord(context, stem, **bases)
+        for basis, module, basis_stem in (
+            (ses.middle, ses.middle_module, stem),
+            (ses.cokernel or (), ses.side_module, stem),
+            (ses.kernel or (), ses.side_module, ses.kernel_stem),
+        ):
+            for element in basis:
+                _require_degree(element, module, basis_stem, where)
+        if None not in (ses.cokernel, ses.kernel) and len(ses.middle) != len(ses.cokernel) + len(ses.kernel):
             raise ChartValidationError(
-                f"{where}: rank mismatch |middle|={len(middle)} != "
-                f"|cokernel|={len(cokernel)} + |kernel|={len(kernel)}"
+                f"{where}: rank mismatch |middle|={len(ses.middle)} != "
+                f"|cokernel|={len(ses.cokernel)} + |kernel|={len(ses.kernel)}"
             )
-        ses_records.append(SesRecord(context, stem, middle, cokernel, kernel))
+        ses_records.append(ses)
 
     axioms: List[MapAxiom] = []
     for where, record in _records(doc, "axioms", {"map", "source", "value", "nonzero"}):
         map_name = _field(record, "map", (str,), where)
         if map_name not in MAP_SPECS:
             raise ChartValidationError(f"{where}: unknown map {map_name!r}")
+        spec = MAP_SPECS[map_name]
         source = _element(record, "source", elements, where)
         where = f"axiom {map_name}({source.key})"
+        if source.module is not spec.source:
+            raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
         if _field(record, "nonzero", (bool,), where, False):
             axioms.append(MapAxiom(map_name, source, None, True))
-        else:
-            span = _parse_span(_field(record, "value", (list,), where, []), elements, where)
-            axioms.append(MapAxiom(map_name, source, span))
+            continue
+        span = _parse_span(_field(record, "value", (list,), where, []), elements, where)
+        for element in span:
+            _require_degree(element, spec.target, source.stem + spec.stem_shift, where)
+        axioms.append(MapAxiom(map_name, source, span))
 
     overrides: Dict[tuple[str, str], str] = {}
     for where, record in _records(doc, "tmfNameOverrides", {"row", "column", "name"}):
@@ -577,46 +643,40 @@ def _validate_semantics(chart: ChartFile) -> None:
                 f"has no v₁ action"
             )
     for record in chart.ses_records:
-        if record.context == "SES-2.7":
-            continue  # unrestricted middle: no classification obligation
-        context = LesContext.LES_23 if record.context == "SES-2.8" else LesContext.LES_24
+        context, classified = SES_CONTEXTS[record.context]
+        if not classified:
+            continue
         for element in record.middle:
             kind = chart.classification(element, context)
             if kind is None or kind is ClassificationKind.PERIODIC_NONEXCEPTIONAL:
                 raise ChartValidationError(
-                    f"ranks {record.context}@{record.stem}: middle element {element.key} "
+                    f"ranks {record.ref}: middle element {element.key} "
                     f"must be classified torsion or exceptional in {context.value}"
                 )
-        if record.context == "SES-2.9" and record.kernel:
-            for element in record.kernel:
+        # A sphere kernel class lies in ker(·2), which the dataset states as order 2.
+        if record.side_module is ModuleId.S:
+            for element in record.kernel or ():
                 if chart.orders.get(element.key) != 2:
                     raise ChartValidationError(
-                        f"ranks SES-2.9@{record.stem}: kernel element {element.key} "
+                        f"ranks {record.ref}: kernel element {element.key} "
                         f"must carry order 2 (it lies in ker(·2))"
                     )
     for classification in chart.classifications:
         if classification.kind is ClassificationKind.PERIODIC_EXCEPTIONAL:
-            element = classification.element
-            listing = "EM" if classification.context is LesContext.LES_23 else (
-                "FS" if element.module is ModuleId.S else "FM"
-            )
-            if element.stem % 192 not in _exceptional_stems(listing):
+            element, context = classification.element, classification.context
+            route = EXCEPTIONAL_LISTINGS.get((context, element.module))
+            if route is None:
+                raise ChartValidationError(
+                    f"classification: {element.key} marked exceptional in {context.value}, "
+                    f"but no exceptional listing there holds {element.module.value} classes"
+                )
+            listing, stems = route
+            if element.stem % 192 not in stems:
                 raise ChartValidationError(
                     f"classification: {element.key} marked exceptional in "
-                    f"{classification.context.value} but no {listing} monomial lives in stem "
+                    f"{context.value} but no {listing} monomial lives in stem "
                     f"{element.stem} (mod 192)"
                 )
-
-
-def _exceptional_stems(listing: str) -> frozenset[int]:
-    # Stems (mod 192) of the fixed exceptional monomials.
-    if listing == "EM":
-        stems = {25, 50, 51, 76, 97, 122, 123, 148}
-    elif listing == "FS":
-        stems = {24, 48, 72, 96, 120, 144, 168}
-    else:
-        stems = {4, 28, 52, 76, 100, 124, 148}
-    return frozenset(stems)
 
 
 def to_document(chart: ChartFile) -> dict:

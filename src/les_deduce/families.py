@@ -42,6 +42,13 @@ class IncompleteRowError(ValueError):
     """A row violates the lift obligation: zero projection but no lift found."""
 
 
+def _single(value: Optional[Value]) -> Optional[Element]:
+    """The element of a known value with exactly one element, else None."""
+    if value is not None and value.is_known and len(value.span) == 1:
+        return next(iter(value.span))
+    return None
+
+
 @dataclass(frozen=True)
 class TableRow:
     img_p3: Element
@@ -55,15 +62,11 @@ class TableRow:
 
     @property
     def p2_element(self) -> Optional[Element]:
-        if self.img_p2 is not None and self.img_p2.is_known_nonzero and len(self.img_p2.span) == 1:
-            return next(iter(self.img_p2.span))
-        return None
+        return _single(self.img_p2)
 
     @property
     def p1_element(self) -> Optional[Element]:
-        if self.img_p1 is not None and self.img_p1.is_known_nonzero and len(self.img_p1.span) == 1:
-            return next(iter(self.img_p1.span))
-        return None
+        return _single(self.img_p1)
 
 
 def _minimal_lifts(store: FactStore, include_map: str) -> Dict[Element, Element]:
@@ -71,9 +74,9 @@ def _minimal_lifts(store: FactStore, include_map: str) -> Dict[Element, Element]
     lifts: Dict[Element, Element] = {}
     for key, value in store.facts.items():
         name, _, _ = key.partition("|")
-        if name != include_map or not value.is_known_nonzero or len(value.span) != 1:
+        target = _single(value) if name == include_map else None
+        if target is None:
             continue
-        target = next(iter(value.span))
         source = store.sources[key]
         if target not in lifts or source < lifts[target]:
             lifts[target] = source
@@ -104,15 +107,14 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
         tech_p1: Tuple[str, ...] = ()
         name: Optional[str] = None
         flagged = p2_key in contradicted
-        m = None
-        if p2_value is not None and p2_value.is_known_nonzero and len(p2_value.span) == 1:
-            m = next(iter(p2_value.span))
+        m = _single(p2_value)
+        if m is not None:
             p1_key = fact_key("p1", m)
             img_p1 = store.facts.get(p1_key)
             flagged = flagged or p1_key in contradicted
             p1_labels = labels.get(p1_key, frozenset())
-            if img_p1 is not None and img_p1.is_known_nonzero and len(img_p1.span) == 1:
-                s = next(iter(img_p1.span))
+            s = _single(img_p1)
+            if s is not None:
                 name = chart.tmf_name(s, y.key, "imgP1")
                 tech_p1 = _ordered_labels(p1_labels)
             elif img_p1 is not None and img_p1.is_zero:

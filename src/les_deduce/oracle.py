@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -56,6 +56,10 @@ class JunctionFilling:
     record: SesRecord
     include: Tuple[int, ...]  # per cokernel element: mask over middle
     project: Tuple[int, ...]  # per middle element: mask over kernel
+
+    def masks(self, map_name: str) -> Tuple[int, ...]:
+        """The masks of ``map_name``, one of the record's two maps."""
+        return self.project if map_name == self.record.project_map else self.include
 
 
 Filling = Dict[Tuple[str, int], JunctionFilling]
@@ -103,23 +107,15 @@ def _junction_candidates(record: SesRecord) -> List[JunctionFilling]:
 
 
 def _axiom_matches(filling: JunctionFilling, axiom: MapAxiom) -> Optional[bool]:
-    record = filling.record
-    if axiom.map == record.project_map and axiom.source in record.middle:
-        idx = record.middle.index(axiom.source)
-        got = filling.project[idx]
-        want_elems = axiom.value
-        targets = record.kernel or ()
-    elif axiom.map == record.include_map and record.cokernel and axiom.source in record.cokernel:
-        idx = record.cokernel.index(axiom.source)
-        got = filling.include[idx]
-        want_elems = axiom.value
-        targets = record.middle
-    else:
+    place = filling.record.place(axiom.map, axiom.source)
+    if place is None:
         return None
+    basis, targets = place
+    got = filling.masks(axiom.map)[basis.index(axiom.source)]
     if axiom.nonzero:
         return got != 0
     want = 0
-    for element in want_elems or ():
+    for element in axiom.value or ():
         if element not in targets:
             return False
         want |= 1 << targets.index(element)
@@ -131,7 +127,7 @@ def enumerate_fillings(chart: ChartFile, cap: int = 200_000) -> List[Filling]:
     per_record: List[Tuple[SesRecord, List[JunctionFilling]]] = []
     for record in chart.ses_records:
         if record.cokernel is None or record.kernel is None:
-            raise ValueError(f"oracle needs full bases for {record.context}@{record.stem}")
+            raise ValueError(f"oracle needs full bases for {record.ref}")
         candidates = _junction_candidates(record)
         candidates = [
             c
@@ -159,10 +155,11 @@ def enumerate_fillings(chart: ChartFile, cap: int = 200_000) -> List[Filling]:
 
 def _project_value(filling: Filling, record: SesRecord, source: Element) -> Optional[frozenset]:
     jf = filling.get((record.context, record.stem))
-    if jf is None or source not in record.middle:
+    place = record.place(record.project_map, source)
+    if jf is None or place is None:
         return None
-    mask = jf.project[record.middle.index(source)]
-    kernel = record.kernel or ()
+    basis, kernel = place
+    mask = jf.project[basis.index(source)]
     return frozenset(kernel[i] for i in range(len(kernel)) if mask >> i & 1)
 
 
@@ -219,17 +216,10 @@ def fact_holds(chart: ChartFile, filling: Filling, map_name: str, source: Elemen
     """
     for record in chart.ses_records:
         jf = filling.get((record.context, record.stem))
-        if jf is None:
-            continue
-        if map_name == record.project_map and source in record.middle:
-            basis = list(record.middle)
-            matrix = list(jf.project)
-            targets = list(record.kernel or ())
-            break
-        if map_name == record.include_map and record.cokernel and source in record.cokernel:
-            basis = list(record.cokernel)
-            matrix = list(jf.include)
-            targets = list(record.middle)
+        place = None if jf is None else record.place(map_name, source)
+        if place is not None:
+            basis, targets = place
+            matrix = jf.masks(map_name)
             break
     else:
         return None
@@ -297,9 +287,6 @@ _GENERATOR = RingGenerator("κ̄", 20, 4)
 def random_instance(rng: random.Random) -> ChartFile:
     """A small consistent synthetic dataset with one or two junctions."""
     context = rng.choice(["SES-2.8", "SES-2.9"])
-    mid_module = ModuleId.Y if context == "SES-2.8" else ModuleId.M
-    side_module = ModuleId.M if context == "SES-2.8" else ModuleId.S
-    shift = SesRecord.KERNEL_SHIFT[context]
     coupled = rng.random() < 0.3
 
     elements: Dict[str, Element] = {}
@@ -310,67 +297,43 @@ def random_instance(rng: random.Random) -> ChartFile:
         elements[element.key] = element
         return element
 
-    def random_record(stem: int, force_shape: Optional[Tuple[int, int]] = None) -> SesRecord:
-        while True:
-            if force_shape is not None:
-                c_dim, k_dim = force_shape
-            else:
-                c_dim = rng.randint(0, 2)
-                k_dim = rng.randint(0, 2)
-            m_dim = c_dim + k_dim
-            if 1 <= m_dim <= 3:
-                break
-            force_shape = None
-        middle = tuple(
-            sorted(
-                (fresh(mid_module, stem, rng.randint(0, 9)) for _ in range(m_dim)),
-            )
+    def record_at(stem: int, middle: List[int], cokernel: List[int], kernel: List[int]) -> SesRecord:
+        """A record with fresh basis classes at the given filtrations."""
+        empty = SesRecord(context, stem, (), (), ())
+        return replace(
+            empty,
+            middle=tuple(fresh(empty.middle_module, stem, f) for f in middle),
+            cokernel=tuple(fresh(empty.side_module, stem, f) for f in cokernel),
+            kernel=tuple(fresh(empty.side_module, empty.kernel_stem, f) for f in kernel),
         )
-        cokernel = tuple(
-            sorted(fresh(side_module, stem, rng.randint(0, 9)) for _ in range(c_dim))
-        )
-        kernel = tuple(
-            sorted(fresh(side_module, stem - shift, rng.randint(0, 9)) for _ in range(k_dim))
-        )
-        return SesRecord(context, stem, middle, cokernel, kernel)
 
-    records = []
+    def filtrations(n: int) -> List[int]:
+        return [rng.randint(0, 9) for _ in range(n)]
+
     stem = rng.randint(10, 40)
-    lower = random_record(stem)
-    records.append(lower)
+    while True:
+        c_dim, k_dim = rng.randint(0, 2), rng.randint(0, 2)
+        if 1 <= c_dim + k_dim <= 3:
+            break
+    lower = record_at(stem, filtrations(c_dim + k_dim), filtrations(c_dim), filtrations(k_dim))
+    records = [lower]
     actions: List[ActionFact] = []
     if coupled:
         # Mirror the lower shape one generator-stem up, with filtrations
         # shifted by the generator degree (plus jitter), so that linearity and
         # extended-linearity steps actually have legal targets.
         jitter = _GENERATOR.filtration_degree + rng.randint(0, 2)
-        upper_middle = tuple(
-            sorted(fresh(mid_module, stem + _GENERATOR.stem_degree, e.filtration + jitter) for e in lower.middle)
-        )
-        upper_coker = tuple(
-            sorted(
-                fresh(side_module, stem + _GENERATOR.stem_degree, e.filtration + jitter)
-                for e in lower.cokernel or ()
-            )
-        )
-        upper_kernel = tuple(
-            sorted(
-                fresh(side_module, stem + _GENERATOR.stem_degree - shift, e.filtration + jitter)
-                for e in lower.kernel or ()
-            )
-        )
-        upper = SesRecord(
-            context, stem + _GENERATOR.stem_degree, upper_middle, upper_coker, upper_kernel
+        upper = record_at(
+            stem + _GENERATOR.stem_degree,
+            [e.filtration + jitter for e in lower.middle],
+            [e.filtration + jitter for e in lower.cokernel],
+            [e.filtration + jitter for e in lower.kernel],
         )
         records.append(upper)
-        lows = sorted(lower.middle, key=lambda e: (e.filtration, e.name))
-        highs = sorted(upper.middle, key=lambda e: (e.filtration, e.name))
-        for src, dst in zip(lows, highs):
+        for src, dst in zip(lower.middle, upper.middle):
             if rng.random() < 0.8:
                 actions.append(ActionFact(_GENERATOR, src, value=frozenset({dst})))
-        k_lows = sorted(lower.kernel or (), key=lambda e: (e.filtration, e.name))
-        k_highs = sorted(upper.kernel or (), key=lambda e: (e.filtration, e.name))
-        for src, dst in zip(k_lows, k_highs):
+        for src, dst in zip(lower.kernel, upper.kernel):
             roll = rng.random()
             if roll < 0.6:
                 actions.append(ActionFact(_GENERATOR, src, value=frozenset({dst})))
@@ -405,13 +368,9 @@ def random_instance(rng: random.Random) -> ChartFile:
     seed_filling = rng.choice(fillings)
     axioms: List[MapAxiom] = []
     for record in records:
-        jf = seed_filling[(record.context, record.stem)]
-        for idx, element in enumerate(record.middle):
+        for element in record.middle:
             if rng.random() < 0.25:
-                kernel = record.kernel or ()
-                span = frozenset(
-                    kernel[i] for i in range(len(kernel)) if jf.project[idx] >> i & 1
-                )
+                span = _project_value(seed_filling, record, element)
                 axioms.append(MapAxiom(record.project_map, element, span))
     chart.axioms.extend(axioms)
     return chart

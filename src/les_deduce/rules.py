@@ -12,6 +12,11 @@ fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 chart (``ActionTable.single_valued``, ``ChartFile.rank_one_records``).  A
 shuffled schedule permutes the rules within each stratum.
 
+The rules read a record's geometry off the ``SesRecord``, which derives it
+from its LES in ``SEQUENCES``: the inclusion and projection maps, the bases
+(sorted by filtration, so ``u, w = record.middle`` puts u lowest) and the
+provenance name ``record.ref``.
+
 The closed-form values on periodic-part monomials are not in the saturated
 store: no rule, check or report reads them, and they are a pure function of
 the chart, which ``periodic_values`` returns.  ``saturate(...,
@@ -36,7 +41,8 @@ Rule inventory, matching the techniques used to fill the summary table:
   same move T3/T4 end with, recorded with provenance "exactness".
 * ``PERIODIC`` the closed-form values of the inclusion/projection maps on
   periodic-part monomials (``periodic_values``); off by default.
-* ``EXC``  exceptional classes: their inclusion image is nonzero torsion.
+* ``EXC``  exceptional classes are nonzero under the map of their LES out of
+  their module other than the self-map (``chartdata.exceptional_map``).
 """
 
 from __future__ import annotations
@@ -48,14 +54,14 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .algebra import (
     ClassificationKind,
     Element,
-    LesContext,
     ModuleId,
     Value,
     filtration_floor,
     span_of,
 )
-from .chartdata import ChartFile, Monomial, expand_periodic
+from .chartdata import EXCEPTIONAL_LISTINGS, ChartFile, Monomial, exceptional_map, expand_periodic
 from .sequences import (
+    MAP_SPECS,
     FactStore,
     RULE_EXACT,
     RULE_EXC,
@@ -82,10 +88,6 @@ class Emission:
 
 
 Rule = Callable[..., List[Emission]]  # (store, chart), plus ``delta`` if it loops
-
-
-def _sorted_by_filtration(elements: Iterable[Element]) -> List[Element]:
-    return sorted(elements, key=lambda e: (e.filtration, e.name))
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +167,17 @@ def rule_exceptional(store: FactStore, chart: ChartFile) -> List[Emission]:
     In the Y-sequence the exceptional Moore classes have nonzero torsion image
     under the inclusion; in the sphere sequence the exceptional sphere classes
     do so under i₁ and the exceptional Moore classes under p₁.  Non-exceptional
-    periodic classes stay out of the torsion bookkeeping entirely.
+    periodic classes stay out of the torsion bookkeeping entirely.  The
+    (LES, module) → listing table ``EXCEPTIONAL_LISTINGS`` routes each class;
+    the loader rejects a class it has no route for.
     """
     out: List[Emission] = []
     for c in chart.classifications:
-        if c.kind is not ClassificationKind.PERIODIC_EXCEPTIONAL:
-            continue
-        if c.context is LesContext.LES_23:
-            out.append(
-                Emission("i2", c.element, Value.nonzero_unknown(), RULE_EXC, ("E^M",))
-            )
-        elif c.element.module is ModuleId.S:
-            out.append(
-                Emission("i1", c.element, Value.nonzero_unknown(), RULE_EXC, ("F^S",))
-            )
-        else:
-            out.append(
-                Emission("p1", c.element, Value.nonzero_unknown(), RULE_EXC, ("F^M",))
-            )
+        if c.kind is ClassificationKind.PERIODIC_EXCEPTIONAL:
+            listing, _ = EXCEPTIONAL_LISTINGS[(c.context, c.element.module)]
+            map_name = exceptional_map(c.context, c.element.module)
+            cited = (f"{listing[0]}^{listing[1]}",)  # EM is cited as E^M
+            out.append(Emission(map_name, c.element, Value.nonzero_unknown(), RULE_EXC, cited))
     return out
 
 
@@ -195,9 +190,8 @@ def rule_t1(store: FactStore, chart: ChartFile) -> List[Emission]:
     for record in chart.ses_records:
         if record.kernel is None or record.kernel:
             continue
-        ref = f"{record.context}@{record.stem}"
         for element in record.middle:
-            out.append(Emission(record.project_map, element, Value.zero(), RULE_T1, (ref,)))
+            out.append(Emission(record.project_map, element, Value.zero(), RULE_T1, (record.ref,)))
         if record.cokernel is not None and len(record.cokernel) == 1 and len(record.middle) == 1:
             out.append(
                 Emission(
@@ -205,7 +199,7 @@ def rule_t1(store: FactStore, chart: ChartFile) -> List[Emission]:
                     record.cokernel[0],
                     Value.known(span_of(record.middle[0])),
                     RULE_T1,
-                    (ref,),
+                    (record.ref,),
                 )
             )
     return out
@@ -216,10 +210,9 @@ def rule_t2(store: FactStore, chart: ChartFile) -> List[Emission]:
     for record in chart.ses_records:
         if record.cokernel is None or record.cokernel:
             continue
-        ref = f"{record.context}@{record.stem}"
         for element in record.middle:
             out.append(
-                Emission(record.project_map, element, Value.nonzero_unknown(), RULE_T2, (ref,))
+                Emission(record.project_map, element, Value.nonzero_unknown(), RULE_T2, (record.ref,))
             )
         if record.kernel is not None and len(record.kernel) == 1:
             generator = record.kernel[0]
@@ -230,7 +223,7 @@ def rule_t2(store: FactStore, chart: ChartFile) -> List[Emission]:
                         element,
                         Value.known(span_of(generator)),
                         RULE_T2,
-                        (ref,),
+                        (record.ref,),
                     )
                 )
     return out
@@ -248,7 +241,7 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     for record in chart.ses_records:
         if record.kernel is None:
             continue
-        ref = f"{record.context}@{record.stem}"
+        ref = record.ref
         include, project = record.include_map, record.project_map
         # Any middle class strictly above everything the kernel offers must
         # project to zero, whatever the cokernel looks like.
@@ -262,15 +255,15 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
         shape = (len(record.cokernel), len(record.middle), len(record.kernel))
         if shape == (1, 2, 1):
             c = record.cokernel[0]
-            u, w = _sorted_by_filtration(record.middle)
+            u, w = record.middle
             g = record.kernel[0]
             if c.filtration > u.filtration and w.filtration >= c.filtration and g.filtration >= u.filtration:
                 out.append(Emission(include, c, Value.known(span_of(w)), RULE_T3A, (ref,)))
                 out.append(Emission(project, w, Value.zero(), RULE_T3A, (ref,)))
                 out.append(Emission(project, u, Value.known(span_of(g)), RULE_T3A, (ref,)))
         elif shape == (2, 2, 0):
-            c1, c2 = _sorted_by_filtration(record.cokernel)
-            m1, m2 = _sorted_by_filtration(record.middle)
+            c1, c2 = record.cokernel
+            m1, m2 = record.middle
             if (
                 c1.filtration < c2.filtration
                 and m1.filtration < m2.filtration
@@ -281,8 +274,8 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
                 out.append(Emission(include, c2, Value.known(span_of(m2)), RULE_T3A, (ref,)))
                 out.append(Emission(include, c1, Value.known(span_of(m1)), RULE_T3A, (ref,)))
         elif shape == (0, 2, 2):
-            u, w = _sorted_by_filtration(record.middle)
-            k1, k2 = _sorted_by_filtration(record.kernel)
+            u, w = record.middle
+            k1, k2 = record.kernel
             if (
                 u.filtration < w.filtration
                 and k1.filtration == u.filtration
@@ -304,14 +297,18 @@ def rule_t4(
     generator's filtration degree) strictly above everything in the kernel,
     then p(y) = 0 and rank-1 surjectivity pins the other middle generator.
     Applies only when the action of g on p(y′) is itself uncharted; otherwise
-    plain linearity runs.  The visited facts are the p(y′).
+    plain linearity runs.  The visited facts are the p(y′); facts on maps
+    that are no record's projection are skipped unread.
     """
     out: List[Emission] = []
+    projects = {record.project_map for record in chart.ses_records}
     for parent_key in list(store.facts) if delta is None else delta:
+        project, _, _ = parent_key.partition("|")
+        if project not in projects:
+            continue
         parent = store.facts[parent_key]
         if not parent.is_known:
             continue
-        project, _, _ = parent_key.partition("|")
         for action in chart.actions.single_valued(store.sources[parent_key]):
             (y,) = action.value
             for record in chart.rank_one_records.get(fact_key(project, y), ()):
@@ -322,8 +319,7 @@ def rule_t4(
                     floor = filtration_floor(parent.span) + action.generator.filtration_degree
                     if floor <= generator.filtration:
                         continue
-                ref = f"{record.context}@{record.stem}"
-                inputs = (parent_key, f"{action.generator.name}·{action.source.key}", ref)
+                inputs = (parent_key, f"{action.generator.name}·{action.source.key}", record.ref)
                 out.append(Emission(project, y, Value.zero(), RULE_T4, inputs))
                 other = next(e for e in record.middle if e != y)
                 out.append(
@@ -346,7 +342,7 @@ def rule_linearity(
         if not value.is_known:
             continue
         map_name, _, _ = key.partition("|")
-        if map_name not in ("i1", "i2", "i3", "p1", "p2", "p3", "eta", "v", "mul2"):
+        if map_name not in MAP_SPECS:
             continue
         source = store.sources[key]
         if source.periodic:
@@ -387,10 +383,10 @@ def rule_exact(
     out: List[Emission] = []
     keys = list(store.facts) if delta is None else delta
     for record in dict.fromkeys(r for key in keys for r in chart.rank_one_records.get(key, ())):
-        u, w = _sorted_by_filtration(record.middle)
+        u, w = record.middle
         if u.filtration >= w.filtration:
             continue
-        ref = f"{record.context}@{record.stem}"
+        ref = record.ref
         project, include = record.project_map, record.include_map
         generator = record.kernel[0]
         key_u, key_w = fact_key(project, u), fact_key(project, w)

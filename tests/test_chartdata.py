@@ -248,6 +248,12 @@ V1_ON_Y44 = next(
     if (action["generator"], action["source"]) == ("v₁", "Y:y_{44,8}")
 )
 
+Y50_IN_LES23 = next(
+    ("classifications", i)
+    for i, c in enumerate(SHIPPED["classifications"])
+    if (c["element"], c["context"]) == ("Y:y_{50,4}", "LES-2.3")
+)
+
 
 # (mutation of the shipped document, location the error must name)
 MALFORMED = {
@@ -279,6 +285,22 @@ MALFORMED = {
     "torsion-y-without-v1-action": (
         _set(V1_ON_Y44, _DELETE),
         r"torsion class Y:y_\{44,8\} in LES-2.3 has no v₁ action",
+    ),
+    "axiom-source-off-spec": (
+        _set(("axioms", 0), {"map": "p2", "source": "S:s_{3,1}", "value": ["Y:y_{44,8}"]}),
+        r"axiom p2\(S:s_\{3,1\}\): source must live in module Y",
+    ),
+    "axiom-value-module-off-spec": (
+        _set(("axioms", 0, "value"), ["Y:y_{44,8}"]),
+        r"axiom p2\(Y:y_\{30,2\}\): Y:y_\{44,8\} should live in module M at stem 28",
+    ),
+    "axiom-value-stem-off-spec": (
+        _set(("axioms", 0, "value"), ["M:m_{80,16}"]),
+        r"axiom p2\(Y:y_\{30,2\}\): M:m_\{80,16\} should live in module M at stem 28",
+    ),
+    "exceptional-without-route": (
+        _set(Y50_IN_LES23 + ("kind",), "periodicExceptional"),
+        r"classification: Y:y_\{50,4\} marked exceptional in LES-2.3, but no exceptional listing",
     ),
 }
 

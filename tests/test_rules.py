@@ -16,7 +16,14 @@ from les_deduce.algebra import (
     Value,
     span_of,
 )
-from les_deduce.chartdata import ChartFile, SesRecord, delta8_extend, expand_periodic
+from les_deduce.chartdata import (
+    EXCEPTIONAL_LISTINGS,
+    ChartFile,
+    SesRecord,
+    delta8_extend,
+    exceptional_map,
+    expand_periodic,
+)
 from les_deduce.families import build_table, emit_families
 from les_deduce.oracle import random_instance
 from les_deduce.rules import (
@@ -32,7 +39,14 @@ from les_deduce.rules import (
     rule_t4,
     saturate,
 )
-from les_deduce.sequences import FactStore, check_all, fact_key, image_of_p3, load_axioms
+from les_deduce.sequences import (
+    MAP_SPECS,
+    FactStore,
+    check_all,
+    fact_key,
+    image_of_p3,
+    load_axioms,
+)
 
 _SHIFT = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
@@ -170,6 +184,16 @@ class TestExceptionalRule:
         value = known(store, "i1", "S:s_{24,0}")
         assert {e.name for e in value.span} == {"m_{24,6}"}
         assert "EXC" in rules_for(store, "i1", "S:s_{24,0}")
+
+    def test_routes(self):
+        # EXC's map is the map of the class's LES out of its module other
+        # than the self-map.
+        routes = {route: exceptional_map(*route) for route in EXCEPTIONAL_LISTINGS}
+        assert routes == {
+            (LesContext.LES_23, ModuleId.M): "i2",
+            (LesContext.LES_24, ModuleId.S): "i1",
+            (LesContext.LES_24, ModuleId.M): "p1",
+        }
 
     def test_delta8_closure_verdicts(self, chart):
         ext = delta8_extend(chart, 1)
@@ -460,6 +484,38 @@ class TestSemiNaiveMatchesNaive:
             if any(d.rule == "T4" for ds in semi_naive.derivations.values() for d in ds):
                 t4_seeds.append(seed)
         assert {9298, 10783, 27349, 54073} <= set(t4_seeds)
+
+
+def off_spec(store):
+    """(checked, off-spec keys) over the stored facts on the nine sequence maps:
+    the source must lie in the map's source module and a known value in its
+    target module, at the source stem plus the map's stem shift."""
+    checked, bad = 0, []
+    for key, value in store.facts.items():
+        spec = MAP_SPECS.get(key.partition("|")[0])
+        if spec is None:
+            continue
+        checked += 1
+        source = store.sources[key]
+        where = (spec.target, source.stem + spec.stem_shift)
+        if source.module is not spec.source or any((e.module, e.stem) != where for e in value.span):
+            bad.append(key)
+    return checked, bad
+
+
+class TestFactsMatchMapSpecs:
+    @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
+    def test_charts(self, store, store_x2, extended):
+        checked, bad = off_spec(store_x2 if extended else store)
+        assert checked >= (3 if extended else 1) * 386 and bad == []
+
+    def test_oracle_instances(self):
+        total = 0
+        for seed in range(200):
+            checked, bad = off_spec(saturate(random_instance(random.Random(seed))))
+            assert bad == [], seed
+            total += checked
+        assert total > 200
 
 
 class TestDelta8Equivariance:
