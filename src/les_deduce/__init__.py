@@ -19,7 +19,7 @@ from .algebra import (
 from .chartdata import ChartFile, delta8_extend, expand_periodic, load, loads, save
 from .families import build_table, classify_three_options, emit_families
 from .rules import saturate
-from .sequences import FactStore, check_exactness, image_of_p3
+from .sequences import FactStore, image_of_p3
 
 __all__ = [
     "ActionFact",
@@ -36,7 +36,6 @@ __all__ = [
     "Value",
     "ZERO",
     "build_table",
-    "check_exactness",
     "classify_three_options",
     "delta8_extend",
     "emit_families",

@@ -226,8 +226,8 @@ class MapAxiom:
 class ChartFile:
     """A fully validated chart dataset, immutable by convention after load.
 
-    The lookup indexes behind ``elements_of`` and ``classification`` are built
-    on first use and kept for the life of the chart.
+    The lookup indexes behind ``classification`` and ``rank_one_records`` are
+    built on first use and kept for the life of the chart.
     """
 
     schema_version: str
@@ -249,15 +249,6 @@ class ChartFile:
     periodic_presentations: Dict[str, dict]
 
     @cached_property
-    def _elements_by_degree(self) -> Dict[tuple, List[Element]]:
-        # (module, stem) and (module, None) -> sorted elements
-        index: Dict[tuple, List[Element]] = {}
-        for e in sorted(self.elements.values()):
-            index.setdefault((e.module, e.stem), []).append(e)
-            index.setdefault((e.module, None), []).append(e)
-        return index
-
-    @cached_property
     def _kinds(self) -> Dict[tuple, ClassificationKind]:
         # (element, context) -> kind of its first classification
         index: Dict[tuple, ClassificationKind] = {}
@@ -275,9 +266,6 @@ class ChartFile:
                 for element in record.middle:
                     index.setdefault(fact_key(record.project_map, element), []).append(record)
         return index
-
-    def elements_of(self, module: ModuleId, stem: Optional[int] = None) -> List[Element]:
-        return list(self._elements_by_degree.get((module, stem), ()))
 
     def classification(self, element: Element, context: LesContext) -> Optional[ClassificationKind]:
         return self._kinds.get((element, context))

@@ -9,9 +9,11 @@ The dataset path may be omitted when LES_DEDUCE_DATA is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import chartdata
@@ -133,23 +135,10 @@ def cmd_families(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     chart, store = _saturated(args.dataset)
     verdicts = check_all(store, chart)
-    counts = {"exact": 0, "undetermined": 0, "contradiction": 0}
-    bad = []
-    for verdict in verdicts:
-        counts[verdict.verdict] += 1
-        if verdict.verdict == "contradiction":
-            bad.append(verdict)
+    counts = Counter(v.verdict for v in verdicts)
+    bad = [v for v in verdicts if v.verdict == "contradiction"]
     if args.json:
-        doc = [
-            {
-                "sequence": v.sequence,
-                "stem": v.stem,
-                "junction": v.junction,
-                "verdict": v.verdict,
-                "detail": v.detail,
-            }
-            for v in verdicts
-        ]
+        doc = [dataclasses.asdict(v) for v in verdicts]
         sys.stdout.write(json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
     else:
         print(

@@ -8,9 +8,10 @@ already-present facts, so the saturated store is independent of rule order.
 chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
 fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 ``delta``, the fact keys that may have changed, visits only those facts
-(``None`` visits all) and reaches the rest through indexes built once per
-chart (``ActionTable.single_valued``, ``ChartFile.rank_one_records``).  A
-shuffled schedule permutes the rules within each stratum.
+(pass ``store.facts`` to visit all) and reaches the rest through indexes
+built once per chart (``ActionTable.single_valued``,
+``ChartFile.rank_one_records``).  A shuffled schedule permutes the rules
+within each stratum.
 
 The rules read a record's geometry off the ``SesRecord``, which derives it
 from its LES in ``SEQUENCES``: the inclusion and projection maps, the bases
@@ -287,9 +288,7 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
-def rule_t4(
-    store: FactStore, chart: ChartFile, delta: Optional[Iterable[str]] = None
-) -> List[Emission]:
+def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
     """Extended linearity: push a known projection through a generator.
 
     If the middle class of a rank-1 record is a generator multiple y = g·y′
@@ -302,7 +301,7 @@ def rule_t4(
     """
     out: List[Emission] = []
     projects = {record.project_map for record in chart.ses_records}
-    for parent_key in list(store.facts) if delta is None else delta:
+    for parent_key in delta:
         project, _, _ = parent_key.partition("|")
         if project not in projects:
             continue
@@ -328,16 +327,14 @@ def rule_t4(
     return out
 
 
-def rule_linearity(
-    store: FactStore, chart: ChartFile, delta: Optional[Iterable[str]] = None
-) -> List[Emission]:
+def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
     """Module linearity p(t·x) = t·p(x) over recorded generator actions.
 
     A fact's emissions depend only on its own value and the single-valued
     actions on its source.
     """
     out: List[Emission] = []
-    for key in list(store.facts) if delta is None else delta:
+    for key in delta:
         value = store.facts[key]
         if not value.is_known:
             continue
@@ -368,9 +365,7 @@ def rule_linearity(
     return out
 
 
-def rule_exact(
-    store: FactStore, chart: ChartFile, delta: Optional[Iterable[str]] = None
-) -> List[Emission]:
+def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
     """Rank-1 completion at a recorded junction.
 
     With kernel {g} and middle {u, w} (u strictly below w): a vanishing value
@@ -381,8 +376,7 @@ def rule_exact(
     revisited when either of its two projection facts is visited.
     """
     out: List[Emission] = []
-    keys = list(store.facts) if delta is None else delta
-    for record in dict.fromkeys(r for key in keys for r in chart.rank_one_records.get(key, ())):
+    for record in dict.fromkeys(r for key in delta for r in chart.rank_one_records.get(key, ())):
         u, w = record.middle
         if u.filtration >= w.filtration:
             continue
@@ -454,8 +448,9 @@ def saturate(
     Saturation runs in two strata.  The chart-only rules (``CHART_ONLY``)
     fire once, since firing them again would emit the same facts.  T4, LIN
     and EXACT read the store and loop until a pass adds nothing; each call
-    after a rule's first visits only the keys logged since its own previous
-    call, because every value change appends to ``store.log``.
+    visits only the keys logged since the rule's own previous call (the
+    whole log on its first call), because every value change appends to
+    ``store.log`` and every key enters the log as it enters ``store.facts``.
 
     PERIODIC fires only with ``with_periodic=True``: the store then also
     holds the ``periodic_values`` of the chart, and every other fact is the
@@ -483,9 +478,7 @@ def saturate(
         if rng is not None:
             rng.shuffle(looping)
         for name, rule in looping:
-            delta = None
-            if name in seen:
-                delta = dict.fromkeys(key for key, _ in store.log[seen[name]:])
+            delta = dict.fromkeys(key for key, _ in store.log[seen.get(name, 0):])
             seen[name] = len(store.log)
             if _insert_all(store, rule(store, chart, delta)):
                 changed = True

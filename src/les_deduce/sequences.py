@@ -6,10 +6,11 @@ including alternatives for already-known facts.  Conflicting known values
 that do not agree modulo higher filtration become contradictions; they are
 reported, never silently resolved, and never abort saturation.
 
-Exactness is checked junction-locally over the chart's elements.  Periodic-part
-monomials are never chart elements, so the checker never reads the facts on
-them: they are bookkeeping for the localized rows, which are not exact in
-general.
+``check_all`` is the exactness report: it walks each LES's three junctions
+once per anchor stem and tests the composites of consecutive known facts on
+the chart's elements.  Periodic-part monomials are never chart elements, so
+the checker never reads the facts on them: they are bookkeeping for the
+localized rows, which are not exact in general.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def load_axioms(store: FactStore, chart: ChartFile) -> None:
     Connecting-map facts are never derived, only consumed: the v-map facts
     mirror the v₁ actions on Y, multiplication-by-2 facts mirror element
     orders, and η-kernel membership of every recorded kernel basis element
-    becomes an η fact.
+    in M (the SES-2.7 and SES-2.8 records) becomes an η fact.
     """
     for axiom in chart.axioms:
         value = Value.nonzero_unknown() if axiom.nonzero else Value.known(axiom.value or ZERO)
@@ -252,7 +253,7 @@ def load_axioms(store: FactStore, chart: ChartFile) -> None:
         elif order in (4, 8, "inf"):
             store.insert("mul2", element, Value.nonzero_unknown(), AXIOM, ("order",))
     for record in chart.ses_records:
-        if record.context == "SES-2.8" and record.kernel:
+        if record.side_module is ModuleId.M and record.kernel:
             for element in record.kernel:
                 store.insert("eta", element, Value.zero(), AXIOM, (f"kernel@{record.stem}",))
 
@@ -289,67 +290,65 @@ class JunctionVerdict:
     detail: str = ""
 
 
-def check_exactness(store: FactStore, chart: ChartFile, sequence_id: str, stem: int) -> List[JunctionVerdict]:
-    """Junction-local exactness report for one LES at one stem.
-
-    With partial knowledge only necessary conditions are checked (composites
-    of consecutive known facts must vanish); the verdict is then
-    "undetermined" unless a violation is found.  A junction whose three
-    positions carry no chart elements at all is trivially exact.
-    """
-    seq = SEQUENCES[sequence_id]
-    verdicts: List[JunctionVerdict] = []
-    cyclic = list(seq.maps) + [seq.maps[0]]
-    # Walk stems so that map1 lands where map2 starts, anchored at `stem` for
-    # the first map's source.
-    for idx in range(3):
-        map1, map2 = cyclic[idx], cyclic[idx + 1]
-        source_stem = stem if idx == 0 else stem + sum(m.stem_shift for m in seq.maps[:idx])
-        junction_stem = source_stem + map1.stem_shift
-        label = f"{map1.name}->{map2.name}@{junction_stem}"
-        sources = chart.elements_of(map1.source, source_stem)
-        junction_elems = chart.elements_of(map1.target, junction_stem)
-        targets = chart.elements_of(map2.target, junction_stem + map2.stem_shift)
-        if not sources and not junction_elems and not targets:
-            verdicts.append(JunctionVerdict(sequence_id, stem, label, "exact", "zero modules"))
-            continue
-        violation = None
-        for element in sources:
-            value = store.get(map1.name, element)
-            if value is None or not value.is_known_nonzero:
-                continue
-            image = value.span
-            # Composite must vanish: push the image through map2 where known.
-            total: F2Span = ZERO
-            complete = True
-            blocked_nonzero = None
-            for member in sorted(image):
-                nxt = store.get(map2.name, member)
-                if nxt is None:
-                    complete = False
-                    break
-                if not nxt.is_known:
-                    blocked_nonzero = member
-                    complete = False
-                    break
-                total = span_add(total, nxt.span)
-            if complete and total:
-                violation = f"{map2.name}({map1.name}({element.key})) = {span_key(total)} ≠ 0"
-                break
-            if blocked_nonzero is not None and len(image) == 1:
-                violation = f"{map2.name} nonzero on img {map1.name}({element.key})"
-                break
-        if violation:
-            verdicts.append(JunctionVerdict(sequence_id, stem, label, "contradiction", violation))
-        else:
-            verdicts.append(JunctionVerdict(sequence_id, stem, label, "undetermined"))
-    return verdicts
-
-
 def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
-    stems = sorted({e.stem for e in chart.elements.values()})
+    """Junction-local exactness report: each LES's three junctions at every
+    anchor stem, the stems of the chart's elements.
+
+    The anchor stem is the source stem of the sequence's first map, and each
+    junction's source stem is the previous junction's stem.  With partial
+    knowledge only necessary conditions are checked (composites of
+    consecutive known facts must vanish); the verdict is then "undetermined"
+    unless a violation is found.  A junction whose three positions carry no
+    chart elements at all is trivially exact.
+    """
+    by_degree: Dict[Tuple[ModuleId, int], List[Element]] = {}
+    for element in chart.elements.values():
+        by_degree.setdefault((element.module, element.stem), []).append(element)
+    for elements in by_degree.values():
+        elements.sort()
+    stems = sorted({stem for _, stem in by_degree})
     out: List[JunctionVerdict] = []
-    for sequence_id in ("LES-2.2", "LES-2.3", "LES-2.4"):
+    for seq in SEQUENCES.values():
+        junctions = list(zip(seq.maps, seq.maps[1:] + seq.maps[:1]))
         for stem in stems:
-            out.extend(check_exactness(store, chart, sequence_id, stem))
+            source_stem = stem
+            for map1, map2 in junctions:
+                junction_stem = source_stem + map1.stem_shift
+                label = f"{map1.name}->{map2.name}@{junction_stem}"
+                sources = by_degree.get((map1.source, source_stem), ())
+                verdict, detail = "exact", "zero modules"
+                if (
+                    sources
+                    or (map1.target, junction_stem) in by_degree
+                    or (map2.target, junction_stem + map2.stem_shift) in by_degree
+                ):
+                    violations = (_composite_violation(store, map1, map2, e) for e in sources)
+                    detail = next(filter(None, violations), "")
+                    verdict = "contradiction" if detail else "undetermined"
+                out.append(JunctionVerdict(seq.id, stem, label, verdict, detail))
+                source_stem = junction_stem
     return out
+
+
+def _composite_violation(
+    store: FactStore, map1: MapSpec, map2: MapSpec, element: Element
+) -> Optional[str]:
+    """Why map2 ∘ map1 cannot vanish on ``element``, or None if the known
+    facts do not show it: the image pushes through map2 to a nonzero sum, or
+    a single-class image meets a nonzero map2 value that is not known."""
+    value = store.get(map1.name, element)
+    if value is None or not value.is_known_nonzero:
+        return None
+    total: F2Span = ZERO
+    for member in sorted(value.span):
+        pushed = store.get(map2.name, member)
+        if pushed is None:
+            return None
+        if not pushed.is_known:
+            if len(value.span) == 1:
+                return f"{map2.name} nonzero on img {map1.name}({element.key})"
+            return None
+        total = span_add(total, pushed.span)
+    if total:
+        return f"{map2.name}({map1.name}({element.key})) = {span_key(total)} ≠ 0"
+    return None

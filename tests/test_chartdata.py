@@ -103,12 +103,6 @@ class TestLoad:
         with pytest.raises(ChartValidationError, match="stem 8"):
             chartdata.from_document(doc)
 
-    def test_elements_of_is_sorted_per_degree(self, chart):
-        ys = chart.elements_of(ModuleId.Y)
-        assert ys == sorted(e for e in chart.elements.values() if e.module is ModuleId.Y)
-        assert chart.elements_of(ModuleId.Y, 45) == [e for e in ys if e.stem == 45]
-        assert chart.elements_of(ModuleId.Y, 500) == []
-
     def test_classification_lookup(self, chart):
         from les_deduce.algebra import ClassificationKind, LesContext
 

@@ -100,6 +100,27 @@ class TestSoundness:
         _, violations = run_soundness_trial(seed)
         assert violations == []
 
+    def test_store_contradictions_on_consistent_instances(self):
+        """A known defect, pinned: the oracle cannot see store contradictions.
+
+        ``random_instance`` draws its axioms from a real filling, so no
+        saturated store should hold a contradiction, yet four seeds in 0-999
+        do.  ``check_soundness`` reads only stored facts, so all four pass
+        it.  Seed 220 sets the axiom p₁(u) = g against EXACT's p₁(u) = 0
+        after adjusting u by w: both hold under the oracle's
+        source-adjustment reading, so the store's equality is stricter than
+        the oracle's.  Seed 92 sets T2 against LIN, which pushes T3b's
+        adjusted p₁(x₀) = x₂ through κ̄·x₂ = 0 to p₁(x₄) = 0; no filling
+        allows that, because the projection is injective.
+        """
+        seeds = [
+            seed
+            for seed in range(1000)
+            if saturate(random_instance(random.Random(seed))).contradictions
+        ]
+        assert seeds == [61, 92, 220, 486]
+        assert all(run_soundness_trial(seed)[1] == [] for seed in seeds)
+
     def test_instances_exercise_every_rule(self):
         from collections import Counter
 

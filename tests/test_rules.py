@@ -286,7 +286,7 @@ class TestLinearity:
         chart = mini_chart([], [y, ky, m], actions=[ActionFact(kbar, y, value=span_of(ky))])
         store = FactStore()
         store.insert("p2", y, Value.known(span_of(m)), "axiom")
-        assert rule_linearity(store, chart) == []  # κ̄·m unrecorded
+        assert rule_linearity(store, chart, store.facts) == []  # κ̄·m unrecorded
 
 
 class TestT4:
@@ -328,7 +328,7 @@ class TestT4:
         )
         store = FactStore()
         store.insert("p2", yp, Value.known(span_of(mp)), "axiom")
-        assert rule_t4(store, chart) == []  # pushed floor 6 does not clear 9
+        assert rule_t4(store, chart, store.facts) == []  # pushed floor 6 does not clear 9
 
 
 class TestExactCompletion:
@@ -356,7 +356,7 @@ class TestExactCompletion:
         chart = mini_chart([record], [gen, u, w])
         store = FactStore()
         store.insert("p2", u, Value.known(span_of(gen)), "axiom")
-        emissions = rule_exact(store, chart)
+        emissions = rule_exact(store, chart, store.facts)
         assert all(e.source != w for e in emissions)
 
 
@@ -425,7 +425,7 @@ class TestSaturation:
         ids=["T4", "LIN", "EXACT"],
     )
     def test_delta_restricts_the_visit(self, chart, store, rule, key):
-        full = rule(store, chart)
+        full = rule(store, chart, store.facts)
         assert rule(store, chart, []) == []
         visited = rule(store, chart, [key])
         assert visited and visited == [e for e in full if e.inputs[0] == key]
@@ -441,7 +441,7 @@ class TestSaturation:
 
 def naive_saturate(chart):
     """Reference fixpoint: the chart-only rules once, then every looping rule
-    over every fact (``delta=None``) until a pass adds nothing."""
+    over every fact (``delta=store.facts``) until a pass adds nothing."""
     store = FactStore()
     load_axioms(store, chart)
     image_of_p3(store, chart)
@@ -454,7 +454,7 @@ def naive_saturate(chart):
     while changed:
         changed = False
         for rule in looping:
-            for e in rule(store, chart, None):
+            for e in rule(store, chart, store.facts):
                 changed |= store.insert(e.map, e.source, e.value, e.rule, e.inputs)
     return store
 

@@ -12,7 +12,7 @@ from les_deduce.sequences import (
     IncompleteDataError,
     MAP_SPECS,
     SEQUENCES,
-    check_exactness,
+    check_all,
     fact_key,
     image_of_p3,
 )
@@ -132,49 +132,88 @@ class TestDerivedSES:
     def test_unrestricted_context_accepted(self):
         # SES-2.7 carries the full (not torsion-restricted) bases; its middle
         # needs no classification, and the same engine shapes apply.
-        doc = {
-            "schemaVersion": "1",
-            "maxStem": 20,
-            "generators": [],
-            "elements": [
-                {"module": "Y", "name": "y_{10,2}", "stem": 10, "filtration": 2},
-                {"module": "M", "name": "m_{8,2}", "stem": 8, "filtration": 2},
-            ],
-            "actions": [],
-            "classifications": [],
-            "hurewiczFlags": {},
-            "exceptionalSets": {"EM": [], "FS": [], "FM": [], "delta8Closure": False},
-            "ranks": [
-                {
-                    "context": "SES-2.7",
-                    "stem": 10,
-                    "cokernel": [],
-                    "middle": ["Y:y_{10,2}"],
-                    "kernel": ["M:m_{8,2}"],
-                }
-            ],
-            "axioms": [],
-            "tmfNameOverrides": [],
-            "periodicPresentations": {},
-        }
-        chart = chartdata.from_document(doc)
+        chart = chartdata.from_document(
+            ses27_document(
+                [("Y", "y_{10,2}", 10, 2), ("M", "m_{8,2}", 8, 2)],
+                {"cokernel": [], "middle": ["Y:y_{10,2}"], "kernel": ["M:m_{8,2}"]},
+            )
+        )
         ses = ses_record(chart, "SES-2.7", 10)
         assert [e.name for e in ses.kernel] == ["m_{8,2}"]
         store = saturate(chart, with_periodic=False)
         value = store.get("p2", chart.elements["Y:y_{10,2}"])
         assert value is not None and {e.name for e in value.span} == {"m_{8,2}"}
+        # Every LES-2.3 kernel lies in ker η, whichever context records it.
+        assert store.get("eta", chart.elements["M:m_{8,2}"]) == Value.zero()
+
+
+def ses27_document(elements, record, axioms=()):
+    """A dataset with the given (module, name, stem, filtration) elements and
+    one SES-2.7 record at stem 10; bases absent from ``record`` are null."""
+    return {
+        "schemaVersion": "1",
+        "maxStem": 20,
+        "generators": [],
+        "elements": [
+            {"module": module, "name": name, "stem": stem, "filtration": filtration}
+            for module, name, stem, filtration in elements
+        ],
+        "actions": [],
+        "classifications": [],
+        "hurewiczFlags": {},
+        "exceptionalSets": {"EM": [], "FS": [], "FM": [], "delta8Closure": False},
+        "ranks": [
+            {"context": "SES-2.7", "stem": 10, "cokernel": None, "kernel": None, **record}
+        ],
+        "axioms": list(axioms),
+        "tmfNameOverrides": [],
+        "periodicPresentations": {},
+    }
 
 
 class TestExactness:
     def test_shipped_dataset_consistent_at_every_junction(self, chart, store):
-        for stem in (24, 26, 29, 50, 70, 102):
-            for seq_id in ("LES-2.2", "LES-2.3", "LES-2.4"):
-                for verdict in check_exactness(store, chart, seq_id, stem):
-                    assert verdict.verdict in ("exact", "undetermined")
+        verdicts = check_all(store, chart)
+        stems = {e.stem for e in chart.elements.values()}
+        assert len(verdicts) == 3 * 3 * len(stems)
+        assert {v.verdict for v in verdicts} == {"exact", "undetermined"}
 
     def test_zero_modules_trivially_exact(self, chart, store):
-        verdicts = check_exactness(store, chart, "LES-2.3", 500)
-        assert all(v.verdict == "exact" for v in verdicts)
+        # Anchored at stem 17, LES-2.3 visits M and Y in stems 15-17 only,
+        # and the chart has no class there.
+        assert not [
+            e
+            for e in chart.elements.values()
+            if e.module in (ModuleId.M, ModuleId.Y) and 15 <= e.stem <= 17
+        ]
+        verdicts = [v for v in check_all(store, chart) if (v.sequence, v.stem) == ("LES-2.3", 17)]
+        assert [v.junction for v in verdicts] == ["i2->p2@17", "p2->eta@15", "eta->i2@16"]
+        assert all((v.verdict, v.detail) == ("exact", "zero modules") for v in verdicts)
+
+    @pytest.mark.parametrize(
+        "projection, detail",
+        [
+            ({"value": ["M:g"]}, "p2(i2(M:c)) = M:g ≠ 0"),
+            ({"nonzero": True}, "p2 nonzero on img i2(M:c)"),
+        ],
+        ids=["known", "nonzero"],
+    )
+    def test_nonvanishing_composite_is_a_contradiction(self, projection, detail):
+        doc = ses27_document(
+            [("Y", "w", 10, 2), ("M", "c", 10, 1), ("M", "g", 8, 2)],
+            {"middle": ["Y:w"]},
+            [
+                {"map": "i2", "source": "M:c", "value": ["Y:w"]},
+                {"map": "p2", "source": "Y:w", **projection},
+            ],
+        )
+        chart = chartdata.from_document(doc)
+        store = saturate(chart)
+        assert store.contradictions == []
+        bad = [v for v in check_all(store, chart) if v.verdict == "contradiction"]
+        assert [(v.sequence, v.junction, v.detail) for v in bad] == [
+            ("LES-2.3", "i2->p2@10", detail)
+        ]
 
     def test_poisoned_axiom_flags_contradiction(self, chart_document):
         import json
