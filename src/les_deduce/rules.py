@@ -27,19 +27,22 @@ Rule inventory, matching the techniques used to fill the summary table:
 
 * ``T1``   vanishing kernel: rank-0 kernel kills the projection on the whole
   middle; with rank-1 cokernel and middle the inclusion is pinned too.
-* ``T2``   vanishing cokernel: projection is injective on the middle, and a
-  rank-1 kernel pins the value; larger kernels yield only nonzeroness.
-* ``T3a``  filtration exclusion in a (1, 2, 1) shape, plus the (2, 2, 0)
-  iso variant where the inclusion is an isomorphism pinned by filtration.
+* ``T2``   vanishing cokernel: projection is injective on the middle, one
+  value per middle class: the generator of a rank-1 kernel, else nonzero.
+* ``T3a``  filtration exclusion: a middle class above the whole kernel dies,
+  and so does the higher middle class of a (1, 2, 1) shape (EXACT then
+  completes it); plus the (2, 2, 0) iso variant where the inclusion is an
+  isomorphism pinned by filtration.
 * ``T3b``  filtration matching in a (0, 2, 2) shape, the lower identification
   valid after a basis adjustment by strictly higher filtration.
 * ``T4``   extended linearity: a generator multiple whose pushed-forward value
-  is forced above everything the kernel offers must die, and rank-1
-  surjectivity then pins the other middle generator.
+  is forced above everything the kernel offers must die (EXACT then
+  completes its record).
 * ``LIN``  module linearity p(t·x) = t·p(x) over recorded generator actions.
 * ``EXACT`` rank-1 completion at a junction: surjectivity in one direction,
   basis adjustment in the other, and the induced inclusion pin.  This is the
-  same move T3/T4 end with, recorded with provenance "exactness".
+  only rule that completes a rank-1 record, recorded with provenance
+  "exactness".
 * ``PERIODIC`` the closed-form values of the inclusion/projection maps on
   periodic-part monomials (``periodic_values``); off by default.
 * ``EXC``  exceptional classes are nonzero under the map of their LES out of
@@ -60,9 +63,17 @@ from .algebra import (
     filtration_floor,
     span_of,
 )
-from .chartdata import EXCEPTIONAL_LISTINGS, ChartFile, Monomial, exceptional_map, expand_periodic
+from .chartdata import (
+    EXCEPTIONAL_LISTINGS,
+    SES_CONTEXTS,
+    ChartFile,
+    Monomial,
+    exceptional_map,
+    expand_periodic,
+)
 from .sequences import (
     MAP_SPECS,
+    SEQUENCES,
     FactStore,
     RULE_EXACT,
     RULE_EXC,
@@ -211,22 +222,12 @@ def rule_t2(store: FactStore, chart: ChartFile) -> List[Emission]:
     for record in chart.ses_records:
         if record.cokernel is None or record.cokernel:
             continue
-        for element in record.middle:
-            out.append(
-                Emission(record.project_map, element, Value.nonzero_unknown(), RULE_T2, (record.ref,))
-            )
         if record.kernel is not None and len(record.kernel) == 1:
-            generator = record.kernel[0]
-            for element in record.middle:
-                out.append(
-                    Emission(
-                        record.project_map,
-                        element,
-                        Value.known(span_of(generator)),
-                        RULE_T2,
-                        (record.ref,),
-                    )
-                )
+            value = Value.known(span_of(record.kernel[0]))
+        else:
+            value = Value.nonzero_unknown()
+        for element in record.middle:
+            out.append(Emission(record.project_map, element, value, RULE_T2, (record.ref,)))
     return out
 
 
@@ -259,9 +260,7 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
             u, w = record.middle
             g = record.kernel[0]
             if c.filtration > u.filtration and w.filtration >= c.filtration and g.filtration >= u.filtration:
-                out.append(Emission(include, c, Value.known(span_of(w)), RULE_T3A, (ref,)))
                 out.append(Emission(project, w, Value.zero(), RULE_T3A, (ref,)))
-                out.append(Emission(project, u, Value.known(span_of(g)), RULE_T3A, (ref,)))
         elif shape == (2, 2, 0):
             c1, c2 = record.cokernel
             m1, m2 = record.middle
@@ -288,22 +287,27 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
+# The projection map of every SES context, the only maps T4 pushes through.
+_PROJECT_MAPS = frozenset(SEQUENCES[les.value].maps[1].name for les, _ in SES_CONTEXTS.values())
+
+
 def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
     """Extended linearity: push a known projection through a generator.
 
     If the middle class of a rank-1 record is a generator multiple y = g·y′
     with p(y′) known, and the pushed value g·p(y′) is forced (by the
     generator's filtration degree) strictly above everything in the kernel,
-    then p(y) = 0 and rank-1 surjectivity pins the other middle generator.
-    Applies only when the action of g on p(y′) is itself uncharted; otherwise
-    plain linearity runs.  The visited facts are the p(y′); facts on maps
-    that are no record's projection are skipped unread.
+    then p(y) = 0.  Applies only when the action of g on p(y′) is itself
+    uncharted; otherwise plain linearity runs.  T4 emits only that zero:
+    EXACT reads it off the store and completes the record (the other middle
+    generator onto the kernel, the lift onto y), so a zero that the store
+    rejects completes nothing.  The visited facts are the p(y′); facts on
+    maps that are no SES projection are skipped unread.
     """
     out: List[Emission] = []
-    projects = {record.project_map for record in chart.ses_records}
     for parent_key in delta:
         project, _, _ = parent_key.partition("|")
-        if project not in projects:
+        if project not in _PROJECT_MAPS:
             continue
         parent = store.facts[parent_key]
         if not parent.is_known:
@@ -320,10 +324,6 @@ def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Em
                         continue
                 inputs = (parent_key, f"{action.generator.name}·{action.source.key}", record.ref)
                 out.append(Emission(project, y, Value.zero(), RULE_T4, inputs))
-                other = next(e for e in record.middle if e != y)
-                out.append(
-                    Emission(project, other, Value.known(span_of(generator)), RULE_T4, inputs)
-                )
     return out
 
 
@@ -366,35 +366,34 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> 
 
 
 def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
-    """Rank-1 completion at a recorded junction.
+    """Rank-1 completion at a recorded junction, the only rule that completes
+    a rank-1 record.
 
-    With kernel {g} and middle {u, w} (u strictly below w): a vanishing value
-    on one generator forces the other onto g by surjectivity; a value g on the
-    higher generator lets the lower one be adjusted to 0 by a strictly
-    higher-filtration basis change.  When the cokernel is rank 1 the induced
-    inclusion is pinned onto whichever middle generator dies.  A record is
-    revisited when either of its two projection facts is visited.
+    With kernel {g} and middle {u, w} (u no higher than w): a vanishing value
+    on one generator forces the other onto g by surjectivity, at any
+    filtrations.  A known nonzero value on w lets u be adjusted to 0 by a
+    basis change, which needs w strictly above u; this is the only move with
+    a filtration guard.  When the cokernel is rank 1 the induced inclusion is
+    pinned onto whichever middle generator dies.  A record is revisited when
+    either of its two projection facts is visited.
     """
     out: List[Emission] = []
     for record in dict.fromkeys(r for key in delta for r in chart.rank_one_records.get(key, ())):
         u, w = record.middle
-        if u.filtration >= w.filtration:
-            continue
         ref = record.ref
         project, include = record.project_map, record.include_map
         generator = record.kernel[0]
         key_u, key_w = fact_key(project, u), fact_key(project, w)
         fu, fw = store.facts.get(key_u), store.facts.get(key_w)
         lift_target: Optional[Element] = None
-        if fw is not None and fw.is_known:
-            if fw.is_zero:
-                out.append(
-                    Emission(project, u, Value.known(span_of(generator)), RULE_EXACT, (key_w, ref))
-                )
-                lift_target = w
-            else:
-                out.append(Emission(project, u, Value.zero(), RULE_EXACT, (key_w, ref)))
-                lift_target = u
+        if fw is not None and fw.is_zero:
+            out.append(
+                Emission(project, u, Value.known(span_of(generator)), RULE_EXACT, (key_w, ref))
+            )
+            lift_target = w
+        elif fw is not None and fw.is_known and u.filtration < w.filtration:
+            out.append(Emission(project, u, Value.zero(), RULE_EXACT, (key_w, ref)))
+            lift_target = u
         if fu is not None and fu.is_zero:
             out.append(
                 Emission(project, w, Value.known(span_of(generator)), RULE_EXACT, (key_u, ref))

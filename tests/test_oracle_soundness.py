@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from les_deduce.algebra import Element, ModuleId, Value, span_of
 from les_deduce.chartdata import SesRecord
 from les_deduce.oracle import (
+    check_soundness,
     enumerate_fillings,
     fact_holds,
     gf2_rank,
@@ -120,6 +121,48 @@ class TestSoundness:
         ]
         assert seeds == [61, 92, 220, 486]
         assert all(run_soundness_trial(seed)[1] == [] for seed in seeds)
+
+    def test_t4_seeds_sound_with_the_root_defect_pinned(self):
+        """Seeds 27349 and 54073: the engine was at fault, and T4's
+        same-batch completion was what made it unsound.
+
+        Each instance has two (1, 2, 1) records, a lower one with middle
+        {u, w} (u below w) and an upper one κ̄-stem above, and κ̄ sends u to
+        the lower middle class x₄ of the upper record.  The axioms give
+        p(w) = g and p(x₄) = x₇, the upper kernel generator.  In 27349
+        u = x₁, w = x₀; in 54073 u = x₀, w = x₁.
+
+        * EXACT adjusts u by w to get p(u) = 0: a claim about u + w.
+        * T4 and LIN push that zero through κ̄·u = x₄, an action recorded on
+          the unadjusted class u, to p(x₄) = 0, which fails in one of the
+          instance's two fillings.
+        * The store rejects p(x₄) = 0 against the axiom.  But T4 also
+          emitted, in the same batch, the completion p(x₅) = x₇ that rested
+          on that zero, and the store kept it; EXACT then lifted the upper
+          cokernel onto x₄ from it.  Those two stored facts were the
+          seeds' oracle violations.
+
+        T4 emits only its zero, and only EXACT completes a record, from
+        stored zeros.  A rejected zero completes nothing, so both seeds are
+        sound.  The root defect, pushing an adjusted zero through an action
+        on the unadjusted class, remains: the two contradictions below pin
+        it until linearity learns which basis an action is recorded on.
+        """
+        expected = {
+            27349: [
+                "p2|Y:x4s49f10: M:x7s47f15 [axiom] vs 0 [LIN]",
+                "p2|Y:x4s49f10: M:x7s47f15 [axiom] vs 0 [T4]",
+            ],
+            54073: [
+                "p1|M:x4s40f9: S:x7s39f14 [axiom] vs 0 [LIN]",
+                "p1|M:x4s40f9: S:x7s39f14 [axiom] vs 0 [T4]",
+            ],
+        }
+        for seed, contradictions in expected.items():
+            chart = random_instance(random.Random(seed))
+            store = saturate(chart)
+            assert sorted(c.describe() for c in store.contradictions) == contradictions
+            assert check_soundness(chart, store, enumerate_fillings(chart)) == [], seed
 
     def test_instances_exercise_every_rule(self):
         from collections import Counter

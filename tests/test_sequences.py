@@ -235,4 +235,7 @@ class TestExactness:
         outputs = {saturate(poisoned, rng=random.Random(seed)).serialize() for seed in range(20)}
         assert len(outputs) == 1
         (output,) = outputs
-        assert sum(line.startswith("contradiction: ") for line in output.splitlines()) == 2
+        # T2 gives y_{8,2} one value (its rank-1 kernel's generator), so the
+        # axiom clashes with exactly one emission.
+        contradictions = [line for line in output.splitlines() if line.startswith("contradiction: ")]
+        assert contradictions == ["contradiction: p2|Y:y_{8,2}: 0 [axiom] vs M:m_{6,2} [T2]"]
