@@ -4,7 +4,10 @@ Everything downstream computes over the objects defined here.  An element is a
 named basis class of one of four graded F2-modules at a fixed (stem,
 filtration); a span is a formal F2 sum of elements sharing a (module, stem);
 knowledge about a map or action value is three-valued (known span / known
-nonzero / unknown).  Elements are representatives up to strictly higher
+nonzero / unknown).  ``Value`` holds the first two states, and it is the one
+encoding of a value the chart gives, whether a generator product
+(``ActionFact``) or a map value (``chartdata.MapAxiom``); a missing entry is
+unknown.  Elements are representatives up to strictly higher
 filtration in the same bidegree, so span equality has a "modulo higher
 filtration" refinement used when merging independently derived values.
 """
@@ -162,7 +165,8 @@ class ValueState(str, Enum):
 class Value:
     """Knowledge about a map or action value.  Absence of a Value is 'unknown'.
 
-    ``known`` with an empty span is the known-zero state.
+    ``known`` with an empty span is the known-zero state; a nonzero-unknown
+    value has the empty span too, so a one-class span is always known.
     """
 
     state: ValueState
@@ -222,20 +226,19 @@ def values_equal_mod_higher(a: Value, b: Value) -> bool:
 class ActionFact:
     """The recorded value of one generator multiplication on one element.
 
-    ``value`` is a span (possibly zero); alternatively ``nonzero`` records
-    mere nonzeroness when the chart literature pins no target class.
+    ``value`` is a known span (possibly zero), or nonzero-unknown when the
+    chart literature pins no target class; only a known nonzero span has
+    degrees to check.
     """
 
     generator: RingGenerator
     source: Element
-    value: Optional[F2Span] = None
-    nonzero: bool = False
+    value: Value
 
     def __post_init__(self) -> None:
-        if (self.value is None) == (not self.nonzero):
-            raise ValueError("action fact needs exactly one of a value span or a nonzero mark")
-        if self.value:
-            target = next(iter(self.value))
+        if self.value.is_known_nonzero:
+            span = self.value.span
+            target = next(iter(span))
             if target.stem != self.source.stem + self.generator.stem_degree:
                 raise DegreeMismatchError(
                     f"{self.generator.name}·{self.source} lands in stem "
@@ -245,17 +248,12 @@ class ActionFact:
                 raise DegreeMismatchError(
                     f"{self.generator.name}·{self.source} must stay in module {self.source.module.value}"
                 )
-            floor = filtration_floor(self.value)
+            floor = filtration_floor(span)
             need = self.source.filtration + self.generator.filtration_degree
             if floor < need:
                 raise ValueError(
                     f"action {self.generator.name}·{self.source} has filtration floor {floor} < {need}"
                 )
-
-    def as_value(self) -> Value:
-        if self.value is not None:
-            return Value.known(self.value)
-        return Value.nonzero_unknown()
 
 
 class ActionTable:
@@ -295,7 +293,7 @@ class ActionTable:
         if self._by_source is None:
             by_source: Dict[str, List[ActionFact]] = {}
             for fact in self.facts():
-                if fact.value is not None and len(fact.value) == 1:
+                if len(fact.value.span) == 1:
                     by_source.setdefault(fact.source.key, []).append(fact)
             self._by_source = {key: tuple(facts) for key, facts in by_source.items()}
         return self._by_source.get(source.key, ())
@@ -314,10 +312,10 @@ class ActionTable:
             fact = self._facts.get((generator_name, element.key))
             if fact is None:
                 return None
-            if fact.value is None:
-                saw_nonzero_unknown = True
+            if fact.value.is_known:
+                total = span_add(total, fact.value.span)
             else:
-                total = span_add(total, fact.value)
+                saw_nonzero_unknown = True
         if saw_nonzero_unknown:
             # A nonzero-unknown term blocks cancellation bookkeeping entirely
             # unless it is the only term.

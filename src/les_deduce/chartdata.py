@@ -48,6 +48,7 @@ from .algebra import (
     LesContext,
     ModuleId,
     RingGenerator,
+    Value,
     span_of,
 )
 from .sequences import MAP_SPECS, SEQUENCES, fact_key
@@ -216,10 +217,11 @@ class SesRecord:
 
 @dataclass(frozen=True)
 class MapAxiom:
+    """A chart-read map value: a known span (possibly zero) or nonzero-unknown."""
+
     map: str
     source: Element
-    value: Optional[F2Span]  # None encodes nonzero-unknown
-    nonzero: bool = False
+    value: Value
 
 
 @dataclass
@@ -320,6 +322,14 @@ def _field(record: dict, name: str, types: tuple, where: str, default=_REQUIRED)
     return value
 
 
+def _name(record: dict, name: str, where: str):
+    """The string field ``name``, which must not be empty."""
+    value = _field(record, name, (str,), where)
+    if value == "":
+        raise ChartValidationError(f"{where}: {name} must not be empty")
+    return value
+
+
 def _records(doc: dict, name: str, fields: set) -> List[tuple[str, dict]]:
     """The top-level list ``name`` as (location, record) pairs; each record is
     an object with no fields beyond ``fields``."""
@@ -373,6 +383,23 @@ def _parse_span(keys: Sequence[str], elements: Dict[str, Element], where: str) -
         return span_of(*members)
     except DegreeMismatchError as exc:
         raise ChartValidationError(f"{where}: {exc}") from exc
+
+
+def _value(record: dict, elements: Dict[str, Element], where: str) -> Value:
+    """The ``value``/``nonzero`` pair of an action or axiom record: a span
+    (default zero) or a bare nonzero mark, never both."""
+    if _field(record, "nonzero", (bool,), where, False):
+        if "value" in record:
+            raise ChartValidationError(f"{where}: both value and nonzero set")
+        return Value.nonzero_unknown()
+    return Value.known(_parse_span(_field(record, "value", (list,), where, []), elements, where))
+
+
+def _value_fields(value: Value) -> dict:
+    """The ``value``/``nonzero`` pair that ``_value`` reads back as ``value``."""
+    if value.is_known:
+        return {"value": sorted(e.key for e in value.span)}
+    return {"nonzero": True}
 
 
 def loads(text: str) -> ChartFile:
@@ -453,8 +480,8 @@ def from_document(doc: dict) -> ChartFile:
             if order != "inf" and (type(order) is not int or order not in ALLOWED_ORDERS):
                 raise ChartValidationError(f"element {element.key}: bad order {order!r}")
             orders[element.key] = order
-        if _field(record, "tmfName", (str,), where, ""):
-            tmf_names[element.key] = record["tmfName"]
+        if "tmfName" in record:
+            tmf_names[element.key] = _name(record, "tmfName", where)
         if _field(record, "nuMultiple", (bool,), where, False):
             nu_multiples.add(element.key)
         if _field(record, "priorOrderTwo", (bool,), where, False):
@@ -467,16 +494,9 @@ def from_document(doc: dict) -> ChartFile:
             raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
         source = _element(record, "source", elements, where)
         where = f"action {gen_name}·{source.key}"
-        value: Optional[F2Span]
-        nonzero = _field(record, "nonzero", (bool,), where, False)
-        if nonzero:
-            if record.get("value") is not None:
-                raise ChartValidationError(f"{where}: both value and nonzero set")
-            value = None
-        else:
-            value = _parse_span(_field(record, "value", (list,), where, []), elements, where)
+        value = _value(record, elements, where)
         try:
-            actions.add(ActionFact(generators[gen_name], source, value=value, nonzero=nonzero))
+            actions.add(ActionFact(generators[gen_name], source, value))
         except ValueError as exc:
             raise ChartValidationError(f"{where}: {exc}") from exc
 
@@ -558,13 +578,10 @@ def from_document(doc: dict) -> ChartFile:
         where = f"axiom {map_name}({source.key})"
         if source.module is not spec.source:
             raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
-        if _field(record, "nonzero", (bool,), where, False):
-            axioms.append(MapAxiom(map_name, source, None, True))
-            continue
-        span = _parse_span(_field(record, "value", (list,), where, []), elements, where)
-        for element in span:
+        value = _value(record, elements, where)
+        for element in value.span:
             _require_degree(element, spec.target, source.stem + spec.stem_shift, where)
-        axioms.append(MapAxiom(map_name, source, span))
+        axioms.append(MapAxiom(map_name, source, value))
 
     overrides: Dict[tuple[str, str], str] = {}
     for where, record in _records(doc, "tmfNameOverrides", {"row", "column", "name"}):
@@ -572,7 +589,7 @@ def from_document(doc: dict) -> ChartFile:
         column = _field(record, "column", (str,), where)
         if column not in ("imgP1", "lift"):
             raise ChartValidationError(f"tmfNameOverride: bad column {column!r}")
-        overrides[(row.key, column)] = _field(record, "name", (str,), where)
+        overrides[(row.key, column)] = _name(record, "name", where)
 
     presentations = _field(doc, "periodicPresentations", (dict,), "top level", {})
     _check_presentations(presentations)
@@ -685,14 +702,10 @@ def to_document(chart: ChartFile) -> dict:
         if element.key in chart.prior_order_two:
             record["priorOrderTwo"] = True
         elements.append(record)
-    actions = []
-    for fact in chart.actions.facts():
-        record = {"generator": fact.generator.name, "source": fact.source.key}
-        if fact.nonzero:
-            record["nonzero"] = True
-        else:
-            record["value"] = sorted(e.key for e in fact.value or ())
-        actions.append(record)
+    actions = [
+        {"generator": fact.generator.name, "source": fact.source.key, **_value_fields(fact.value)}
+        for fact in chart.actions.facts()
+    ]
     ranks = []
     for ses in sorted(chart.ses_records, key=lambda r: (r.context, r.stem)):
         ranks.append(
@@ -704,14 +717,10 @@ def to_document(chart: ChartFile) -> dict:
                 "kernel": None if ses.kernel is None else [e.key for e in ses.kernel],
             }
         )
-    axioms = []
-    for axiom in chart.axioms:
-        record = {"map": axiom.map, "source": axiom.source.key}
-        if axiom.nonzero:
-            record["nonzero"] = True
-        else:
-            record["value"] = sorted(e.key for e in axiom.value or ())
-        axioms.append(record)
+    axioms = [
+        {"map": axiom.map, "source": axiom.source.key, **_value_fields(axiom.value)}
+        for axiom in chart.axioms
+    ]
     return {
         "schemaVersion": chart.schema_version,
         "maxStem": chart.max_stem,

@@ -112,10 +112,10 @@ def _axiom_matches(filling: JunctionFilling, axiom: MapAxiom) -> Optional[bool]:
         return None
     basis, targets = place
     got = filling.masks(axiom.map)[basis.index(axiom.source)]
-    if axiom.nonzero:
+    if not axiom.value.is_known:
         return got != 0
     want = 0
-    for element in axiom.value or ():
+    for element in axiom.value.span:
         if element not in targets:
             return False
         want |= 1 << targets.index(element)
@@ -172,9 +172,9 @@ def _linearity_compatible(chart: ChartFile, filling: Filling) -> bool:
     ``filtration_degree(g)`` above the low value's floor.
     """
     for fact in chart.actions.facts():
-        if fact.value is None or len(fact.value) != 1:
+        if len(fact.value.span) != 1:
             continue
-        target = next(iter(fact.value))
+        (target,) = fact.value.span
         for record in chart.ses_records:
             if fact.source not in record.middle:
                 continue
@@ -332,13 +332,13 @@ def random_instance(rng: random.Random) -> ChartFile:
         records.append(upper)
         for src, dst in zip(lower.middle, upper.middle):
             if rng.random() < 0.8:
-                actions.append(ActionFact(_GENERATOR, src, value=frozenset({dst})))
+                actions.append(ActionFact(_GENERATOR, src, Value.known(frozenset({dst}))))
         for src, dst in zip(lower.kernel, upper.kernel):
             roll = rng.random()
             if roll < 0.6:
-                actions.append(ActionFact(_GENERATOR, src, value=frozenset({dst})))
+                actions.append(ActionFact(_GENERATOR, src, Value.known(frozenset({dst}))))
             elif roll < 0.75:
-                actions.append(ActionFact(_GENERATOR, src, value=frozenset()))
+                actions.append(ActionFact(_GENERATOR, src, Value.zero()))
 
     chart = ChartFile(
         schema_version="1",
@@ -371,7 +371,7 @@ def random_instance(rng: random.Random) -> ChartFile:
         for element in record.middle:
             if rng.random() < 0.25:
                 span = _project_value(seed_filling, record, element)
-                axioms.append(MapAxiom(record.project_map, element, span))
+                axioms.append(MapAxiom(record.project_map, element, Value.known(span)))
     chart.axioms.extend(axioms)
     return chart
 

@@ -40,9 +40,9 @@ Rule inventory, matching the techniques used to fill the summary table:
   completes its record).
 * ``LIN``  module linearity p(t·x) = t·p(x) over recorded generator actions.
 * ``EXACT`` rank-1 completion at a junction: surjectivity in one direction,
-  basis adjustment in the other, and the induced inclusion pin.  This is the
-  only rule that completes a rank-1 record, recorded with provenance
-  "exactness".
+  basis adjustment in the other, and the induced inclusion pin, read off a
+  zero projection already in the store.  This is the only rule that
+  completes a rank-1 record, recorded with provenance "exactness".
 * ``PERIODIC`` the closed-form values of the inclusion/projection maps on
   periodic-part monomials (``periodic_values``); off by default.
 * ``EXC``  exceptional classes are nonzero under the map of their LES out of
@@ -313,7 +313,7 @@ def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Em
         if not parent.is_known:
             continue
         for action in chart.actions.single_valued(store.sources[parent_key]):
-            (y,) = action.value
+            (y,) = action.value.span
             for record in chart.rank_one_records.get(fact_key(project, y), ()):
                 generator = record.kernel[0]
                 if not parent.is_zero:
@@ -346,7 +346,7 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> 
             continue
         for action in chart.actions.single_valued(source):
             name = action.generator.name
-            (new_source,) = action.value
+            (new_source,) = action.value.span
             if value.is_zero:
                 pushed: Optional[Value] = Value.zero()
             else:
@@ -374,44 +374,33 @@ def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List
     filtrations.  A known nonzero value on w lets u be adjusted to 0 by a
     basis change, which needs w strictly above u; this is the only move with
     a filtration guard.  When the cokernel is rank 1 the induced inclusion is
-    pinned onto whichever middle generator dies.  A record is revisited when
-    either of its two projection facts is visited.
+    pinned onto whichever middle generator dies: the lift is read off the
+    stored zero (p(w) = 0, else p(u) = 0), so a zero that the store rejects
+    lifts nothing, and the zero of a basis adjustment lifts on the next call.
+    A record is revisited when either of its two projection facts is visited.
     """
     out: List[Emission] = []
     for record in dict.fromkeys(r for key in delta for r in chart.rank_one_records.get(key, ())):
         u, w = record.middle
         ref = record.ref
-        project, include = record.project_map, record.include_map
-        generator = record.kernel[0]
+        project = record.project_map
+        onto_kernel = Value.known(span_of(record.kernel[0]))
         key_u, key_w = fact_key(project, u), fact_key(project, w)
         fu, fw = store.facts.get(key_u), store.facts.get(key_w)
-        lift_target: Optional[Element] = None
         if fw is not None and fw.is_zero:
-            out.append(
-                Emission(project, u, Value.known(span_of(generator)), RULE_EXACT, (key_w, ref))
-            )
-            lift_target = w
+            out.append(Emission(project, u, onto_kernel, RULE_EXACT, (key_w, ref)))
         elif fw is not None and fw.is_known and u.filtration < w.filtration:
             out.append(Emission(project, u, Value.zero(), RULE_EXACT, (key_w, ref)))
-            lift_target = u
         if fu is not None and fu.is_zero:
-            out.append(
-                Emission(project, w, Value.known(span_of(generator)), RULE_EXACT, (key_u, ref))
-            )
-            lift_target = lift_target or u
-        if lift_target is not None and record.cokernel is not None and len(record.cokernel) == 1:
-            parents = tuple(
-                key for key, v in ((key_u, fu), (key_w, fw)) if v is not None and v.is_known
-            )
-            out.append(
-                Emission(
-                    include,
-                    record.cokernel[0],
-                    Value.known(span_of(lift_target)),
-                    RULE_EXACT,
-                    parents + (ref,),
-                )
-            )
+            out.append(Emission(project, w, onto_kernel, RULE_EXACT, (key_u, ref)))
+        if record.cokernel is not None and len(record.cokernel) == 1:
+            for dead, key, value in ((w, key_w, fw), (u, key_u, fu)):
+                if value is not None and value.is_zero:
+                    lift = Value.known(span_of(dead))
+                    out.append(
+                        Emission(record.include_map, record.cokernel[0], lift, RULE_EXACT, (key, ref))
+                    )
+                    break
     return out
 
 

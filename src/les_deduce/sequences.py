@@ -239,11 +239,10 @@ def load_axioms(store: FactStore, chart: ChartFile) -> None:
     in M (the SES-2.7 and SES-2.8 records) becomes an η fact.
     """
     for axiom in chart.axioms:
-        value = Value.nonzero_unknown() if axiom.nonzero else Value.known(axiom.value or ZERO)
-        store.insert(axiom.map, axiom.source, value, AXIOM, ("dataset",))
+        store.insert(axiom.map, axiom.source, axiom.value, AXIOM, ("dataset",))
     for fact in chart.actions.facts():
         if fact.generator.name == "v₁" and fact.source.module is ModuleId.Y:
-            store.insert("v", fact.source, fact.as_value(), AXIOM, ("v₁-action",))
+            store.insert("v", fact.source, fact.value, AXIOM, ("v₁-action",))
     for key, order in chart.orders.items():
         element = chart.elements[key]
         if element.module is not ModuleId.S:
@@ -272,7 +271,7 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
         fact = chart.actions.get("v₁", element)
         if fact is None:
             raise IncompleteDataError(f"no v₁ action recorded for {element.key}")
-        if fact.value is not None and not fact.value:
+        if fact.value.is_zero:
             hits.append(element)
     hits.sort(key=lambda e: (e.stem, e.filtration, e.name))
     store.p3_image = hits

@@ -94,22 +94,29 @@ class TestActionFact:
         kbar = RingGenerator("κ̄", 20, 4)
         src = el("Y", 62, 2, "y_{62,2}")
         good = el("Y", 82, 6, "y_{82,6}")
-        ActionFact(kbar, src, value=span_of(good))
+        ActionFact(kbar, src, Value.known(span_of(good)))
         with pytest.raises(DegreeMismatchError):
-            ActionFact(kbar, src, value=span_of(el("Y", 80, 6, "y_{80,6}")))
+            ActionFact(kbar, src, Value.known(span_of(el("Y", 80, 6, "y_{80,6}"))))
 
     def test_filtration_law(self):
         kbar = RingGenerator("κ̄", 20, 4)
         src = el("Y", 62, 2, "y_{62,2}")
         with pytest.raises(ValueError):
-            ActionFact(kbar, src, value=span_of(el("Y", 82, 5, "y_{82,5}")))
+            ActionFact(kbar, src, Value.known(span_of(el("Y", 82, 5, "y_{82,5}"))))
 
-    def test_exactly_one_of_value_or_nonzero(self):
+    def test_value_is_required(self):
+        with pytest.raises(TypeError):
+            ActionFact(RingGenerator("v₁", 2, 0), Y50_4)
+
+    def test_zero_and_nonzero_unknown_accepted(self):
         v1 = RingGenerator("v₁", 2, 0)
-        with pytest.raises(ValueError):
-            ActionFact(v1, Y50_4)
-        ActionFact(v1, Y50_4, nonzero=True)
-        ActionFact(v1, Y50_4, value=ZERO)
+        assert ActionFact(v1, Y50_4, Value.nonzero_unknown()).value == Value.nonzero_unknown()
+        assert ActionFact(v1, Y50_4, Value.zero()).value == Value.zero()
+
+    def test_nonzero_unknown_skips_degree_checks(self):
+        kbar = RingGenerator("κ̄", 20, 4)
+        src = el("Y", 62, 2, "y_{62,2}")
+        assert not ActionFact(kbar, src, Value.nonzero_unknown()).value.is_known
 
 
 class TestAct:
@@ -121,8 +128,8 @@ class TestAct:
         self.kb = el("Y", 82, 9, "kb")
         self.table = ActionTable(
             [
-                ActionFact(self.kbar, self.a, value=span_of(self.ka)),
-                ActionFact(self.kbar, self.b, value=span_of(self.kb)),
+                ActionFact(self.kbar, self.a, Value.known(span_of(self.ka))),
+                ActionFact(self.kbar, self.b, Value.known(span_of(self.kb))),
             ]
         )
 
@@ -141,8 +148,8 @@ class TestAct:
         assert self.table.single_valued(self.a) == (self.table.get("κ̄", self.a),)
         c = el("Y", 62, 1, "c")
         assert self.table.single_valued(c) == ()
-        self.table.add(ActionFact(self.kbar, c, value=span_of(self.ka)))
-        self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, value=span_of(el("Y", 64, 1, "vc"))))
+        self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka))))
+        self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, Value.known(span_of(el("Y", 64, 1, "vc")))))
         assert [f.generator.name for f in self.table.single_valued(c)] == ["v₁", "κ̄"]
         assert len(self.table.facts()) == 4
 
@@ -150,9 +157,9 @@ class TestAct:
         c = el("Y", 62, 1, "c")
         d = el("Y", 62, 0, "d")
         z = el("Y", 62, 3, "z")
-        self.table.add(ActionFact(self.kbar, c, value=span_of(self.ka, self.kb)))
-        self.table.add(ActionFact(self.kbar, d, nonzero=True))
-        self.table.add(ActionFact(self.kbar, z, value=ZERO))
+        self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka, self.kb))))
+        self.table.add(ActionFact(self.kbar, d, Value.nonzero_unknown()))
+        self.table.add(ActionFact(self.kbar, z, Value.zero()))
         assert [self.table.single_valued(e) for e in (c, d, z)] == [(), (), ()]
         assert [f.source for f in self.table.single_valued(self.a)] == [self.a]
 
@@ -169,7 +176,7 @@ class TestAct:
         targets = [el("Y", 82, i + 4, f"tgt{i}") for i in range(4)]
         kbar = RingGenerator("κ̄", 20, 4)
         table = ActionTable(
-            ActionFact(kbar, s, value=span_of(t)) for s, t in zip(sources, targets)
+            ActionFact(kbar, s, Value.known(span_of(t))) for s, t in zip(sources, targets)
         )
         a = frozenset(sources[i] for i in ia)
         b = frozenset(sources[i] for i in ib)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from les_deduce import chartdata
-from les_deduce.algebra import ModuleId
+from les_deduce.algebra import ModuleId, Value
 from les_deduce.chartdata import (
     ChartValidationError,
     delta8_extend,
@@ -115,6 +115,15 @@ class TestLoad:
         text = chartdata.dumps(chart)
         again = chartdata.dumps(chartdata.loads(text))
         assert text == again
+
+    def test_nonzero_axiom_round_trips(self):
+        doc = json.loads(SHIPPED_TEXT)
+        doc["axioms"][0] = {"map": "p2", "source": "Y:y_{30,2}", "nonzero": True}
+        chart = chartdata.from_document(doc)
+        assert chart.axioms[0].value == Value.nonzero_unknown()
+        text = chartdata.dumps(chart)
+        assert json.loads(text)["axioms"][0] == doc["axioms"][0]
+        assert chartdata.dumps(chartdata.loads(text)) == text
 
 
 class TestExpandPeriodic:
@@ -242,6 +251,8 @@ V1_ON_Y44 = next(
     if (action["generator"], action["source"]) == ("v₁", "Y:y_{44,8}")
 )
 
+NONZERO_ACTION = next(("actions", i) for i, a in enumerate(SHIPPED["actions"]) if a.get("nonzero"))
+
 Y50_IN_LES23 = next(
     ("classifications", i)
     for i, c in enumerate(SHIPPED["classifications"])
@@ -291,6 +302,19 @@ MALFORMED = {
     "axiom-value-stem-off-spec": (
         _set(("axioms", 0, "value"), ["M:m_{80,16}"]),
         r"axiom p2\(Y:y_\{30,2\}\): M:m_\{80,16\} should live in module M at stem 28",
+    ),
+    "axiom-value-and-nonzero": (
+        _set(("axioms", 0, "nonzero"), True),
+        r"axiom p2\(Y:y_\{30,2\}\): both value and nonzero set",
+    ),
+    "nonzero-action-with-null-value": (
+        _set(NONZERO_ACTION + ("value",), None),
+        r"action v₁·Y:y_\{\d+,\d+\}: both value and nonzero set",
+    ),
+    "empty-tmf-name": (_set(("elements", 0, "tmfName"), ""), r"elements\[0\]: tmfName must not be empty"),
+    "empty-override-name": (
+        _set(("tmfNameOverrides", 0, "name"), ""),
+        r"tmfNameOverrides\[0\]: name must not be empty",
     ),
     "exceptional-without-route": (
         _set(Y50_IN_LES23 + ("kind",), "periodicExceptional"),

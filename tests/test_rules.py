@@ -286,7 +286,7 @@ class TestLinearity:
         y = Element(ModuleId.Y, 10, 2, "y")
         ky = Element(ModuleId.Y, 30, 6, "ky")
         m = Element(ModuleId.M, 8, 2, "m")
-        chart = mini_chart([], [y, ky, m], actions=[ActionFact(kbar, y, value=span_of(ky))])
+        chart = mini_chart([], [y, ky, m], actions=[ActionFact(kbar, y, Value.known(span_of(ky)))])
         store = FactStore()
         store.insert("p2", y, Value.known(span_of(m)), "axiom")
         assert rule_linearity(store, chart, store.facts) == []  # κ̄·m unrecorded
@@ -336,7 +336,7 @@ class TestT4:
         chart = mini_chart(
             [lower, upper],
             [yp, m, other, y, c, g],
-            actions=[ActionFact(kbar, yp, value=span_of(y))],
+            actions=[ActionFact(kbar, yp, Value.known(span_of(y)))],
         )
         store = saturate(chart)
         assert known(store, "p2", "Y:yp") == Value.known(span_of(m))
@@ -360,7 +360,7 @@ class TestT4:
         gen = Element(ModuleId.M, 28, 9, "gen")  # kernel reaches filtration 9
         record = SesRecord("SES-2.8", 30, (other, y), None, (gen,))
         chart = mini_chart(
-            [record], [yp, y, other, mp, gen], actions=[ActionFact(kbar, yp, value=span_of(y))]
+            [record], [yp, y, other, mp, gen], actions=[ActionFact(kbar, yp, Value.known(span_of(y)))]
         )
         store = FactStore()
         store.insert("p2", yp, Value.known(span_of(mp)), "axiom")
@@ -394,6 +394,29 @@ class TestExactCompletion:
         store.insert("p2", u, Value.known(span_of(gen)), "axiom")
         emissions = rule_exact(store, chart, store.facts)
         assert all(e.source != w for e in emissions)
+
+    def test_each_lift_rests_on_one_stored_zero(self, chart, store):
+        includes = {record.include_map for record in chart.ses_records}
+        lifts = {
+            key: [d for d in derivations if d.rule == "EXACT"]
+            for key, derivations in store.derivations.items()
+            if key.partition("|")[0] in includes
+        }
+        lifts = {key: derivations for key, derivations in lifts.items() if derivations}
+        assert len(lifts) == 15
+        for key, derivations in lifts.items():
+            assert len(derivations) == 1, key
+            (parent,) = [k for k in derivations[0].inputs if "|" in k]
+            assert store.facts[parent].is_zero, key
+
+    def test_rejected_zero_lifts_nothing(self):
+        # Oracle seed 220: EXACT adjusts u by w to p₁(u) = 0, which the store
+        # rejects against the axiom p₁(u) = g, so no inclusion lift rests on it.
+        store = saturate(random_instance(random.Random(220)))
+        assert [c.describe() for c in store.contradictions] == [
+            "p1|M:x1s22f3: S:x3s21f9 [axiom] vs 0 [EXACT]"
+        ]
+        assert "i1|S:x2s22f0" not in store.facts
 
 
 class TestSaturation:
