@@ -28,8 +28,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "tests"))
+sys.path.insert(0, str(REPO / "src"))
 
 from golden_table import ROWS  # noqa: E402
+from les_deduce import chartdata  # noqa: E402
 
 OUT = REPO / "data" / "tmf_chart.json"
 
@@ -227,18 +229,6 @@ AXIOMS = [
     ("eta", "M:m_{156,18}", []),
 ]
 
-M_K0_POSITIONS = {
-    "0": [0, 1, 2, 3, 4, 5],
-    "1": [1, 5],
-    "2": [2, 4, 5],
-    "3": [5],
-    "4": [1, 5],
-    "5": [2, 4, 5],
-    "6": [5],
-    "7": [],
-}
-
-
 def parse_name(name: str):
     inner = name[name.index("{") + 1 : name.index("}")]
     stem, filt = inner.split(",")
@@ -381,14 +371,14 @@ def main() -> None:
             {"row": "Y:y_{119,3}", "column": "imgP1", "name": "2Δ⁴·2κ̄"},
         ],
         "periodicPresentations": {
-            "Y": {"pattern": "F₂[v₁,Δ⁸]", "minV1ByDeltaMod8": [0, 1, 2, 3, 1, 2, 3, 4]},
-            "M": {"pattern": "lightning flash on Δⁿv₁⁴ᵏ, k ≥ 1", "k0Positions": M_K0_POSITIONS},
+            "Y": {"pattern": "F₂[v₁,Δ⁸]", "minV1ByDeltaMod8": list(chartdata.Y_MIN_V1)},
+            "M": {
+                "pattern": "lightning flash on Δⁿv₁⁴ᵏ, k ≥ 1",
+                "k0Positions": {str(n): list(pos) for n, pos in chartdata.M_K0_POSITIONS.items()},
+            },
             "S": {"pattern": "Δⁿc₄ᵏη^δ and 2Δⁿc₄ᵏ⁻¹c₆"},
         },
     }
-
-    sys.path.insert(0, str(REPO / "src"))
-    from les_deduce import chartdata  # noqa: E402
 
     chart = chartdata.from_document(doc)
     OUT.parent.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,11 @@
 """Chart dataset format: load/validate/save, periodic-part expansion, Δ⁸ extension.
 
 The dataset is a single JSON document (UTF-8, schemaVersion "1") with top-level
-keys {schemaVersion, maxStem, generators, elements, actions, classifications,
-hurewiczFlags, exceptionalSets, ranks, axioms, tmfNameOverrides,
-periodicPresentations}.  Element references everywhere use the key format
-"MODULE:name".  Unknown top-level or record fields are rejected so golden files
-stay byte-stable.
+keys {schemaVersion, maxStem, hurewiczFlags, exceptionalSets,
+periodicPresentations} plus the record lists of ``SCHEMA``, which states each
+record field's kind and default once for the loader and the Δ⁸ renamer.
+Element references everywhere use the key format "MODULE:name".  Unknown
+top-level or record fields are rejected so golden files stay byte-stable.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
 (SES-2.7, SES-2.8) or LES-2.4 (SES-2.9).  ``SesRecord`` reads its maps, the
@@ -35,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (
     ActionFact,
@@ -44,7 +44,6 @@ from .algebra import (
     ClassificationKind,
     DegreeMismatchError,
     Element,
-    F2Span,
     LesContext,
     ModuleId,
     RingGenerator,
@@ -292,80 +291,116 @@ class ChartValidationError(ValueError):
     """A structural or referential defect in a dataset, with its location."""
 
 
-def _require_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ChartValidationError(f"{where}: unknown fields {sorted(unknown)}")
+# The record lists of a document: field → (kind, default).  A kind is an
+# exact JSON type or a tuple of them, an enum as a {value: member} dict, or an
+# element reference: ELEMENT (a "MODULE:name" key), ELEMENTS (a list of keys)
+# or BASIS (a list of keys, or null for an unknown basis).
+ELEMENT, ELEMENTS, BASIS = "element", "elements", "basis"
+REQUIRED = "required"
+ABSENT = "absent"  # ``value`` left out: the zero span, or none beside ``nonzero``
 
 
-_REQUIRED = object()
+def _enum(members) -> dict:
+    return {getattr(m, "value", m): m for m in members}
+
+
+_VALUE_FIELDS = {"value": (BASIS, ABSENT), "nonzero": (bool, False)}
+SCHEMA: Dict[str, Dict[str, tuple]] = {
+    "generators": {"name": (str, REQUIRED), "stem": (int, REQUIRED), "filtration": (int, REQUIRED)},
+    "elements": {
+        "module": (_enum(ModuleId), REQUIRED), "name": (str, REQUIRED),
+        "stem": (int, REQUIRED), "filtration": (int, REQUIRED),
+        "order": ((int, str, type(None)), None),  # one of ALLOWED_ORDERS or "inf"
+        "tmfName": (str, None), "nuMultiple": (bool, False), "priorOrderTwo": (bool, False),
+    },
+    "actions": {"generator": (str, REQUIRED), "source": (ELEMENT, REQUIRED), **_VALUE_FIELDS},
+    "classifications": {
+        "element": (ELEMENT, REQUIRED), "context": (_enum(LesContext), REQUIRED),
+        "kind": (_enum(ClassificationKind), REQUIRED),
+    },
+    "ranks": {
+        "context": (_enum(SES_CONTEXTS), REQUIRED), "stem": (int, REQUIRED),
+        "middle": (ELEMENTS, ()), "cokernel": (BASIS, None), "kernel": (BASIS, None),
+    },
+    "axioms": {"map": (_enum(MAP_SPECS), REQUIRED), "source": (ELEMENT, REQUIRED), **_VALUE_FIELDS},
+    "tmfNameOverrides": {
+        "row": (ELEMENT, REQUIRED), "column": (_enum(("imgP1", "lift")), REQUIRED), "name": (str, REQUIRED),
+    },
+}
+
 _JSON_TYPES = {
     int: "an integer", str: "a string", bool: "a boolean", list: "a list",
     dict: "an object", type(None): "null",
 }
+_REFERENCE_TYPES = {ELEMENT: (str,), ELEMENTS: (list,), BASIS: (list, type(None))}
 
 
-def _field(record: dict, name: str, types: tuple, where: str, default=_REQUIRED):
-    """``record[name]``, which must have one of the JSON ``types``.
+def _require_keys(obj: dict, allowed, where: str) -> None:
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ChartValidationError(f"{where}: unknown fields {sorted(unknown)}")
 
-    Types are matched exactly, so nothing is coerced: ``"6"`` and ``true``
-    are not integers.
-    """
-    if name not in record:
-        if default is _REQUIRED:
-            raise ChartValidationError(f"{where}: missing field {name!r}")
-        return default
-    value = record[name]
+
+def _read(value, name: str, kind, where: str, elements=None):
+    """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``):
+    JSON types match exactly, so nothing is coerced (``"6"`` is not an integer),
+    no string is empty, and enum values and element keys resolve to members."""
+    if type(value) is kind and value != "":
+        return value
+    if type(value) is str and type(kind) is dict and value in kind:
+        return kind[value]
+    if kind is ELEMENT and type(value) is str and value in elements:
+        return elements[value]
+    if type(value) is list and kind in (ELEMENTS, BASIS):
+        for key in value:
+            if type(key) is not str or key not in elements:
+                raise ChartValidationError(f"{where}: dangling element reference {key!r}")
+        return [elements[key] for key in value]
+    # What is left is a value of a tuple kind, a null basis or a defect.
+    if type(kind) is dict:
+        types = (str,)
+    else:
+        types = _REFERENCE_TYPES.get(kind) or (kind if type(kind) is tuple else (kind,))
     if type(value) not in types:
         wanted = " or ".join(_JSON_TYPES[t] for t in types)
         raise ChartValidationError(f"{where}: {name} must be {wanted}, got {value!r}")
-    return value
-
-
-def _name(record: dict, name: str, where: str):
-    """The string field ``name``, which must not be empty."""
-    value = _field(record, name, (str,), where)
     if value == "":
         raise ChartValidationError(f"{where}: {name} must not be empty")
+    if type(kind) is dict:
+        raise ChartValidationError(f"{where}: unknown {name} {value!r}")
+    if kind is ELEMENT:
+        raise ChartValidationError(f"{where}: unknown element {value!r}")
     return value
 
 
-def _records(doc: dict, name: str, fields: set) -> List[tuple[str, dict]]:
-    """The top-level list ``name`` as (location, record) pairs; each record is
-    an object with no fields beyond ``fields``."""
-    out = []
-    for index, record in enumerate(_field(doc, name, (list,), "top level", [])):
+def _field(obj: dict, name: str, kind, where: str, default=REQUIRED):
+    """``obj[name]`` read as ``kind``, or ``default`` if absent."""
+    if name in obj:
+        return _read(obj[name], name, kind, where)
+    if default is REQUIRED:
+        raise ChartValidationError(f"{where}: missing field {name!r}")
+    return default
+
+
+def _records(doc: dict, name: str, elements: Dict[str, Element]) -> Iterator[tuple[str, dict]]:
+    """The top-level list ``name`` as (location, fields) pairs: each record
+    read against ``SCHEMA[name]``, with the defaults of its absent fields."""
+    schema = SCHEMA[name]
+    kinds = {field: kind for field, (kind, _) in schema.items()}
+    defaults = {field: default for field, (_, default) in schema.items() if default is not REQUIRED}
+    for index, record in enumerate(_field(doc, name, list, "top level", [])):
         where = f"{name}[{index}]"
         if type(record) is not dict:
             raise ChartValidationError(f"{where}: must be an object")
-        _require_keys(record, fields, where)
-        out.append((where, record))
-    return out
-
-
-def _choice(kind, record: dict, name: str, where: str):
-    """The string field ``name`` read as a member of the enum ``kind``."""
-    value = _field(record, name, (str,), where)
-    try:
-        return kind(value)
-    except ValueError:
-        raise ChartValidationError(f"{where}: unknown {name} {value!r}") from None
-
-
-def _element(record: dict, name: str, elements: Dict[str, Element], where: str) -> Element:
-    key = _field(record, name, (str,), where)
-    if key not in elements:
-        raise ChartValidationError(f"{where}: unknown element {key!r}")
-    return elements[key]
-
-
-def _keys(keys: Sequence, elements: Dict[str, Element], where: str) -> List[Element]:
-    members = []
-    for key in keys:
-        if type(key) is not str or key not in elements:
-            raise ChartValidationError(f"{where}: dangling element reference {key!r}")
-        members.append(elements[key])
-    return members
+        if not record.keys() <= kinds.keys():
+            _require_keys(record, kinds, where)
+        fields = dict(defaults)
+        for field, value in record.items():
+            fields[field] = _read(value, field, kinds[field], where, elements)
+        if len(fields) < len(kinds):
+            missing = next(field for field in kinds if field not in fields)
+            raise ChartValidationError(f"{where}: missing field {missing!r}")
+        yield where, fields
 
 
 def _require_degree(element: Element, module: ModuleId, stem: int, where: str) -> None:
@@ -375,24 +410,24 @@ def _require_degree(element: Element, module: ModuleId, stem: int, where: str) -
         )
 
 
-def _parse_span(keys: Sequence[str], elements: Dict[str, Element], where: str) -> F2Span:
-    members = _keys(keys, elements, where)
+def _value(fields: dict, where: str) -> Value:
+    """The ``value``/``nonzero`` pair of an action or axiom record: a span
+    (absent is zero) or a bare nonzero mark, never both."""
+    members = fields["value"]
+    if fields["nonzero"]:
+        if members is not ABSENT:
+            raise ChartValidationError(f"{where}: both value and nonzero set")
+        return Value.nonzero_unknown()
+    if members is None:
+        raise ChartValidationError(f"{where}: value must be a list, got None")
+    if members is ABSENT:
+        return Value.zero()
     if len(set(members)) != len(members):
         raise ChartValidationError(f"{where}: duplicate element in span")
     try:
-        return span_of(*members)
+        return Value.known(span_of(*members))
     except DegreeMismatchError as exc:
         raise ChartValidationError(f"{where}: {exc}") from exc
-
-
-def _value(record: dict, elements: Dict[str, Element], where: str) -> Value:
-    """The ``value``/``nonzero`` pair of an action or axiom record: a span
-    (default zero) or a bare nonzero mark, never both."""
-    if _field(record, "nonzero", (bool,), where, False):
-        if "value" in record:
-            raise ChartValidationError(f"{where}: both value and nonzero set")
-        return Value.nonzero_unknown()
-    return Value.known(_parse_span(_field(record, "value", (list,), where, []), elements, where))
 
 
 def _value_fields(value: Value) -> dict:
@@ -421,139 +456,106 @@ def load(path: str | Path) -> ChartFile:
 def from_document(doc: dict) -> ChartFile:
     if type(doc) is not dict:
         raise ChartValidationError("top level: must be an object")
-    _require_keys(
-        doc,
-        {
-            "schemaVersion", "maxStem", "generators", "elements", "actions",
-            "classifications", "hurewiczFlags", "exceptionalSets", "ranks",
-            "axioms", "tmfNameOverrides", "periodicPresentations",
-        },
-        "top level",
-    )
+    top_level = {"schemaVersion", "maxStem", "hurewiczFlags", "exceptionalSets", "periodicPresentations"}
+    _require_keys(doc, top_level | SCHEMA.keys(), "top level")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise ChartValidationError(
             f"unsupported schemaVersion {doc.get('schemaVersion')!r}, want {SCHEMA_VERSION!r}"
         )
-    max_stem = _field(doc, "maxStem", (int,), "top level", 0)
+    max_stem = _field(doc, "maxStem", int, "top level", 0)
     if max_stem < 0:
         raise ChartValidationError(f"top level: maxStem must be ≥ 0, got {max_stem}")
 
     generators: Dict[str, RingGenerator] = {}
-    for where, record in _records(doc, "generators", {"name", "stem", "filtration"}):
-        name = _field(record, "name", (str,), where)
-        stem = _field(record, "stem", (int,), where)
-        filtration = _field(record, "filtration", (int,), where)
+    elements: Dict[str, Element] = {}
+    for where, fields in _records(doc, "generators", elements):
         try:
-            gen = RingGenerator(name, stem, filtration)
+            gen = RingGenerator(fields["name"], fields["stem"], fields["filtration"])
         except ValueError as exc:
-            raise ChartValidationError(f"{where}: generator {name!r}: {exc}") from exc
+            raise ChartValidationError(f"{where}: generator {fields['name']!r}: {exc}") from exc
         if gen.name in generators:
-            raise ChartValidationError(f"duplicate generator {gen.name}")
+            raise ChartValidationError(f"{where}: duplicate generator {gen.name}")
         generators[gen.name] = gen
 
-    elements: Dict[str, Element] = {}
     orders: Dict[str, object] = {}
     tmf_names: Dict[str, str] = {}
-    nu_multiples = set()
-    prior_order_two = set()
-    element_fields = {
-        "module", "name", "stem", "filtration", "order", "tmfName", "nuMultiple", "priorOrderTwo",
-    }
-    for where, record in _records(doc, "elements", element_fields):
-        element = Element(
-            _choice(ModuleId, record, "module", where),
-            _field(record, "stem", (int,), where),
-            _field(record, "filtration", (int,), where),
-            _field(record, "name", (str,), where),
-        )
+    nu_multiples, prior_order_two = set(), set()
+    for where, fields in _records(doc, "elements", elements):
+        element = Element(fields["module"], fields["stem"], fields["filtration"], fields["name"])
+        key = element.key
         if element.stem < 0 or element.filtration < 0:
-            raise ChartValidationError(f"element {element.key}: negative degree")
+            raise ChartValidationError(f"{where}: element {key}: negative degree")
         try:
             element.check_name_convention()
         except ValueError as exc:
-            raise ChartValidationError(str(exc)) from exc
-        if element.key in elements:
-            raise ChartValidationError(f"duplicate element {element.key}")
-        elements[element.key] = element
-        order = record.get("order")
+            raise ChartValidationError(f"{where}: {exc}") from exc
+        if key in elements:
+            raise ChartValidationError(f"{where}: duplicate element {key}")
+        elements[key] = element
+        order = fields["order"]
         if order is not None:
-            if order != "inf" and (type(order) is not int or order not in ALLOWED_ORDERS):
-                raise ChartValidationError(f"element {element.key}: bad order {order!r}")
-            orders[element.key] = order
-        if "tmfName" in record:
-            tmf_names[element.key] = _name(record, "tmfName", where)
-        if _field(record, "nuMultiple", (bool,), where, False):
-            nu_multiples.add(element.key)
-        if _field(record, "priorOrderTwo", (bool,), where, False):
-            prior_order_two.add(element.key)
+            if order != "inf" and order not in ALLOWED_ORDERS:
+                raise ChartValidationError(f"{where}: element {key}: bad order {order!r}")
+            orders[key] = order
+        if fields["tmfName"] is not None:
+            tmf_names[key] = fields["tmfName"]
+        if fields["nuMultiple"]:
+            nu_multiples.add(key)
+        if fields["priorOrderTwo"]:
+            prior_order_two.add(key)
 
     actions = ActionTable()
-    for where, record in _records(doc, "actions", {"generator", "source", "value", "nonzero"}):
-        gen_name = _field(record, "generator", (str,), where)
+    for where, fields in _records(doc, "actions", elements):
+        gen_name, source = fields["generator"], fields["source"]
         if gen_name not in generators:
             raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
-        source = _element(record, "source", elements, where)
+        if actions.get(gen_name, source) is not None:
+            raise ChartValidationError(f"{where}: duplicate action {gen_name}·{source.key}")
         where = f"action {gen_name}·{source.key}"
-        value = _value(record, elements, where)
         try:
-            actions.add(ActionFact(generators[gen_name], source, value))
+            actions.add(ActionFact(generators[gen_name], source, _value(fields, where)))
         except ValueError as exc:
             raise ChartValidationError(f"{where}: {exc}") from exc
 
     classifications: List[Classification] = []
     seen_classifications = set()
-    for where, record in _records(doc, "classifications", {"element", "context", "kind"}):
-        element = _element(record, "element", elements, where)
-        context = _choice(LesContext, record, "context", where)
-        dedup = (element, context)
-        if dedup in seen_classifications:
+    for where, fields in _records(doc, "classifications", elements):
+        element, context = fields["element"], fields["context"]
+        if (element, context) in seen_classifications:
             raise ChartValidationError(
-                f"duplicate classification for {element.key} in {context.value}"
+                f"{where}: duplicate classification for {element.key} in {context.value}"
             )
-        seen_classifications.add(dedup)
-        kind = _choice(ClassificationKind, record, "kind", where)
-        classifications.append(Classification(element, context, kind))
+        seen_classifications.add((element, context))
+        classifications.append(Classification(element, context, fields["kind"]))
 
     hurewicz: Dict[str, bool] = {}
-    for key, flag in _field(doc, "hurewiczFlags", (dict,), "top level", {}).items():
+    for key, flag in _field(doc, "hurewiczFlags", dict, "top level", {}).items():
         where = f"hurewiczFlags[{key!r}]"
         if key not in elements:
             raise ChartValidationError(f"{where}: unknown element {key!r}")
         if elements[key].module is not ModuleId.S:
-            raise ChartValidationError(f"hurewicz flag on non-sphere element {key}")
+            raise ChartValidationError(f"{where}: hurewicz flag on non-sphere element {key}")
         if type(flag) is not bool:
             raise ChartValidationError(f"{where}: must be a boolean, got {flag!r}")
         hurewicz[key] = flag
 
-    exc_doc = _field(doc, "exceptionalSets", (dict,), "top level", {})
+    exc_doc = _field(doc, "exceptionalSets", dict, "top level", {})
     _require_keys(exc_doc, {"EM", "FS", "FM", "delta8Closure"}, "exceptionalSets")
-    exceptional = {
-        label: tuple(_field(exc_doc, label, (list,), "exceptionalSets", []))
-        for label in ("EM", "FS", "FM")
-    }
+    exceptional = {}
     for label, want in (("EM", EXCEPTIONAL_EM), ("FS", EXCEPTIONAL_FS), ("FM", EXCEPTIONAL_FM)):
+        exceptional[label] = tuple(_field(exc_doc, label, list, "exceptionalSets", []))
         if exceptional[label] and exceptional[label] != want:
             raise ChartValidationError(f"exceptionalSets.{label} does not match the fixed listing")
 
     ses_records: List[SesRecord] = []
     seen_records = set()
-    rank_fields = {"context", "stem", "middle", "cokernel", "kernel"}
-    for where, record in _records(doc, "ranks", rank_fields):
-        context = _field(record, "context", (str,), where)
-        if context not in SES_CONTEXTS:
-            raise ChartValidationError(f"{where}: unknown context {context!r}")
-        stem = _field(record, "stem", (int,), where)
+    for where, fields in _records(doc, "ranks", elements):
+        context, stem = fields["context"], fields["stem"]
         if (context, stem) in seen_records:
-            raise ChartValidationError(f"duplicate ranks record for {context} at stem {stem}")
+            raise ChartValidationError(f"{where}: duplicate ranks record for {context} at stem {stem}")
         seen_records.add((context, stem))
         where = f"ranks {context}@{stem}"
-        bases = {}
-        for name, default in (("middle", []), ("cokernel", None), ("kernel", None)):
-            keys = _field(record, name, (list, type(None)), where, default)
-            bases[name] = None if keys is None else _keys(keys, elements, where)
-        if bases["middle"] is None:
-            raise ChartValidationError(f"{where}: middle basis is required")
-        ses = SesRecord(context, stem, **bases)
+        ses = SesRecord(context, stem, fields["middle"], fields["cokernel"], fields["kernel"])
         for basis, module, basis_stem in (
             (ses.middle, ses.middle_module, stem),
             (ses.cokernel or (), ses.side_module, stem),
@@ -569,29 +571,25 @@ def from_document(doc: dict) -> ChartFile:
         ses_records.append(ses)
 
     axioms: List[MapAxiom] = []
-    for where, record in _records(doc, "axioms", {"map", "source", "value", "nonzero"}):
-        map_name = _field(record, "map", (str,), where)
-        if map_name not in MAP_SPECS:
-            raise ChartValidationError(f"{where}: unknown map {map_name!r}")
+    for where, fields in _records(doc, "axioms", elements):
+        map_name, source = fields["map"], fields["source"]
         spec = MAP_SPECS[map_name]
-        source = _element(record, "source", elements, where)
         where = f"axiom {map_name}({source.key})"
         if source.module is not spec.source:
             raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
-        value = _value(record, elements, where)
+        value = _value(fields, where)
         for element in value.span:
             _require_degree(element, spec.target, source.stem + spec.stem_shift, where)
         axioms.append(MapAxiom(map_name, source, value))
 
     overrides: Dict[tuple[str, str], str] = {}
-    for where, record in _records(doc, "tmfNameOverrides", {"row", "column", "name"}):
-        row = _element(record, "row", elements, where)
-        column = _field(record, "column", (str,), where)
-        if column not in ("imgP1", "lift"):
-            raise ChartValidationError(f"tmfNameOverride: bad column {column!r}")
-        overrides[(row.key, column)] = _name(record, "name", where)
+    for where, fields in _records(doc, "tmfNameOverrides", elements):
+        cell = (fields["row"].key, fields["column"])
+        if cell in overrides:
+            raise ChartValidationError(f"{where}: duplicate override for {cell[0]} in column {cell[1]}")
+        overrides[cell] = fields["name"]
 
-    presentations = _field(doc, "periodicPresentations", (dict,), "top level", {})
+    presentations = _field(doc, "periodicPresentations", dict, "top level", {})
     _check_presentations(presentations)
 
     chart = ChartFile(
@@ -608,7 +606,7 @@ def from_document(doc: dict) -> ChartFile:
         nu_multiples=frozenset(nu_multiples),
         prior_order_two=frozenset(prior_order_two),
         exceptional_sets=exceptional,
-        delta8_closure=_field(exc_doc, "delta8Closure", (bool,), "exceptionalSets", False),
+        delta8_closure=_field(exc_doc, "delta8Closure", bool, "exceptionalSets", False),
         ses_records=ses_records,
         axioms=axioms,
         periodic_presentations=presentations,
@@ -623,11 +621,11 @@ def _check_presentations(presentations: dict) -> None:
     where = "periodicPresentations"
     _require_keys(presentations, {"Y", "M", "S"}, where)
     for module in presentations:
-        _field(presentations, module, (dict,), where)
-    y_min = _field(presentations.get("Y", {}), "minV1ByDeltaMod8", (list,), f"{where}.Y", [0] * 8)
+        _field(presentations, module, dict, where)
+    y_min = _field(presentations.get("Y", {}), "minV1ByDeltaMod8", list, f"{where}.Y", [0] * 8)
     if len(y_min) != 8 or any(type(v) is not int or v < 0 for v in y_min):
         raise ChartValidationError(f"{where}.Y needs eight minimal v₁-powers, got {y_min!r}")
-    k0 = _field(presentations.get("M", {}), "k0Positions", (dict,), f"{where}.M", None)
+    k0 = _field(presentations.get("M", {}), "k0Positions", dict, f"{where}.M", None)
     if k0 is None:
         return
     if sorted(map(str, k0)) != [str(n) for n in range(8)]:
@@ -850,15 +848,18 @@ def _shifted_name(element: Element, copies: int) -> str:
     return element.name + "·Δ⁸" * copies
 
 
-def _renamed(record: dict, rename: Dict[str, str]) -> dict:
-    """A copy of ``record`` with every element reference renamed."""
+def _renamed(record: dict, name: str, rename: Dict[str, str]) -> dict:
+    """A copy of the ``name`` record ``record`` with every element reference
+    renamed."""
     copy = dict(record)
-    for field in ("element", "source", "row"):
-        if field in record:
-            copy[field] = rename[record[field]]
-    for field in ("value", "middle", "cokernel", "kernel"):
-        if record.get(field) is not None:
-            copy[field] = [rename[key] for key in record[field]]
+    for field, (kind, _) in SCHEMA[name].items():
+        value = record.get(field)
+        if value is None:
+            continue
+        if kind is ELEMENT:
+            copy[field] = rename[value]
+        elif kind in (ELEMENTS, BASIS):
+            copy[field] = [rename[key] for key in value]
     return copy
 
 
@@ -901,11 +902,12 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
                     rename[key], chart.hurewicz[key] and key not in chart.nu_multiples
                 )
         for name in ("actions", "classifications", "axioms"):
-            new[name] += [_renamed(record, rename) for record in doc[name]]
+            new[name] += [_renamed(record, name, rename) for record in doc[name]]
         for record in doc["ranks"]:
-            new["ranks"].append(dict(_renamed(record, rename), stem=record["stem"] + 192 * k))
+            new["ranks"].append(dict(_renamed(record, "ranks", rename), stem=record["stem"] + 192 * k))
         for record in doc["tmfNameOverrides"]:
-            new["tmfNameOverrides"].append(dict(_renamed(record, rename), name=prefix + record["name"]))
+            copy = _renamed(record, "tmfNameOverrides", rename)
+            new["tmfNameOverrides"].append(dict(copy, name=prefix + record["name"]))
     for name, records in new.items():
         # A section's records share one field order, which the copies keep,
         # so equal records have equal reprs.

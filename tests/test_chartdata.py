@@ -243,6 +243,17 @@ def _set(path, value):
     return mutate
 
 
+def _append(path, record):
+    """A mutation that appends a copy of ``record`` to the list at ``path``."""
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc.append(dict(record))
+
+    return mutate
+
+
 SHIPPED_TEXT = DATA.read_text(encoding="utf-8")
 SHIPPED = json.loads(SHIPPED_TEXT)
 V1_ON_Y44 = next(
@@ -316,6 +327,51 @@ MALFORMED = {
         _set(("tmfNameOverrides", 0, "name"), ""),
         r"tmfNameOverrides\[0\]: name must not be empty",
     ),
+    "duplicate-element": (
+        _append(("elements",), SHIPPED["elements"][0]),
+        r"elements\[\d+\]: duplicate element M:m_\{6,2\}",
+    ),
+    "duplicate-generator": (
+        _append(("generators",), SHIPPED["generators"][0]),
+        r"generators\[\d+\]: duplicate generator 2",
+    ),
+    "duplicate-classification": (
+        _append(("classifications",), SHIPPED["classifications"][0]),
+        r"classifications\[\d+\]: duplicate classification for M:m_\{100,20\} in LES-2.3",
+    ),
+    "duplicate-ranks-record": (
+        _append(("ranks",), SHIPPED["ranks"][0]),
+        r"ranks\[\d+\]: duplicate ranks record for SES-2.8 at stem 3",
+    ),
+    "duplicate-action": (
+        _append(("actions",), SHIPPED["actions"][0]),
+        r"actions\[\d+\]: duplicate action v₁·Y:y_\{101,15\}",
+    ),
+    "duplicate-override": (
+        _append(("tmfNameOverrides",), {"row": "Y:y_{119,3}", "column": "imgP1", "name": "zzz"}),
+        r"tmfNameOverrides\[1\]: duplicate override for Y:y_\{119,3\} in column imgP1",
+    ),
+    "negative-degree": (
+        _set(("elements", 0, "stem"), -1),
+        r"elements\[0\]: element M:m_\{6,2\}: negative degree",
+    ),
+    "name-off-degree": (
+        _set(("elements", 0, "filtration"), 3),
+        r"elements\[0\]: element M:m_\{6,2\} has stem/filtration \(6,3\) inconsistent with its name",
+    ),
+    "bad-order": (_set(("elements", 0, "order"), 3), r"elements\[0\]: element M:m_\{6,2\}: bad order 3"),
+    "unknown-override-column": (
+        _set(("tmfNameOverrides", 0, "column"), "x"),
+        r"tmfNameOverrides\[0\]: unknown column 'x'",
+    ),
+    "hurewicz-flag-off-sphere": (
+        _set(("hurewiczFlags", "Y:y_{3,1}"), True),
+        r"hurewiczFlags\['Y:y_\{3,1\}'\]: hurewicz flag on non-sphere element Y:y_\{3,1\}",
+    ),
+    "empty-element-name": (
+        _append(("elements",), {"module": "M", "name": "", "stem": 6, "filtration": 2}),
+        r"elements\[\d+\]: name must not be empty",
+    ),
     "exceptional-without-route": (
         _set(Y50_IN_LES23 + ("kind",), "periodicExceptional"),
         r"classification: Y:y_\{50,4\} marked exceptional in LES-2.3, but no exceptional listing",
@@ -383,3 +439,33 @@ class TestShippedDataset:
         monkeypatch.setattr(script, "OUT", tmp_path / "tmf_chart.json")
         script.main()
         assert (tmp_path / "tmf_chart.json").read_bytes() == DATA.read_bytes()
+
+
+_KIND_NAMES = {
+    int: "integer", str: "string", bool: "boolean", type(None): "null",
+    chartdata.ELEMENT: "element key", chartdata.ELEMENTS: "list of element keys",
+    chartdata.BASIS: "list of element keys or null",
+}
+
+
+def field_row(name, field, kind, default):
+    """The README's table row for one ``SCHEMA`` field."""
+    if type(kind) is dict:
+        kind_text = "one of " + ", ".join(f"`{value}`" for value in kind)
+    else:
+        kind_text = " or ".join(_KIND_NAMES[k] for k in (kind if type(kind) is tuple else (kind,)))
+    if default in (chartdata.REQUIRED, chartdata.ABSENT):
+        default_text = default
+    else:
+        default_text = f"`{json.dumps(default)}`"
+    return f"| `{name}` | `{field}` | {kind_text} | {default_text} |"
+
+
+def test_readme_field_table_matches_schema():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert rows == [
+        field_row(name, field, kind, default)
+        for name, fields in chartdata.SCHEMA.items()
+        for field, (kind, default) in fields.items()
+    ]

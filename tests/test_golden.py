@@ -4,7 +4,8 @@ Each snapshot under ``tests/golden/`` is regenerated here and compared byte
 for byte.  A snapshot changes only together with a CHANGES.md entry that says
 why; to refresh one, rerun the command named in its test and commit the
 output, e.g. ``les-deduce check data/tmf_chart.json --json >
-tests/golden/check.json``.
+tests/golden/check.json`` or ``les-deduce deduce data/tmf_chart.json --log
+tests/golden/log.json``.
 """
 
 import re
@@ -41,6 +42,13 @@ def test_serialize(store):
 )
 def test_cli_report(capsys, snapshot, argv):
     assert cli_output(capsys, *argv) == (GOLDEN / snapshot).read_bytes()
+
+
+def test_derivation_log(capsys, tmp_path):
+    """``deduce --log``, whose entries follow the chart's load order."""
+    path = tmp_path / "log.json"
+    cli_output(capsys, "deduce", "--log", str(path))
+    assert path.read_bytes() == (GOLDEN / "log.json").read_bytes()
 
 
 def shifted(text, copies):
