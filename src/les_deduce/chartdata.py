@@ -3,9 +3,11 @@
 The dataset is a single JSON document (UTF-8, schemaVersion "1") with top-level
 keys {schemaVersion, maxStem, hurewiczFlags, exceptionalSets,
 periodicPresentations} plus the record lists of ``SCHEMA``, which states each
-record field's kind and default once for the loader and the Δ⁸ renamer.
-Element references everywhere use the key format "MODULE:name".  Unknown
-top-level or record fields are rejected so golden files stay byte-stable.
+record field's JSON kind and default once for the loader.  Element references
+everywhere use the key format "MODULE:name".  Unknown top-level or record
+fields are rejected so golden files stay byte-stable.  Once a record is read
+into typed objects, ``_ChartRecords`` checks it and files it under its
+identity key.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
 (SES-2.7, SES-2.8) or LES-2.4 (SES-2.9).  ``SesRecord`` reads its maps, the
@@ -21,18 +23,21 @@ The Moore-module pattern is a lightning flash on generators Δⁿv₁⁴ᵏ, ful
 k ≥ 1, with the k = 0 fraction listed per Δ-power (mod 8) because no closed
 formula covers it.
 
-``delta8_extend`` adds Δ⁸-shifted copies of every record to the document and
-loads the result with ``from_document``, so an extended chart passes the same
-checks as a loaded one.  Among those checks: every class classified torsion
-in LES-2.3 on Y needs a v₁ action, which ``image_of_p3`` reads.
+``delta8_extend`` shifts the loaded chart's objects: each copy of an element
+moves 192 stems and the filtration degree of Δ⁸ up, and the copies of the
+other records refer to the shifted elements.  The copies go through the same
+``_ChartRecords`` checks as loaded records, and the extended chart through
+``_validate_semantics``; only the JSON-type checks, which the objects passed
+when they were read, are skipped.  Among the semantic checks: every class
+classified torsion in LES-2.3 on Y needs a v₁ action, which ``image_of_p3``
+reads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -294,7 +299,9 @@ class ChartValidationError(ValueError):
 # The record lists of a document: field → (kind, default).  A kind is an
 # exact JSON type or a tuple of them, an enum as a {value: member} dict, or an
 # element reference: ELEMENT (a "MODULE:name" key), ELEMENTS (a list of keys)
-# or BASIS (a list of keys, or null for an unknown basis).
+# or BASIS (a list of keys, or null for an unknown basis).  ``_records``
+# checks the JSON values of a document against it; the Δ⁸ copies of
+# ``delta8_extend`` are made from objects that passed, and skip only this.
 ELEMENT, ELEMENTS, BASIS = "element", "elements", "basis"
 REQUIRED = "required"
 ABSENT = "absent"  # ``value`` left out: the zero span, or none beside ``nonzero``
@@ -310,7 +317,7 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
     "elements": {
         "module": (_enum(ModuleId), REQUIRED), "name": (str, REQUIRED),
         "stem": (int, REQUIRED), "filtration": (int, REQUIRED),
-        "order": ((int, str, type(None)), None),  # one of ALLOWED_ORDERS or "inf"
+        "order": ((int, str), None),  # one of ALLOWED_ORDERS or "inf"
         "tmfName": (str, None), "nuMultiple": (bool, False), "priorOrderTwo": (bool, False),
     },
     "actions": {"generator": (str, REQUIRED), "source": (ELEMENT, REQUIRED), **_VALUE_FIELDS},
@@ -437,6 +444,150 @@ def _value_fields(value: Value) -> dict:
     return {"nonzero": True}
 
 
+# What a second record under one identity key reports, by record list; the
+# fields are the key's.  Axioms have no identity key.
+_DUPLICATE = {
+    "elements": "duplicate element {}",
+    "actions": "duplicate action {}·{}",
+    "classifications": "duplicate classification for {} in {}",
+    "ranks": "duplicate ranks record for {} at stem {}",
+    "tmfNameOverrides": "duplicate override for {} in column {}",
+}
+
+
+class _ChartRecords:
+    """The record containers of a chart being built, and the checks that each
+    typed record passes on its way in.  ``from_document`` fills empty ones;
+    ``delta8_extend`` adds its copies to ``_ChartRecords(chart)``.
+
+    A record that repeats the identity key of one already present (see
+    ``_DUPLICATE``) is rejected, except that when ``merge`` is set, one equal
+    to the present record is skipped, and an axiom equal to one present too.
+    """
+
+    def __init__(self, chart: Optional[ChartFile] = None) -> None:
+        """Empty containers, or copies of ``chart``'s that merge what is added."""
+        self.merge = chart is not None
+        self.elements = dict(chart.elements) if chart else {}
+        self.orders = dict(chart.orders) if chart else {}
+        self.tmf_names = dict(chart.tmf_names) if chart else {}
+        self.nu_multiples = set(chart.nu_multiples) if chart else set()
+        self.prior_order_two = set(chart.prior_order_two) if chart else set()
+        self.actions = ActionTable(chart.actions.facts() if chart else ())
+        self.classifications = list(chart.classifications) if chart else []
+        self.ses_records = list(chart.ses_records) if chart else []
+        self.axioms = list(chart.axioms) if chart else []
+        self.tmf_name_overrides = dict(chart.tmf_name_overrides) if chart else {}
+        self._classified = {(c.element.key, c.context.value): c for c in self.classifications}
+        self._ranked = {(r.context, r.stem): r for r in self.ses_records}
+        self._axiom_set = set(self.axioms)
+
+    def fields(self) -> dict:
+        """The ``ChartFile`` fields these containers fill."""
+        return dict(
+            elements=self.elements, orders=self.orders, tmf_names=self.tmf_names,
+            nu_multiples=frozenset(self.nu_multiples), prior_order_two=frozenset(self.prior_order_two),
+            actions=self.actions, classifications=self.classifications, ses_records=self.ses_records,
+            axioms=self.axioms, tmf_name_overrides=self.tmf_name_overrides,
+        )
+
+    def _is_new(self, name: str, key: tuple, present, record, where: str) -> bool:
+        """Whether ``record`` goes in under ``key``, where ``present`` (or
+        None) already is: False to skip an equal one when merging."""
+        if present is None:
+            return True
+        if self.merge and present == record:
+            return False
+        raise ChartValidationError(f"{where}: " + _DUPLICATE[name].format(*key))
+
+    def add_element(
+        self, element: Element, order, tmf_name: Optional[str], nu_multiple: bool,
+        prior_order_two: bool, where: str,
+    ) -> None:
+        key = element.key
+        if element.stem < 0 or element.filtration < 0:
+            raise ChartValidationError(f"{where}: element {key}: negative degree")
+        try:
+            element.check_name_convention()
+        except ValueError as exc:
+            raise ChartValidationError(f"{where}: {exc}") from exc
+        if order is not None and order != "inf" and order not in ALLOWED_ORDERS:
+            raise ChartValidationError(f"{where}: element {key}: bad order {order!r}")
+        present = self.elements.get(key)
+        if present is not None:
+            present = (
+                present, self.orders.get(key), self.tmf_names.get(key),
+                key in self.nu_multiples, key in self.prior_order_two,
+            )
+            record = (element, order, tmf_name, nu_multiple, prior_order_two)
+            if not self._is_new("elements", (key,), present, record, where):
+                return
+        self.elements[key] = element
+        if order is not None:
+            self.orders[key] = order
+        if tmf_name is not None:
+            self.tmf_names[key] = tmf_name
+        if nu_multiple:
+            self.nu_multiples.add(key)
+        if prior_order_two:
+            self.prior_order_two.add(key)
+
+    def add_action(self, generator: RingGenerator, source: Element, value: Value, where: str) -> None:
+        try:
+            fact = ActionFact(generator, source, value)
+        except ValueError as exc:
+            raise ChartValidationError(f"action {generator.name}·{source.key}: {exc}") from exc
+        key = (generator.name, source.key)
+        if self._is_new("actions", key, self.actions.get(generator.name, source), fact, where):
+            self.actions.add(fact)
+
+    def add_classification(self, classification: Classification, where: str) -> None:
+        key = (classification.element.key, classification.context.value)
+        if self._is_new("classifications", key, self._classified.get(key), classification, where):
+            self._classified[key] = classification
+            self.classifications.append(classification)
+
+    def add_ranks(self, ses: SesRecord, where: str) -> None:
+        """A ``ranks`` record: each basis in its module and stem, and the
+        ranks adding up where both sides are known."""
+        record_where = f"ranks {ses.ref}"
+        for basis, module, basis_stem in (
+            (ses.middle, ses.middle_module, ses.stem),
+            (ses.cokernel or (), ses.side_module, ses.stem),
+            (ses.kernel or (), ses.side_module, ses.kernel_stem),
+        ):
+            for element in basis:
+                _require_degree(element, module, basis_stem, record_where)
+        if None not in (ses.cokernel, ses.kernel) and len(ses.middle) != len(ses.cokernel) + len(ses.kernel):
+            raise ChartValidationError(
+                f"{record_where}: rank mismatch |middle|={len(ses.middle)} != "
+                f"|cokernel|={len(ses.cokernel)} + |kernel|={len(ses.kernel)}"
+            )
+        key = (ses.context, ses.stem)
+        if self._is_new("ranks", key, self._ranked.get(key), ses, where):
+            self._ranked[key] = ses
+            self.ses_records.append(ses)
+
+    def add_axiom(self, axiom: MapAxiom) -> None:
+        """An axiom: its source and each class of its value where its map
+        puts them."""
+        spec = MAP_SPECS[axiom.map]
+        where = f"axiom {axiom.map}({axiom.source.key})"
+        if axiom.source.module is not spec.source:
+            raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
+        for element in axiom.value.span:
+            _require_degree(element, spec.target, axiom.source.stem + spec.stem_shift, where)
+        if self.merge:
+            if axiom in self._axiom_set:
+                return
+            self._axiom_set.add(axiom)
+        self.axioms.append(axiom)
+
+    def add_override(self, cell: tuple[str, str], name: str, where: str) -> None:
+        if self._is_new("tmfNameOverrides", cell, self.tmf_name_overrides.get(cell), name, where):
+            self.tmf_name_overrides[cell] = name
+
+
 def loads(text: str) -> ChartFile:
     try:
         doc = json.loads(text)
@@ -466,8 +617,9 @@ def from_document(doc: dict) -> ChartFile:
     if max_stem < 0:
         raise ChartValidationError(f"top level: maxStem must be ≥ 0, got {max_stem}")
 
+    records = _ChartRecords()
+    elements = records.elements
     generators: Dict[str, RingGenerator] = {}
-    elements: Dict[str, Element] = {}
     for where, fields in _records(doc, "generators", elements):
         try:
             gen = RingGenerator(fields["name"], fields["stem"], fields["filtration"])
@@ -477,56 +629,21 @@ def from_document(doc: dict) -> ChartFile:
             raise ChartValidationError(f"{where}: duplicate generator {gen.name}")
         generators[gen.name] = gen
 
-    orders: Dict[str, object] = {}
-    tmf_names: Dict[str, str] = {}
-    nu_multiples, prior_order_two = set(), set()
     for where, fields in _records(doc, "elements", elements):
         element = Element(fields["module"], fields["stem"], fields["filtration"], fields["name"])
-        key = element.key
-        if element.stem < 0 or element.filtration < 0:
-            raise ChartValidationError(f"{where}: element {key}: negative degree")
-        try:
-            element.check_name_convention()
-        except ValueError as exc:
-            raise ChartValidationError(f"{where}: {exc}") from exc
-        if key in elements:
-            raise ChartValidationError(f"{where}: duplicate element {key}")
-        elements[key] = element
-        order = fields["order"]
-        if order is not None:
-            if order != "inf" and order not in ALLOWED_ORDERS:
-                raise ChartValidationError(f"{where}: element {key}: bad order {order!r}")
-            orders[key] = order
-        if fields["tmfName"] is not None:
-            tmf_names[key] = fields["tmfName"]
-        if fields["nuMultiple"]:
-            nu_multiples.add(key)
-        if fields["priorOrderTwo"]:
-            prior_order_two.add(key)
+        records.add_element(
+            element, fields["order"], fields["tmfName"], fields["nuMultiple"], fields["priorOrderTwo"], where
+        )
 
-    actions = ActionTable()
     for where, fields in _records(doc, "actions", elements):
         gen_name, source = fields["generator"], fields["source"]
         if gen_name not in generators:
             raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
-        if actions.get(gen_name, source) is not None:
-            raise ChartValidationError(f"{where}: duplicate action {gen_name}·{source.key}")
-        where = f"action {gen_name}·{source.key}"
-        try:
-            actions.add(ActionFact(generators[gen_name], source, _value(fields, where)))
-        except ValueError as exc:
-            raise ChartValidationError(f"{where}: {exc}") from exc
+        value = _value(fields, f"action {gen_name}·{source.key}")
+        records.add_action(generators[gen_name], source, value, where)
 
-    classifications: List[Classification] = []
-    seen_classifications = set()
     for where, fields in _records(doc, "classifications", elements):
-        element, context = fields["element"], fields["context"]
-        if (element, context) in seen_classifications:
-            raise ChartValidationError(
-                f"{where}: duplicate classification for {element.key} in {context.value}"
-            )
-        seen_classifications.add((element, context))
-        classifications.append(Classification(element, context, fields["kind"]))
+        records.add_classification(Classification(fields["element"], fields["context"], fields["kind"]), where)
 
     hurewicz: Dict[str, bool] = {}
     for key, flag in _field(doc, "hurewiczFlags", dict, "top level", {}).items():
@@ -547,47 +664,16 @@ def from_document(doc: dict) -> ChartFile:
         if exceptional[label] and exceptional[label] != want:
             raise ChartValidationError(f"exceptionalSets.{label} does not match the fixed listing")
 
-    ses_records: List[SesRecord] = []
-    seen_records = set()
     for where, fields in _records(doc, "ranks", elements):
-        context, stem = fields["context"], fields["stem"]
-        if (context, stem) in seen_records:
-            raise ChartValidationError(f"{where}: duplicate ranks record for {context} at stem {stem}")
-        seen_records.add((context, stem))
-        where = f"ranks {context}@{stem}"
-        ses = SesRecord(context, stem, fields["middle"], fields["cokernel"], fields["kernel"])
-        for basis, module, basis_stem in (
-            (ses.middle, ses.middle_module, stem),
-            (ses.cokernel or (), ses.side_module, stem),
-            (ses.kernel or (), ses.side_module, ses.kernel_stem),
-        ):
-            for element in basis:
-                _require_degree(element, module, basis_stem, where)
-        if None not in (ses.cokernel, ses.kernel) and len(ses.middle) != len(ses.cokernel) + len(ses.kernel):
-            raise ChartValidationError(
-                f"{where}: rank mismatch |middle|={len(ses.middle)} != "
-                f"|cokernel|={len(ses.cokernel)} + |kernel|={len(ses.kernel)}"
-            )
-        ses_records.append(ses)
+        ses = SesRecord(fields["context"], fields["stem"], fields["middle"], fields["cokernel"], fields["kernel"])
+        records.add_ranks(ses, where)
 
-    axioms: List[MapAxiom] = []
     for where, fields in _records(doc, "axioms", elements):
         map_name, source = fields["map"], fields["source"]
-        spec = MAP_SPECS[map_name]
-        where = f"axiom {map_name}({source.key})"
-        if source.module is not spec.source:
-            raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
-        value = _value(fields, where)
-        for element in value.span:
-            _require_degree(element, spec.target, source.stem + spec.stem_shift, where)
-        axioms.append(MapAxiom(map_name, source, value))
+        records.add_axiom(MapAxiom(map_name, source, _value(fields, f"axiom {map_name}({source.key})")))
 
-    overrides: Dict[tuple[str, str], str] = {}
     for where, fields in _records(doc, "tmfNameOverrides", elements):
-        cell = (fields["row"].key, fields["column"])
-        if cell in overrides:
-            raise ChartValidationError(f"{where}: duplicate override for {cell[0]} in column {cell[1]}")
-        overrides[cell] = fields["name"]
+        records.add_override((fields["row"].key, fields["column"]), fields["name"], where)
 
     presentations = _field(doc, "periodicPresentations", dict, "top level", {})
     _check_presentations(presentations)
@@ -596,20 +682,11 @@ def from_document(doc: dict) -> ChartFile:
         schema_version=doc["schemaVersion"],
         max_stem=max_stem,
         generators=generators,
-        elements=elements,
-        actions=actions,
-        classifications=classifications,
         hurewicz=hurewicz,
-        orders=orders,
-        tmf_names=tmf_names,
-        tmf_name_overrides=overrides,
-        nu_multiples=frozenset(nu_multiples),
-        prior_order_two=frozenset(prior_order_two),
         exceptional_sets=exceptional,
         delta8_closure=_field(exc_doc, "delta8Closure", bool, "exceptionalSets", False),
-        ses_records=ses_records,
-        axioms=axioms,
         periodic_presentations=presentations,
+        **records.fields(),
     )
     _validate_semantics(chart)
     return chart
@@ -838,83 +915,79 @@ def expand_periodic(
 # Δ⁸ extension
 # ---------------------------------------------------------------------------
 
-_SHIFT_NAME = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
+_SHIFT_NAME = re.compile(r"^([a-z])_\{-?\d+,-?\d+\}$")
 
 
-def _shifted_name(element: Element, copies: int) -> str:
+def _shifted(element: Element, k: int, filt_shift: int) -> Element:
+    """The k-th Δ⁸ copy of ``element``: 192k stems and k·``filt_shift``
+    filtrations up, with an x_{i,j} name re-encoding the new degree and any
+    other name suffixed ·Δ⁸ k times."""
+    stem, filtration = element.stem + 192 * k, element.filtration + filt_shift * k
     m = _SHIFT_NAME.match(element.name)
-    if m:
-        return f"{m.group(1)}_{{{element.stem + 192 * copies},{m.group(3)}}}"
-    return element.name + "·Δ⁸" * copies
+    name = f"{m.group(1)}_{{{stem},{filtration}}}" if m else element.name + "·Δ⁸" * k
+    return Element(element.module, stem, filtration, name)
 
 
-def _renamed(record: dict, name: str, rename: Dict[str, str]) -> dict:
-    """A copy of the ``name`` record ``record`` with every element reference
-    renamed."""
-    copy = dict(record)
-    for field, (kind, _) in SCHEMA[name].items():
-        value = record.get(field)
-        if value is None:
-            continue
-        if kind is ELEMENT:
-            copy[field] = rename[value]
-        elif kind in (ELEMENTS, BASIS):
-            copy[field] = [rename[key] for key in value]
-    return copy
+def _shifted_value(value: Value, shifted: Dict[str, Element]) -> Value:
+    """``value`` with each class of its span replaced by its copy."""
+    return Value(value.state, span_of(*(shifted[e.key] for e in value.span)))
 
 
 def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
-    """Add a copy of every record at stem + 192k for each k ≤ copies.
+    """``chart`` with a Δ⁸-shifted copy of every record for each k ≤ copies.
 
-    The k-th copy renames elements by ``_shifted_name``, adds 192k to stems
-    and k times the filtration degree of Δ⁸ to filtrations, and prefixes tmf
-    names with Δ⁸· k times.  Copies of ν-multiples are not marked as such and
-    have Hurewicz flag false.  The copies are added to ``to_document(chart)``,
-    skipping any equal to a record already present, and the result is loaded
-    with ``from_document``, whose checks reject every other clash.
+    The k-th copy of an element is ``_shifted``: 192k stems and k times the
+    filtration degree of Δ⁸ up.  It keeps the original's order and
+    prior-order-2 mark and prefixes its tmf name with Δ⁸· k times.  Copies
+    of ν-multiples are not marked as such and have Hurewicz flag false.  The
+    copies of actions, classifications, ``ranks`` records (at stem + 192k),
+    axioms and overrides refer to the shifted elements.
+
+    The copies are built from the chart's objects, not from a document.  They
+    pass the loader's record checks (``_ChartRecords``) and the constructors'
+    own checks, and the result passes ``_validate_semantics``; only the
+    JSON-type checks of ``_records`` are skipped.  Each container holds the
+    chart's records first, then copy 1, copy 2 and so on.  A copy equal to the
+    record under its identity key is skipped, as is an axiom equal to one
+    present; any other clash is a ``ChartValidationError`` naming the key.  A
+    Hurewicz flag already present is kept.
     """
     if copies < 0:
         raise ValueError("copies must be ≥ 0")
     if copies == 0:
         return chart
 
-    doc = to_document(chart)
     delta8 = chart.generators.get("Δ⁸")
     filt_shift = delta8.filtration_degree if delta8 else 0
-    new: Dict[str, List[dict]] = defaultdict(list)
+    records = _ChartRecords(chart)
+    hurewicz = dict(chart.hurewicz)
     for k in range(1, copies + 1):
-        prefix = "Δ⁸·" * k
-        rename = {key: f"{e.module.value}:{_shifted_name(e, k)}" for key, e in chart.elements.items()}
-        for record in doc["elements"]:
-            key = f"{record['module']}:{record['name']}"
-            copy = dict(
-                record,
-                name=_shifted_name(chart.elements[key], k),
-                stem=record["stem"] + 192 * k,
-                filtration=record["filtration"] + filt_shift * k,
+        where, prefix = f"Δ⁸ copy {k}", "Δ⁸·" * k
+        shifted = {key: _shifted(element, k, filt_shift) for key, element in chart.elements.items()}
+        for key, element in shifted.items():
+            tmf_name = chart.tmf_names.get(key)
+            records.add_element(
+                element, chart.orders.get(key), tmf_name and prefix + tmf_name, False,
+                key in chart.prior_order_two, where,
             )
-            copy.pop("nuMultiple", None)
-            if "tmfName" in record:
-                copy["tmfName"] = prefix + record["tmfName"]
-            new["elements"].append(copy)
             if key in chart.hurewicz:
-                doc["hurewiczFlags"].setdefault(
-                    rename[key], chart.hurewicz[key] and key not in chart.nu_multiples
-                )
-        for name in ("actions", "classifications", "axioms"):
-            new[name] += [_renamed(record, name, rename) for record in doc[name]]
-        for record in doc["ranks"]:
-            new["ranks"].append(dict(_renamed(record, "ranks", rename), stem=record["stem"] + 192 * k))
-        for record in doc["tmfNameOverrides"]:
-            copy = _renamed(record, "tmfNameOverrides", rename)
-            new["tmfNameOverrides"].append(dict(copy, name=prefix + record["name"]))
-    for name, records in new.items():
-        # A section's records share one field order, which the copies keep,
-        # so equal records have equal reprs.
-        present = set(map(repr, doc[name]))
-        for record in records:
-            if repr(record) not in present:
-                present.add(repr(record))
-                doc[name].append(record)
-    doc["maxStem"] += 192 * copies
-    return from_document(doc)
+                hurewicz.setdefault(element.key, chart.hurewicz[key] and key not in chart.nu_multiples)
+        for fact in chart.actions.facts():
+            value = _shifted_value(fact.value, shifted)
+            records.add_action(fact.generator, shifted[fact.source.key], value, where)
+        for c in chart.classifications:
+            records.add_classification(Classification(shifted[c.element.key], c.context, c.kind), where)
+        for ses in chart.ses_records:
+            bases = [
+                None if basis is None else [shifted[e.key] for e in basis]
+                for basis in (ses.middle, ses.cokernel, ses.kernel)
+            ]
+            records.add_ranks(SesRecord(ses.context, ses.stem + 192 * k, *bases), where)
+        for axiom in chart.axioms:
+            value = _shifted_value(axiom.value, shifted)
+            records.add_axiom(MapAxiom(axiom.map, shifted[axiom.source.key], value))
+        for (row, column), name in chart.tmf_name_overrides.items():
+            records.add_override((shifted[row].key, column), prefix + name, where)
+    ext = replace(chart, max_stem=chart.max_stem + 192 * copies, hurewicz=hurewicz, **records.fields())
+    _validate_semantics(ext)
+    return ext

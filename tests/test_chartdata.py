@@ -1,5 +1,6 @@
 """Dataset loading, validation, periodic expansion, and the Δ⁸ extension."""
 
+import dataclasses
 import importlib.util
 import json
 
@@ -188,6 +189,80 @@ class TestExpandPeriodic:
         assert all(m.v1 >= 4 for m in bare)
 
 
+def _shifted_key(key, k):
+    """The key of the k-th Δ⁸ copy of a shipped element (all are named x_{i,j})."""
+    module, name = key.split(":")
+    letter, degree = name[:-1].split("_{")
+    stem, filtration = degree.split(",")
+    return f"{module}:{letter}_{{{int(stem) + 192 * k},{filtration}}}"
+
+
+_Y = [
+    {"module": "Y", "name": f"y_{{{stem},{filtration}}}", "stem": stem, "filtration": filtration}
+    for stem, filtration in ((3, 1), (4, 2), (195, 1), (196, 2))
+]
+
+
+def _clash(name, first, second, changed):
+    """Two sets of record lists holding ``first`` and ``second``, where the Δ⁸
+    copy of ``first`` lands: in the first set ``second`` equals that copy, in
+    the other it is updated by ``changed``."""
+    lists = {"elements": _Y} if name != "elements" else {}
+    return {**lists, name: [first, second]}, {**lists, name: [first, dict(second, **changed)]}
+
+
+# kind -> (records where a copy lands on an equal record, records where it
+# lands on an unequal one, the ext's count of that kind, what the error names)
+CLASHES = {
+    "element": (
+        {"elements": _Y[:1] + _Y[2:3]},
+        {"elements": _Y[:1] + [dict(_Y[2], order=2)]},
+        lambda ext: len(ext.elements),
+        r"Y:y_\{195,1\}",
+    ),
+    "action": (
+        *_clash(
+            "actions",
+            {"generator": "η", "source": "Y:y_{3,1}", "value": ["Y:y_{4,2}"]},
+            {"generator": "η", "source": "Y:y_{195,1}", "value": ["Y:y_{196,2}"]},
+            {"value": []},
+        ),
+        lambda ext: len(ext.actions.facts()),
+        r"η·Y:y_\{195,1\}",
+    ),
+    "classification": (
+        *_clash(
+            "classifications",
+            {"element": "Y:y_{3,1}", "context": "LES-2.4", "kind": "periodicNonexceptional"},
+            {"element": "Y:y_{195,1}", "context": "LES-2.4", "kind": "periodicNonexceptional"},
+            {"kind": "torsion"},
+        ),
+        lambda ext: len(ext.classifications),
+        r"Y:y_\{195,1\} in LES-2.4",
+    ),
+    "ranks": (
+        *_clash(
+            "ranks",
+            {"context": "SES-2.7", "stem": 3, "middle": ["Y:y_{3,1}"]},
+            {"context": "SES-2.7", "stem": 195, "middle": ["Y:y_{195,1}"]},
+            {"middle": []},
+        ),
+        lambda ext: len(ext.ses_records),
+        "SES-2.7 at stem 195",
+    ),
+    "override": (
+        *_clash(
+            "tmfNameOverrides",
+            {"row": "Y:y_{3,1}", "column": "imgP1", "name": "a"},
+            {"row": "Y:y_{195,1}", "column": "imgP1", "name": "Δ⁸·a"},
+            {"name": "b"},
+        ),
+        lambda ext: len(ext.tmf_name_overrides),
+        r"Y:y_\{195,1\} in column imgP1",
+    ),
+}
+
+
 class TestDelta8Extend:
     def test_copies_one_replicates_elements(self, chart):
         ext = delta8_extend(chart, 1)
@@ -224,6 +299,64 @@ class TestDelta8Extend:
         chart = chartdata.from_document(doc)
         with pytest.raises(ChartValidationError, match="Y:blob·Δ⁸"):
             delta8_extend(chart, 1)
+
+    def test_name_encodes_the_shifted_filtration(self):
+        doc = dict(MINIMAL, elements=[{"module": "Y", "name": "y_{3,1}", "stem": 3, "filtration": 1}])
+        doc["generators"] = MINIMAL["generators"] + [{"name": "Δ⁸", "stem": 192, "filtration": 1}]
+        ext = delta8_extend(chartdata.from_document(doc), 2)
+        assert [(e.name, e.stem, e.filtration) for e in ext.elements.values()] == [
+            ("y_{3,1}", 3, 1), ("y_{195,2}", 195, 2), ("y_{387,3}", 387, 3),
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(CLASHES))
+    def test_equal_copy_is_skipped(self, kind):
+        present, _, count, _ = CLASHES[kind]
+        ext = delta8_extend(chartdata.from_document(dict(MINIMAL, **present)), 1)
+        assert count(ext) == 3
+
+    @pytest.mark.parametrize("kind", sorted(CLASHES))
+    def test_unequal_copy_is_rejected(self, kind):
+        _, clashing, _, key = CLASHES[kind]
+        chart = chartdata.from_document(dict(MINIMAL, **clashing))
+        with pytest.raises(ChartValidationError, match=key):
+            delta8_extend(chart, 1)
+
+    def test_axiom_copy_is_skipped_only_when_equal(self):
+        axioms = [{"map": "p2", "source": "Y:y_{3,1}"}, {"map": "p2", "source": "Y:y_{195,1}"}]
+        equal, unequal = _clash("axioms", *axioms, {"nonzero": True})
+        assert len(delta8_extend(chartdata.from_document(dict(MINIMAL, **equal)), 1).axioms) == 3
+        assert len(delta8_extend(chartdata.from_document(dict(MINIMAL, **unequal)), 1).axioms) == 4
+
+    def test_present_hurewicz_flag_wins(self):
+        sphere = [{"module": "S", "name": f"s_{{{stem},1}}", "stem": stem, "filtration": 1} for stem in (3, 195)]
+        alone = chartdata.from_document(dict(MINIMAL, elements=sphere[:1], hurewiczFlags={"S:s_{3,1}": True}))
+        assert delta8_extend(alone, 1).hurewicz["S:s_{195,1}"] is True
+        flags = {"S:s_{3,1}": True, "S:s_{195,1}": False}
+        both = chartdata.from_document(dict(MINIMAL, elements=sphere, hurewiczFlags=flags))
+        assert delta8_extend(both, 1).hurewicz == dict(flags, **{"S:s_{387,1}": False})
+
+    @pytest.mark.parametrize("copies", [2, 4])
+    def test_shifted_chart_is_what_the_loader_reads(self, chart, copies):
+        ext = delta8_extend(chart, copies)
+        again = chartdata.from_document(chartdata.to_document(ext))
+        for field in dataclasses.fields(ext):
+            got, want = getattr(ext, field.name), getattr(again, field.name)
+            if field.name == "actions":
+                got, want = got.facts(), want.facts()
+            elif type(got) is list:
+                got, want = sorted(got, key=repr), sorted(want, key=repr)
+            assert got == want, field.name
+
+    def test_copies_follow_the_chart_in_order(self, chart):
+        ext = delta8_extend(chart, 2)
+        assert list(ext.elements) == [_shifted_key(key, k) for k in range(3) for key in chart.elements]
+        assert [c.element.key for c in ext.classifications] == [
+            _shifted_key(c.element.key, k) for k in range(3) for c in chart.classifications
+        ]
+        assert [r.stem for r in ext.ses_records] == [r.stem + 192 * k for k in range(3) for r in chart.ses_records]
+        assert [a.source.key for a in ext.axioms] == [
+            _shifted_key(a.source.key, k) for k in range(3) for a in chart.axioms
+        ]
 
 
 _DELETE = object()
@@ -360,6 +493,10 @@ MALFORMED = {
         r"elements\[0\]: element M:m_\{6,2\} has stem/filtration \(6,3\) inconsistent with its name",
     ),
     "bad-order": (_set(("elements", 0, "order"), 3), r"elements\[0\]: element M:m_\{6,2\}: bad order 3"),
+    "order-null": (
+        _set(("elements", 0, "order"), None),
+        r"elements\[0\]: order must be an integer or a string, got None",
+    ),
     "unknown-override-column": (
         _set(("tmfNameOverrides", 0, "column"), "x"),
         r"tmfNameOverrides\[0\]: unknown column 'x'",
