@@ -25,12 +25,16 @@ formula covers it.
 
 ``delta8_extend`` shifts the loaded chart's objects: each copy of an element
 moves 192 stems and the filtration degree of Δ⁸ up, and the copies of the
-other records refer to the shifted elements.  The copies go through the same
-``_ChartRecords`` checks as loaded records, and the extended chart through
-``_validate_semantics``; only the JSON-type checks, which the objects passed
-when they were read, are skipped.  Among the semantic checks: every class
-classified torsion in LES-2.3 on Y needs a v₁ action, which ``image_of_p3``
-reads.
+other records refer to the shifted elements.
+
+Every record check runs once, as the record enters: ``_ChartRecords`` checks
+each loaded record and each Δ⁸ copy in the method that adds it, and the base
+chart of an extension is not checked again.  The checks that read other
+records see them because elements enter first, then actions, then
+classifications, then ``ranks`` records: a torsion Y class in LES-2.3 needs a
+v₁ action (``image_of_p3`` reads it), and the middle classes of SES-2.8 and
+SES-2.9 must be classified.  The copies skip only the JSON-type checks, which
+their objects passed when they were read.
 """
 
 from __future__ import annotations
@@ -230,10 +234,11 @@ class MapAxiom:
 
 @dataclass
 class ChartFile:
-    """A fully validated chart dataset, immutable by convention after load.
+    """A chart dataset whose every record passed the ``_ChartRecords`` checks
+    as it entered; immutable by convention after load.
 
-    The lookup indexes behind ``classification`` and ``rank_one_records`` are
-    built on first use and kept for the life of the chart.
+    The ``rank_one_records`` index is built on first use and kept for the life
+    of the chart.
     """
 
     schema_version: str
@@ -255,14 +260,6 @@ class ChartFile:
     periodic_presentations: Dict[str, dict]
 
     @cached_property
-    def _kinds(self) -> Dict[tuple, ClassificationKind]:
-        # (element, context) -> kind of its first classification
-        index: Dict[tuple, ClassificationKind] = {}
-        for c in self.classifications:
-            index.setdefault((c.element, c.context), c.kind)
-        return index
-
-    @cached_property
     def rank_one_records(self) -> Dict[str, List[SesRecord]]:
         """Projection fact key p|x → the records with kernel rank 1 and middle
         rank 2 that have x in their middle, in ``ses_records`` order."""
@@ -272,17 +269,6 @@ class ChartFile:
                 for element in record.middle:
                     index.setdefault(fact_key(record.project_map, element), []).append(record)
         return index
-
-    def classification(self, element: Element, context: LesContext) -> Optional[ClassificationKind]:
-        return self._kinds.get((element, context))
-
-    def torsion_elements(self, module: ModuleId, context: LesContext) -> List[Element]:
-        keys = {
-            c.element.key
-            for c in self.classifications
-            if c.context is context and c.kind is ClassificationKind.TORSION
-        }
-        return sorted(e for e in self.elements.values() if e.module is module and e.key in keys)
 
     def tmf_name(self, element: Element, row_key: str = "", column: str = "") -> Optional[str]:
         if row_key and column:
@@ -311,7 +297,7 @@ def _enum(members) -> dict:
     return {getattr(m, "value", m): m for m in members}
 
 
-_VALUE_FIELDS = {"value": (BASIS, ABSENT), "nonzero": (bool, False)}
+_VALUE_FIELDS = {"value": (ELEMENTS, ABSENT), "nonzero": (bool, False)}
 SCHEMA: Dict[str, Dict[str, tuple]] = {
     "generators": {"name": (str, REQUIRED), "stem": (int, REQUIRED), "filtration": (int, REQUIRED)},
     "elements": {
@@ -425,8 +411,6 @@ def _value(fields: dict, where: str) -> Value:
         if members is not ABSENT:
             raise ChartValidationError(f"{where}: both value and nonzero set")
         return Value.nonzero_unknown()
-    if members is None:
-        raise ChartValidationError(f"{where}: value must be a list, got None")
     if members is ABSENT:
         return Value.zero()
     if len(set(members)) != len(members):
@@ -456,13 +440,17 @@ _DUPLICATE = {
 
 
 class _ChartRecords:
-    """The record containers of a chart being built, and the checks that each
-    typed record passes on its way in.  ``from_document`` fills empty ones;
-    ``delta8_extend`` adds its copies to ``_ChartRecords(chart)``.
+    """The record containers of a chart being built, and every check that a
+    typed record passes, run once as it enters.  ``from_document`` fills empty
+    ones; ``delta8_extend`` adds its copies to ``_ChartRecords(chart)``, whose
+    records it does not check again.
 
-    A record that repeats the identity key of one already present (see
-    ``_DUPLICATE``) is rejected, except that when ``merge`` is set, one equal
-    to the present record is skipped, and an axiom equal to one present too.
+    Each method checks its record first on its own, then against the records
+    already present: elements enter first, then actions, then
+    classifications, then ``ranks`` records.  A record that repeats the
+    identity key of one already present (see ``_DUPLICATE``) is rejected,
+    except that when ``merge`` is set, one equal to the present record is
+    skipped, and an axiom equal to one present too.
     """
 
     def __init__(self, chart: Optional[ChartFile] = None) -> None:
@@ -536,21 +524,46 @@ class _ChartRecords:
         try:
             fact = ActionFact(generator, source, value)
         except ValueError as exc:
-            raise ChartValidationError(f"action {generator.name}·{source.key}: {exc}") from exc
+            raise ChartValidationError(f"{where}: action {generator.name}·{source.key}: {exc}") from exc
         key = (generator.name, source.key)
         if self._is_new("actions", key, self.actions.get(generator.name, source), fact, where):
             self.actions.add(fact)
 
     def add_classification(self, classification: Classification, where: str) -> None:
-        key = (classification.element.key, classification.context.value)
+        """A classification: a torsion Y class in LES-2.3 with its v₁ action,
+        an exceptional class where an exceptional listing can hold it."""
+        element, context, kind = classification.element, classification.context, classification.kind
+        if (
+            kind is ClassificationKind.TORSION and (element.module, context) == (ModuleId.Y, LesContext.LES_23)
+            and self.actions.get("v₁", element) is None
+        ):
+            raise ChartValidationError(
+                f"{where}: torsion class {element.key} in {context.value} has no v₁ action"
+            )
+        if kind is ClassificationKind.PERIODIC_EXCEPTIONAL:
+            route = EXCEPTIONAL_LISTINGS.get((context, element.module))
+            if route is None:
+                raise ChartValidationError(
+                    f"{where}: {element.key} marked exceptional in {context.value}, "
+                    f"but no exceptional listing there holds {element.module.value} classes"
+                )
+            listing, stems = route
+            if element.stem % 192 not in stems:
+                raise ChartValidationError(
+                    f"{where}: {element.key} marked exceptional in {context.value} but no "
+                    f"{listing} monomial lives in stem {element.stem} (mod 192)"
+                )
+        key = (element.key, context.value)
         if self._is_new("classifications", key, self._classified.get(key), classification, where):
             self._classified[key] = classification
             self.classifications.append(classification)
 
     def add_ranks(self, ses: SesRecord, where: str) -> None:
         """A ``ranks`` record: each basis in its module and stem, and the
-        ranks adding up where both sides are known."""
-        record_where = f"ranks {ses.ref}"
+        ranks adding up where both sides are known.  In SES-2.8 and SES-2.9
+        each middle class is classified torsion or exceptional, and each
+        sphere kernel class has order 2."""
+        record_where = f"{where}: ranks {ses.ref}"
         for basis, module, basis_stem in (
             (ses.middle, ses.middle_module, ses.stem),
             (ses.cokernel or (), ses.side_module, ses.stem),
@@ -563,16 +576,33 @@ class _ChartRecords:
                 f"{record_where}: rank mismatch |middle|={len(ses.middle)} != "
                 f"|cokernel|={len(ses.cokernel)} + |kernel|={len(ses.kernel)}"
             )
+        context, classified = SES_CONTEXTS[ses.context]
+        if classified:
+            for element in ses.middle:
+                present = self._classified.get((element.key, context.value))
+                if present is None or present.kind is ClassificationKind.PERIODIC_NONEXCEPTIONAL:
+                    raise ChartValidationError(
+                        f"{record_where}: middle element {element.key} "
+                        f"must be classified torsion or exceptional in {context.value}"
+                    )
+            # A sphere kernel class lies in ker(·2), which the dataset states as order 2.
+            if ses.side_module is ModuleId.S:
+                for element in ses.kernel or ():
+                    if self.orders.get(element.key) != 2:
+                        raise ChartValidationError(
+                            f"{record_where}: kernel element {element.key} "
+                            f"must carry order 2 (it lies in ker(·2))"
+                        )
         key = (ses.context, ses.stem)
         if self._is_new("ranks", key, self._ranked.get(key), ses, where):
             self._ranked[key] = ses
             self.ses_records.append(ses)
 
-    def add_axiom(self, axiom: MapAxiom) -> None:
+    def add_axiom(self, axiom: MapAxiom, where: str) -> None:
         """An axiom: its source and each class of its value where its map
         puts them."""
         spec = MAP_SPECS[axiom.map]
-        where = f"axiom {axiom.map}({axiom.source.key})"
+        where = f"{where}: axiom {axiom.map}({axiom.source.key})"
         if axiom.source.module is not spec.source:
             raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
         for element in axiom.value.span:
@@ -639,7 +669,7 @@ def from_document(doc: dict) -> ChartFile:
         gen_name, source = fields["generator"], fields["source"]
         if gen_name not in generators:
             raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
-        value = _value(fields, f"action {gen_name}·{source.key}")
+        value = _value(fields, f"{where}: action {gen_name}·{source.key}")
         records.add_action(generators[gen_name], source, value, where)
 
     for where, fields in _records(doc, "classifications", elements):
@@ -670,7 +700,8 @@ def from_document(doc: dict) -> ChartFile:
 
     for where, fields in _records(doc, "axioms", elements):
         map_name, source = fields["map"], fields["source"]
-        records.add_axiom(MapAxiom(map_name, source, _value(fields, f"axiom {map_name}({source.key})")))
+        value = _value(fields, f"{where}: axiom {map_name}({source.key})")
+        records.add_axiom(MapAxiom(map_name, source, value), where)
 
     for where, fields in _records(doc, "tmfNameOverrides", elements):
         records.add_override((fields["row"].key, fields["column"]), fields["name"], where)
@@ -678,7 +709,7 @@ def from_document(doc: dict) -> ChartFile:
     presentations = _field(doc, "periodicPresentations", dict, "top level", {})
     _check_presentations(presentations)
 
-    chart = ChartFile(
+    return ChartFile(
         schema_version=doc["schemaVersion"],
         max_stem=max_stem,
         generators=generators,
@@ -688,8 +719,6 @@ def from_document(doc: dict) -> ChartFile:
         periodic_presentations=presentations,
         **records.fields(),
     )
-    _validate_semantics(chart)
-    return chart
 
 
 def _check_presentations(presentations: dict) -> None:
@@ -712,51 +741,6 @@ def _check_presentations(presentations: dict) -> None:
             type(pos) is not int or not 0 <= pos < len(FLASH_POSITIONS) for pos in positions
         ):
             raise ChartValidationError(f"{where}.M.k0Positions[{key!r}]: bad flash positions")
-
-
-def _validate_semantics(chart: ChartFile) -> None:
-    # image_of_p3 reads the v₁ action on every torsion Y class.
-    for element in chart.torsion_elements(ModuleId.Y, LesContext.LES_23):
-        if chart.actions.get("v₁", element) is None:
-            raise ChartValidationError(
-                f"classification: torsion class {element.key} in {LesContext.LES_23.value} "
-                f"has no v₁ action"
-            )
-    for record in chart.ses_records:
-        context, classified = SES_CONTEXTS[record.context]
-        if not classified:
-            continue
-        for element in record.middle:
-            kind = chart.classification(element, context)
-            if kind is None or kind is ClassificationKind.PERIODIC_NONEXCEPTIONAL:
-                raise ChartValidationError(
-                    f"ranks {record.ref}: middle element {element.key} "
-                    f"must be classified torsion or exceptional in {context.value}"
-                )
-        # A sphere kernel class lies in ker(·2), which the dataset states as order 2.
-        if record.side_module is ModuleId.S:
-            for element in record.kernel or ():
-                if chart.orders.get(element.key) != 2:
-                    raise ChartValidationError(
-                        f"ranks {record.ref}: kernel element {element.key} "
-                        f"must carry order 2 (it lies in ker(·2))"
-                    )
-    for classification in chart.classifications:
-        if classification.kind is ClassificationKind.PERIODIC_EXCEPTIONAL:
-            element, context = classification.element, classification.context
-            route = EXCEPTIONAL_LISTINGS.get((context, element.module))
-            if route is None:
-                raise ChartValidationError(
-                    f"classification: {element.key} marked exceptional in {context.value}, "
-                    f"but no exceptional listing there holds {element.module.value} classes"
-                )
-            listing, stems = route
-            if element.stem % 192 not in stems:
-                raise ChartValidationError(
-                    f"classification: {element.key} marked exceptional in "
-                    f"{context.value} but no {listing} monomial lives in stem "
-                    f"{element.stem} (mod 192)"
-                )
 
 
 def to_document(chart: ChartFile) -> dict:
@@ -943,14 +927,15 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     copies of actions, classifications, ``ranks`` records (at stem + 192k),
     axioms and overrides refer to the shifted elements.
 
-    The copies are built from the chart's objects, not from a document.  They
-    pass the loader's record checks (``_ChartRecords``) and the constructors'
-    own checks, and the result passes ``_validate_semantics``; only the
-    JSON-type checks of ``_records`` are skipped.  Each container holds the
-    chart's records first, then copy 1, copy 2 and so on.  A copy equal to the
-    record under its identity key is skipped, as is an axiom equal to one
-    present; any other clash is a ``ChartValidationError`` naming the key.  A
-    Hurewicz flag already present is kept.
+    The copies are built from the chart's objects, not from a document.  Each
+    copy passes every check of the loader's records once, as ``_ChartRecords``
+    adds it, and the constructors' own checks; only the JSON-type checks of
+    ``_records`` are skipped.  The chart's own records, checked when they
+    entered, are not checked again.  Each container holds the chart's records
+    first, then copy 1, copy 2 and so on.  A copy equal to the record under
+    its identity key is skipped, as is an axiom equal to one present; any
+    other clash is a ``ChartValidationError`` naming the key.  A Hurewicz flag
+    already present is kept.
     """
     if copies < 0:
         raise ValueError("copies must be ≥ 0")
@@ -985,9 +970,7 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
             records.add_ranks(SesRecord(ses.context, ses.stem + 192 * k, *bases), where)
         for axiom in chart.axioms:
             value = _shifted_value(axiom.value, shifted)
-            records.add_axiom(MapAxiom(axiom.map, shifted[axiom.source.key], value))
+            records.add_axiom(MapAxiom(axiom.map, shifted[axiom.source.key], value), where)
         for (row, column), name in chart.tmf_name_overrides.items():
             records.add_override((shifted[row].key, column), prefix + name, where)
-    ext = replace(chart, max_stem=chart.max_stem + 192 * copies, hurewicz=hurewicz, **records.fields())
-    _validate_semantics(ext)
-    return ext
+    return replace(chart, max_stem=chart.max_stem + 192 * copies, hurewicz=hurewicz, **records.fields())

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
+    ClassificationKind,
     Element,
     F2Span,
+    LesContext,
     ModuleId,
     Value,
     ZERO,
@@ -264,10 +266,12 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
     returns the sorted list.  Missing v₁ data on an in-scope element is an
     error naming the element.
     """
-    from .algebra import LesContext
-
+    in_scope = (ModuleId.Y, LesContext.LES_23, ClassificationKind.TORSION)
     hits: List[Element] = []
-    for element in chart.torsion_elements(ModuleId.Y, LesContext.LES_23):
+    for c in chart.classifications:
+        element = c.element
+        if (element.module, c.context, c.kind) != in_scope:
+            continue
         fact = chart.actions.get("v₁", element)
         if fact is None:
             raise IncompleteDataError(f"no v₁ action recorded for {element.key}")

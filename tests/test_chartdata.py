@@ -85,10 +85,12 @@ class TestLoad:
 
     def test_rank_dimensions_checked(self):
         doc = dict(MINIMAL)
+        doc["generators"] = MINIMAL["generators"] + [{"name": "v₁", "stem": 2, "filtration": 0}]
         doc["elements"] = [
             {"module": "Y", "name": "y_{8,2}", "stem": 8, "filtration": 2},
             {"module": "M", "name": "m_{6,2}", "stem": 6, "filtration": 2},
         ]
+        doc["actions"] = [{"generator": "v₁", "source": "Y:y_{8,2}"}]
         doc["classifications"] = [
             {"element": "Y:y_{8,2}", "context": "LES-2.3", "kind": "torsion"}
         ]
@@ -107,10 +109,10 @@ class TestLoad:
     def test_classification_lookup(self, chart):
         from les_deduce.algebra import ClassificationKind, LesContext
 
-        m50 = chart.elements["M:m_{50,6}"]
-        assert chart.classification(m50, LesContext.LES_23) is ClassificationKind.PERIODIC_EXCEPTIONAL
-        assert chart.classification(m50, LesContext.LES_24) is not ClassificationKind.PERIODIC_EXCEPTIONAL
-        assert chart.classification(chart.elements["Y:y_{3,1}"], LesContext.LES_24) is None
+        kinds = {(c.element.key, c.context): c.kind for c in chart.classifications}
+        assert kinds[("M:m_{50,6}", LesContext.LES_23)] is ClassificationKind.PERIODIC_EXCEPTIONAL
+        assert kinds.get(("M:m_{50,6}", LesContext.LES_24)) is not ClassificationKind.PERIODIC_EXCEPTIONAL
+        assert ("Y:y_{3,1}", LesContext.LES_24) not in kinds
 
     def test_round_trip_is_byte_exact(self, chart):
         text = chartdata.dumps(chart)
@@ -347,6 +349,19 @@ class TestDelta8Extend:
                 got, want = sorted(got, key=repr), sorted(want, key=repr)
             assert got == want, field.name
 
+    def test_copies_are_checked_not_the_chart(self):
+        # The loader rejects a torsion Y class without a v₁ action, so build
+        # the chart past it: the copy is checked, the chart is not.
+        from les_deduce.algebra import Classification, ClassificationKind, LesContext
+
+        chart = chartdata.from_document(dict(MINIMAL, elements=_Y[:1]))
+        y3 = chart.elements["Y:y_{3,1}"]
+        chart = dataclasses.replace(
+            chart, classifications=[Classification(y3, LesContext.LES_23, ClassificationKind.TORSION)]
+        )
+        with pytest.raises(ChartValidationError, match=r"Δ⁸ copy 1: torsion class Y:y_\{195,1\} in LES-2.3"):
+            delta8_extend(chart, 1)
+
     def test_copies_follow_the_chart_in_order(self, chart):
         ext = delta8_extend(chart, 2)
         assert list(ext.elements) == [_shifted_key(key, k) for k in range(3) for key in chart.elements]
@@ -397,11 +412,23 @@ V1_ON_Y44 = next(
 
 NONZERO_ACTION = next(("actions", i) for i, a in enumerate(SHIPPED["actions"]) if a.get("nonzero"))
 
-Y50_IN_LES23 = next(
-    ("classifications", i)
-    for i, c in enumerate(SHIPPED["classifications"])
-    if (c["element"], c["context"]) == ("Y:y_{50,4}", "LES-2.3")
+KBAR_ON_M105 = next(
+    ("actions", i)
+    for i, action in enumerate(SHIPPED["actions"])
+    if (action["generator"], action["source"]) == ("κ̄", "M:m_{105,17}")
 )
+
+
+def _in_les23(key):
+    return next(
+        ("classifications", i)
+        for i, c in enumerate(SHIPPED["classifications"])
+        if (c["element"], c["context"]) == (key, "LES-2.3")
+    )
+
+
+Y50_IN_LES23, Y3_IN_LES23, M100_IN_LES23 = map(_in_les23, ("Y:y_{50,4}", "Y:y_{3,1}", "M:m_{100,20}"))
+S8 = next(("elements", i) for i, e in enumerate(SHIPPED["elements"]) if (e["module"], e["name"]) == ("S", "s_{8,2}"))
 
 
 # (mutation of the shipped document, location the error must name)
@@ -453,8 +480,10 @@ MALFORMED = {
     ),
     "nonzero-action-with-null-value": (
         _set(NONZERO_ACTION + ("value",), None),
-        r"action v₁·Y:y_\{\d+,\d+\}: both value and nonzero set",
+        r"actions\[\d+\]: value must be a list, got None",
     ),
+    "value-null": (_set(("actions", 0, "value"), None), r"actions\[0\]: value must be a list, got None"),
+    "action-off-degree": (_set(KBAR_ON_M105 + ("value",), ["M:m_{100,20}"]), r"actions\[\d+\]: action κ̄·"),
     "empty-tmf-name": (_set(("elements", 0, "tmfName"), ""), r"elements\[0\]: tmfName must not be empty"),
     "empty-override-name": (
         _set(("tmfNameOverrides", 0, "name"), ""),
@@ -511,7 +540,20 @@ MALFORMED = {
     ),
     "exceptional-without-route": (
         _set(Y50_IN_LES23 + ("kind",), "periodicExceptional"),
-        r"classification: Y:y_\{50,4\} marked exceptional in LES-2.3, but no exceptional listing",
+        r"classifications\[\d+\]: Y:y_\{50,4\} marked exceptional in LES-2.3, but no exceptional listing",
+    ),
+    "exceptional-off-listing-stem": (
+        _set(M100_IN_LES23 + ("kind",), "periodicExceptional"),
+        r"classifications\[\d+\]: M:m_\{100,20\} marked exceptional in LES-2.3 but no EM monomial "
+        r"lives in stem 100",
+    ),
+    "unclassified-middle": (
+        _set(Y3_IN_LES23 + ("kind",), "periodicNonexceptional"),
+        r"ranks\[\d+\]: ranks SES-2.8@3: middle element Y:y_\{3,1\} must be classified",
+    ),
+    "kernel-order-not-two": (
+        _set(S8 + ("order",), 4),
+        r"ranks\[\d+\]: ranks SES-2.9@9: kernel element S:s_\{8,2\} must carry order 2",
     ),
 }
 
