@@ -32,21 +32,12 @@ sys.path.insert(0, str(REPO / "src"))
 
 from golden_table import ROWS  # noqa: E402
 from les_deduce import chartdata  # noqa: E402
+from les_deduce.algebra import GENERATOR_STEMS  # noqa: E402
 
 OUT = REPO / "data" / "tmf_chart.json"
 
-GENERATORS = [
-    ("η", 1, 1),
-    ("ν", 3, 1),
-    ("κ", 14, 2),
-    ("κ̄", 20, 4),
-    ("c₄", 8, 0),
-    ("c₆", 12, 0),
-    ("Δ", 24, 0),
-    ("Δ⁸", 192, 0),
-    ("v₁", 2, 0),
-    ("2", 0, 0),
-]
+# Adams–Novikov filtration of each generator in ``GENERATOR_STEMS``.
+GENERATOR_FILTRATIONS = {"η": 1, "ν": 1, "κ": 2, "κ̄": 4, "c₄": 0, "c₆": 0, "Δ": 0, "Δ⁸": 0, "v₁": 0, "2": 0}
 
 # Companion classes not visible in the table: second torsion generators of
 # middles, cokernel generators, and the sphere-level 2-torsion classes that
@@ -349,17 +340,20 @@ def main() -> None:
         element_records.append(record)
 
     doc = {
-        "schemaVersion": "1",
+        "schemaVersion": chartdata.SCHEMA_VERSION,
         "maxStem": 176,
-        "generators": [{"name": n, "stem": s, "filtration": f} for n, s, f in GENERATORS],
+        "generators": [
+            {"name": name, "stem": stem, "filtration": GENERATOR_FILTRATIONS[name]}
+            for name, stem in GENERATOR_STEMS.items()
+        ],
         "elements": element_records,
         "actions": actions,
         "classifications": classifications,
         "hurewiczFlags": dict(sorted(hurewicz.items())),
         "exceptionalSets": {
-            "EM": ["Δη", "Δ²η²", "Δ²v₁η", "Δ³v₁η²", "Δ⁴η", "Δ⁵η²", "Δ⁵v₁η", "Δ⁶v₁η²"],
-            "FS": ["8Δ", "4Δ²", "8Δ³", "2Δ⁴", "8Δ⁵", "4Δ⁶", "8Δ⁷"],
-            "FM": ["v₁η²", "Δv₁η²", "Δ²v₁η²", "Δ³v₁η²", "Δ⁴v₁η²", "Δ⁵v₁η²", "Δ⁶v₁η²"],
+            "EM": list(chartdata.EXCEPTIONAL_EM),
+            "FS": list(chartdata.EXCEPTIONAL_FS),
+            "FM": list(chartdata.EXCEPTIONAL_FM),
             "delta8Closure": True,
         },
         "ranks": ranks,

@@ -270,12 +270,9 @@ class ChartFile:
                     index.setdefault(fact_key(record.project_map, element), []).append(record)
         return index
 
-    def tmf_name(self, element: Element, row_key: str = "", column: str = "") -> Optional[str]:
-        if row_key and column:
-            override = self.tmf_name_overrides.get((row_key, column))
-            if override:
-                return override
-        return self.tmf_names.get(element.key)
+    def tmf_name(self, element: Element, row_key: str, column: str) -> Optional[str]:
+        override = self.tmf_name_overrides.get((row_key, column))
+        return override or self.tmf_names.get(element.key)
 
 
 class ChartValidationError(ValueError):
@@ -337,7 +334,8 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
 def _read(value, name: str, kind, where: str, elements=None):
     """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``):
     JSON types match exactly, so nothing is coerced (``"6"`` is not an integer),
-    no string is empty, and enum values and element keys resolve to members."""
+    no string is empty, enum values and element keys resolve to members, and
+    no list of element keys repeats one."""
     if type(value) is kind and value != "":
         return value
     if type(value) is str and type(kind) is dict and value in kind:
@@ -345,9 +343,11 @@ def _read(value, name: str, kind, where: str, elements=None):
     if kind is ELEMENT and type(value) is str and value in elements:
         return elements[value]
     if type(value) is list and kind in (ELEMENTS, BASIS):
-        for key in value:
+        for index, key in enumerate(value):
             if type(key) is not str or key not in elements:
                 raise ChartValidationError(f"{where}: dangling element reference {key!r}")
+            if value.index(key) != index:
+                raise ChartValidationError(f"{where}: {name} repeats {key}")
         return [elements[key] for key in value]
     # What is left is a value of a tuple kind, a null basis or a defect.
     if type(kind) is dict:
@@ -413,8 +413,6 @@ def _value(fields: dict, where: str) -> Value:
         return Value.nonzero_unknown()
     if members is ABSENT:
         return Value.zero()
-    if len(set(members)) != len(members):
-        raise ChartValidationError(f"{where}: duplicate element in span")
     try:
         return Value.known(span_of(*members))
     except DegreeMismatchError as exc:

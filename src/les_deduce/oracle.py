@@ -122,7 +122,11 @@ def _axiom_matches(filling: JunctionFilling, axiom: MapAxiom) -> Optional[bool]:
     return got == want
 
 
-def enumerate_fillings(chart: ChartFile, cap: int = 200_000) -> List[Filling]:
+# The most candidate combinations ``enumerate_fillings`` will try.
+FILLING_CAP = 200_000
+
+
+def enumerate_fillings(chart: ChartFile) -> List[Filling]:
     """All joint fillings of the chart's records consistent with its data."""
     per_record: List[Tuple[SesRecord, List[JunctionFilling]]] = []
     for record in chart.ses_records:
@@ -141,7 +145,7 @@ def enumerate_fillings(chart: ChartFile, cap: int = 200_000) -> List[Filling]:
     total = 1
     for _, candidates in per_record:
         total *= max(len(candidates), 1)
-        if total > cap:
+        if total > FILLING_CAP:
             raise ValueError("too many fillings to enumerate")
     out: List[Filling] = []
     for combo in itertools.product(*(candidates for _, candidates in per_record)):

@@ -35,10 +35,12 @@ Rule inventory, matching the techniques used to fill the summary table:
   isomorphism pinned by filtration.
 * ``T3b``  filtration matching in a (0, 2, 2) shape, the lower identification
   valid after a basis adjustment by strictly higher filtration.
-* ``T4``   extended linearity: a generator multiple whose pushed-forward value
-  is forced above everything the kernel offers must die (EXACT then
-  completes its record).
-* ``LIN``  module linearity p(t·x) = t·p(x) over recorded generator actions.
+* ``T4``   extended linearity: LIN's push of p(y′) onto a rank-1 record's
+  middle class y = g·y′ kills p(y) where p(y′) = 0 (LIN's own zero, labelled
+  4) or where the uncharted push is forced above the kernel class (EXACT
+  then completes its record).
+* ``LIN``  module linearity p(t·x) = t·p(x) over recorded generator actions,
+  by the walk ``_pushes`` that T4 shares.
 * ``EXACT`` rank-1 completion at a junction: surjectivity in one direction,
   basis adjustment in the other, and the induced inclusion pin, read off a
   zero projection already in the store.  This is the only rule that
@@ -53,9 +55,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import (
+    ActionFact,
     ClassificationKind,
     Element,
     ModuleId,
@@ -164,9 +167,9 @@ def periodic_values(chart: ChartFile, bound: Optional[int] = None) -> List[Emiss
     return out
 
 
-def rule_periodic(store: FactStore, chart: ChartFile, bound: Optional[int] = None) -> List[Emission]:
+def rule_periodic(store: FactStore, chart: ChartFile) -> List[Emission]:
     """PERIODIC as a store rule, fired only by ``saturate(..., with_periodic=True)``."""
-    return periodic_values(chart, bound)
+    return periodic_values(chart)
 
 
 # ---------------------------------------------------------------------------
@@ -291,39 +294,50 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
 _PROJECT_MAPS = frozenset(SEQUENCES[les.value].maps[1].name for les, _ in SES_CONTEXTS.values())
 
 
-def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
-    """Extended linearity: push a known projection through a generator.
+def _pushes(
+    store: FactStore, chart: ChartFile, delta: Iterable[str], maps: Container[str]
+) -> Iterator[Tuple[str, str, Value, ActionFact, Element]]:
+    """Walk ``delta`` through the recorded actions: for each known fact f(x) on
+    one of ``maps`` and each single-valued action g·x = t on its source, yield
+    (key, f, f(x), g·x, t).  Facts on periodic-part monomials are not pushed.
+    """
+    for key in delta:
+        map_name, _, _ = key.partition("|")
+        if map_name not in maps:
+            continue
+        value = store.facts[key]
+        if not value.is_known:
+            continue
+        source = store.sources[key]
+        if source.periodic:
+            continue
+        for action in chart.actions.single_valued(source):
+            (target,) = action.value.span
+            yield key, map_name, value, action, target
 
-    If the middle class of a rank-1 record is a generator multiple y = g·y′
-    with p(y′) known, and the pushed value g·p(y′) is forced (by the
-    generator's filtration degree) strictly above everything in the kernel,
-    then p(y) = 0.  Applies only when the action of g on p(y′) is itself
-    uncharted; otherwise plain linearity runs.  T4 emits only that zero:
-    EXACT reads it off the store and completes the record (the other middle
-    generator onto the kernel, the lift onto y), so a zero that the store
-    rejects completes nothing.  The visited facts are the p(y′); facts on
-    maps that are no SES projection are skipped unread.
+
+def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
+    """Extended linearity: LIN's push of p(y′) onto the middle class y = g·y′
+    of a rank-1 record, bounded by filtration.
+
+    T4 emits p(y) = 0 where p(y′) = 0, so that LIN's push is the same zero and
+    T4 adds its label 4, or where the push g·p(y′) is uncharted and the
+    generator's filtration degree forces it strictly above the kernel class.
+    It emits only that zero: EXACT reads it off the store and completes the
+    record (the other middle generator onto the kernel, the lift onto y), so
+    a zero that the store rejects completes nothing.
     """
     out: List[Emission] = []
-    for parent_key in delta:
-        project, _, _ = parent_key.partition("|")
-        if project not in _PROJECT_MAPS:
-            continue
-        parent = store.facts[parent_key]
-        if not parent.is_known:
-            continue
-        for action in chart.actions.single_valued(store.sources[parent_key]):
-            (y,) = action.value.span
-            for record in chart.rank_one_records.get(fact_key(project, y), ()):
-                generator = record.kernel[0]
-                if not parent.is_zero:
-                    if chart.actions.act(action.generator.name, parent.span) is not None:
-                        continue
-                    floor = filtration_floor(parent.span) + action.generator.filtration_degree
-                    if floor <= generator.filtration:
-                        continue
-                inputs = (parent_key, f"{action.generator.name}·{action.source.key}", record.ref)
-                out.append(Emission(project, y, Value.zero(), RULE_T4, inputs))
+    for key, project, parent, action, y in _pushes(store, chart, delta, _PROJECT_MAPS):
+        for record in chart.rank_one_records.get(fact_key(project, y), ()):
+            if not parent.is_zero:
+                if chart.actions.act(action.generator.name, parent.span) is not None:
+                    continue
+                floor = filtration_floor(parent.span) + action.generator.filtration_degree
+                if floor <= record.kernel[0].filtration:
+                    continue
+            inputs = (key, f"{action.generator.name}·{action.source.key}", record.ref)
+            out.append(Emission(project, y, Value.zero(), RULE_T4, inputs))
     return out
 
 
@@ -331,37 +345,26 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> 
     """Module linearity p(t·x) = t·p(x) over recorded generator actions.
 
     A fact's emissions depend only on its own value and the single-valued
-    actions on its source.
+    actions on its source: g·p(x) wherever it is charted, zero for p(x) = 0.
     """
     out: List[Emission] = []
-    for key in delta:
-        value = store.facts[key]
-        if not value.is_known:
+    for key, map_name, value, action, new_source in _pushes(store, chart, delta, MAP_SPECS):
+        name = action.generator.name
+        if value.is_zero:
+            pushed: Optional[Value] = Value.zero()
+        else:
+            pushed = chart.actions.act(name, value.span)
+        if pushed is None:
             continue
-        map_name, _, _ = key.partition("|")
-        if map_name not in MAP_SPECS:
-            continue
-        source = store.sources[key]
-        if source.periodic:
-            continue
-        for action in chart.actions.single_valued(source):
-            name = action.generator.name
-            (new_source,) = action.value.span
-            if value.is_zero:
-                pushed: Optional[Value] = Value.zero()
-            else:
-                pushed = chart.actions.act(name, value.span)
-            if pushed is None:
-                continue
-            out.append(
-                Emission(
-                    map_name,
-                    new_source,
-                    pushed,
-                    RULE_LIN,
-                    (key, f"{name}·{source.key}"),
-                )
+        out.append(
+            Emission(
+                map_name,
+                new_source,
+                pushed,
+                RULE_LIN,
+                (key, f"{name}·{action.source.key}"),
             )
+        )
     return out
 
 

@@ -51,10 +51,6 @@ class SequenceSpec:
     id: str
     maps: Tuple[MapSpec, MapSpec, MapSpec]
 
-    def __post_init__(self) -> None:
-        if sum(m.stem_shift for m in self.maps) != -1:
-            raise ValueError(f"{self.id}: stem shifts must sum to -1")
-
 
 SEQUENCES: Dict[str, SequenceSpec] = {
     "LES-2.2": SequenceSpec(
@@ -197,7 +193,7 @@ class FactStore:
         return grew
 
     def _contradict(self, key: str, existing: Value, incoming: Value, rule: str) -> None:
-        existing_rule = self.derivations.get(key, [Derivation("?", (), existing)])[0].rule
+        existing_rule = self.derivations[key][0].rule
         self._record(Contradiction(key, existing, incoming, existing_rule, rule))
 
     def _record(self, contradiction: Contradiction) -> None:
@@ -226,10 +222,6 @@ class FactStore:
             }
             for key, derivation in self.log
         ]
-
-
-class IncompleteDataError(ValueError):
-    """An operation needed chart data that the dataset does not carry."""
 
 
 def load_axioms(store: FactStore, chart: ChartFile) -> None:
@@ -263,8 +255,8 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
     """Torsion Y-classes annihilated by v₁: exactly the image of p₃.
 
     Records each hit as a p₃ fact with unknown (but nonzero) preimage and
-    returns the sorted list.  Missing v₁ data on an in-scope element is an
-    error naming the element.
+    returns the sorted list.  The loader guarantees every in-scope element a
+    v₁ action (``chartdata._ChartRecords.add_classification``).
     """
     in_scope = (ModuleId.Y, LesContext.LES_23, ClassificationKind.TORSION)
     hits: List[Element] = []
@@ -272,10 +264,7 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
         element = c.element
         if (element.module, c.context, c.kind) != in_scope:
             continue
-        fact = chart.actions.get("v₁", element)
-        if fact is None:
-            raise IncompleteDataError(f"no v₁ action recorded for {element.key}")
-        if fact.value.is_zero:
+        if chart.actions.get("v₁", element).value.is_zero:
             hits.append(element)
     hits.sort(key=lambda e: (e.stem, e.filtration, e.name))
     store.p3_image = hits

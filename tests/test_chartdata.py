@@ -429,6 +429,14 @@ def _in_les23(key):
 
 Y50_IN_LES23, Y3_IN_LES23, M100_IN_LES23 = map(_in_les23, ("Y:y_{50,4}", "Y:y_{3,1}", "M:m_{100,20}"))
 S8 = next(("elements", i) for i, e in enumerate(SHIPPED["elements"]) if (e["module"], e["name"]) == ("S", "s_{8,2}"))
+SES29_AT_6 = next(i for i, r in enumerate(SHIPPED["ranks"]) if (r["context"], r["stem"]) == ("SES-2.9", 6))
+
+
+def _repeat_basis(doc):
+    """SES-2.9@6 with each basis listed twice: the ranks still add up."""
+    record = doc["ranks"][SES29_AT_6]
+    record["middle"] = ["M:m_{6,2}", "M:m_{6,2}"]
+    record["cokernel"] = ["S:s_{6,2}", "S:s_{6,2}"]
 
 
 # (mutation of the shipped document, location the error must name)
@@ -554,6 +562,11 @@ MALFORMED = {
     "kernel-order-not-two": (
         _set(S8 + ("order",), 4),
         r"ranks\[\d+\]: ranks SES-2.9@9: kernel element S:s_\{8,2\} must carry order 2",
+    ),
+    "basis-repeats-element": (_repeat_basis, r"ranks\[\d+\]: cokernel repeats S:s_\{6,2\}"),
+    "span-repeats-element": (
+        _set(KBAR_ON_M105 + ("value",), ["M:m_{125,21}", "M:m_{125,21}"]),
+        r"actions\[\d+\]: value repeats M:m_\{125,21\}",
     ),
 }
 

@@ -74,6 +74,22 @@ def derivation_sets(store):
     return {key: set(derivations) for key, derivations in store.derivations.items()}
 
 
+def t4_parents(store):
+    """(zero, nonzero): the stored T4 derivations counted by their parent
+    p(y′), each checked to share its push with a LIN derivation of the same
+    fact exactly when the parent is zero."""
+    counts = [0, 0]
+    for key, derivations in store.derivations.items():
+        lin = {d.inputs for d in derivations if d.rule == "LIN"}
+        for d in derivations:
+            if d.rule == "T4":
+                parent, action, _ = d.inputs
+                zero = store.facts[parent].is_zero
+                assert ((parent, action) in lin) == zero, (key, d)
+                counts[not zero] += 1
+    return tuple(counts)
+
+
 def mini_chart(records, elements, actions=(), axioms=()):
     return ChartFile(
         schema_version="1",
@@ -319,6 +335,14 @@ class TestT4:
         labels = fact_labels(store)
         rows = ["p2|Y:y_{50,4}", "p2|Y:y_{50,6}", "p2|Y:y_{70,8}", "p2|Y:y_{70,10}"]
         assert all("4" in labels[key] for key in rows)
+
+    def test_derives_only_what_lin_pushes(self, store, store_x2):
+        # From a zero parent T4 stores LIN's own zero on the same push; only
+        # a nonzero parent with an uncharted push gives a fact LIN lacks.
+        assert t4_parents(store) == (1, 1)
+        assert t4_parents(store_x2) == (3, 3)
+        instances = (random_instance(random.Random(seed)) for seed in range(400))
+        assert tuple(map(sum, zip(*(t4_parents(saturate(i)) for i in instances)))) == (6, 0)
 
     def test_nonzero_parent_is_sound(self):
         # The extended-linearity branch proper: p(yp) = m is nonzero and κ̄·m

@@ -1,15 +1,12 @@
 """Fact store semantics, image of p₃, derived SES records, exactness checking."""
 
-from dataclasses import replace
-
 import pytest
 
 from les_deduce import chartdata
-from les_deduce.algebra import ActionTable, Element, ModuleId, Value, span_of
+from les_deduce.algebra import Element, ModuleId, Value, span_of
 from les_deduce.rules import saturate
 from les_deduce.sequences import (
     FactStore,
-    IncompleteDataError,
     MAP_SPECS,
     SEQUENCES,
     check_all,
@@ -62,16 +59,6 @@ class TestImageOfP3:
             }
         )
         assert image_of_p3(FactStore(), empty) == []
-
-    def test_missing_v1_action_names_element(self, chart):
-        # The loader rejects such a chart, so build it past the loader.
-        y44 = chart.elements["Y:y_{44,8}"]
-        actions = ActionTable(
-            f for f in chart.actions.facts() if (f.generator.name, f.source) != ("v₁", y44)
-        )
-        crippled = replace(chart, actions=actions)
-        with pytest.raises(IncompleteDataError, match=r"y_\{44,8\}"):
-            image_of_p3(FactStore(), crippled)
 
 
 class TestStore:
