@@ -9,7 +9,6 @@ The dataset path may be omitted when LES_DEDUCE_DATA is set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -138,7 +137,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     counts = Counter(v.verdict for v in verdicts)
     bad = [v for v in verdicts if v.verdict == "contradiction"]
     if args.json:
-        doc = [dataclasses.asdict(v) for v in verdicts]
+        doc = [v._asdict() for v in verdicts]
         sys.stdout.write(json.dumps(doc, ensure_ascii=False, indent=1) + "\n")
     else:
         print(

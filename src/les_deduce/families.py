@@ -94,12 +94,17 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
     rendered explicitly, and rows touched by a contradiction are flagged but
     still emitted.
     """
-    labels = fact_labels(store)
     contradicted = {c.fact for c in store.contradictions}
     lifts = _minimal_lifts(store, "i1")
+    p2_keys = [fact_key("p2", y) for y in store.p3_image]
+    moore = [_single(store.facts.get(key)) for key in p2_keys]
+    p1_keys = [None if m is None else fact_key("p1", m) for m in moore]
+    lift_list = [lifts.get(m) for m in moore]
+    lift_keys = [None if lift is None else fact_key("i1", lift) for lift in lift_list]
+    labels = fact_labels(store, {*p2_keys, *p1_keys, *lift_keys} - {None})
     rows: List[TableRow] = []
-    for y in store.p3_image:
-        p2_key = fact_key("p2", y)
+    rows_in = zip(store.p3_image, p2_keys, moore, p1_keys, lift_list, lift_keys)
+    for y, p2_key, m, p1_key, m_lift, lift_key in rows_in:
         p2_value = store.facts.get(p2_key)
         tech_p2 = _ordered_labels(labels.get(p2_key, frozenset()))
         img_p1: Optional[Value] = None
@@ -107,9 +112,7 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
         tech_p1: Tuple[str, ...] = ()
         name: Optional[str] = None
         flagged = p2_key in contradicted
-        m = _single(p2_value)
         if m is not None:
-            p1_key = fact_key("p1", m)
             img_p1 = store.facts.get(p1_key)
             flagged = flagged or p1_key in contradicted
             p1_labels = labels.get(p1_key, frozenset())
@@ -118,11 +121,8 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
                 name = chart.tmf_name(s, y.key, "imgP1")
                 tech_p1 = _ordered_labels(p1_labels)
             elif img_p1 is not None and img_p1.is_zero:
-                lift = lifts.get(m)
-                lift_labels = (
-                    labels.get(fact_key("i1", lift), frozenset()) if lift is not None else frozenset()
-                )
-                tech_p1 = _ordered_labels(p1_labels | lift_labels)
+                lift = m_lift
+                tech_p1 = _ordered_labels(p1_labels | labels.get(lift_key, frozenset()))
                 if lift is not None:
                     name = chart.tmf_name(lift, y.key, "lift")
         rows.append(
@@ -235,7 +235,7 @@ def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
     surfaced for human review instead of being merged.
     """
     result = FamiliesResult()
-    seen: Dict[Tuple[str, int], FamilyReport] = {}
+    seen: Dict[Tuple[str, int], Tuple[FamilyReport, TableRow]] = {}
     names_by_element: Dict[str, set] = {}
     for row in rows:
         m = row.p2_element
@@ -260,20 +260,17 @@ def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
                 names_by_element.setdefault(element.key, set()).add(row.tmf_name)
         key = (report.kind, report.base_stem % 192)
         previous = seen.get(key)
-        if previous is None or report.base_stem < previous.base_stem:
-            seen[key] = report
-    for report in sorted(seen.values(), key=lambda r: (r.kind, r.base_stem)):
+        if previous is None or report.base_stem < previous[0].base_stem:
+            seen[key] = (report, row)
+    for report, row in sorted(seen.values(), key=lambda kept: (kept[0].kind, kept[0].base_stem)):
         if report.kind == "caseI":
             result.case_i.append(report)
         elif report.kind == "caseII":
             result.case_ii.append(report)
+        elif row.p1_element.key in chart.prior_order_two:
+            result.suppressed_direct_p1.append(report)
         else:
-            witness_rows = [r for r in rows if r.img_p3 == report.witness]
-            p1_elem = witness_rows[0].p1_element if witness_rows else None
-            if p1_elem is not None and p1_elem.key in chart.prior_order_two:
-                result.suppressed_direct_p1.append(report)
-            else:
-                result.direct_p1.append(report)
+            result.direct_p1.append(report)
     for element_key, names in sorted(names_by_element.items()):
         if len(names) > 1:
             result.review_notes.append(

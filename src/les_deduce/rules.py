@@ -508,26 +508,25 @@ _BASE_LABELS = {
 _CHASE_PARENTS = {RULE_LIN, RULE_EXACT}
 
 
-def fact_labels(store: FactStore) -> Dict[str, FrozenSet[str]]:
-    """Technique labels per fact: base rule ids, chased through linearity and
-    exactness completions to their root derivations.
-
-    Computed as a least fixpoint because completion steps can re-derive their
-    own parents (the derivation graph is not acyclic).
+def fact_labels(store: FactStore, keys: Iterable[str]) -> Dict[str, FrozenSet[str]]:
+    """Technique labels of each of ``keys`` that the store has derived: the
+    base rule ids of every derivation reachable from the fact through the
+    parents of its linearity and exactness completions.  One walk per key
+    visits each reachable fact once, so it ends on the cycles that completion
+    steps close by re-deriving their own parents.
     """
-    labels: Dict[str, set] = {key: set() for key in store.derivations}
-    changed = True
-    while changed:
-        changed = False
-        for key, derivations in store.derivations.items():
-            current = labels[key]
-            for derivation in derivations:
-                add = set(_BASE_LABELS.get(derivation.rule, frozenset()))
+    derivations = store.derivations
+    labels: Dict[str, FrozenSet[str]] = {}
+    for key in derivations.keys() & keys:
+        found: set = set()
+        reached, stack = {key}, [key]
+        while stack:
+            for derivation in derivations[stack.pop()]:
+                found |= _BASE_LABELS.get(derivation.rule, frozenset())
                 if derivation.rule in _CHASE_PARENTS:
                     for parent in derivation.inputs:
-                        if "|" in parent and parent in labels:
-                            add |= labels[parent]
-                if not add <= current:
-                    current |= add
-                    changed = True
-    return {key: frozenset(value) for key, value in labels.items()}
+                        if parent in derivations and parent not in reached:
+                            reached.add(parent)
+                            stack.append(parent)
+        labels[key] = frozenset(found)
+    return labels

@@ -16,7 +16,7 @@ localized rows, which are not exact in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     ClassificationKind,
@@ -273,8 +273,7 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
     return hits
 
 
-@dataclass(frozen=True)
-class JunctionVerdict:
+class JunctionVerdict(NamedTuple):
     sequence: str
     stem: int
     junction: str  # "map1->map2" composite position

@@ -81,7 +81,7 @@ def test_criterion_1_table_reproduction(chart):
 
 
 def test_criterion_2_technique_attribution(store, chart, rows):
-    labels = fact_labels(store)
+    labels = fact_labels(store, store.derivations)
     problems = []
     for row, (g_p3, g_p2, g_t2, g_p1, g_lift, g_t1, _) in zip(rows, ROWS):
         key = fact_key("p2", row.img_p3)

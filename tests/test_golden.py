@@ -8,12 +8,13 @@ tests/golden/check.json`` or ``les-deduce deduce data/tmf_chart.json --log
 tests/golden/log.json``.
 """
 
+import json
 import re
 
 import pytest
 
 from les_deduce import cli
-from les_deduce.chartdata import delta8_extend
+from les_deduce.chartdata import delta8_extend, dumps
 from les_deduce.rules import saturate
 
 from conftest import DATA, TESTS
@@ -23,8 +24,8 @@ GOLDEN = TESTS / "golden"
 _SHIFT = re.compile(r"([a-z])_\{(-?\d+),(-?\d+)\}")
 
 
-def cli_output(capsys, *argv):
-    assert cli.main([*argv, str(DATA)]) == cli.EXIT_OK
+def cli_output(capsys, *argv, data=DATA):
+    assert cli.main([*argv, str(data)]) == cli.EXIT_OK
     return capsys.readouterr().out.encode("utf-8")
 
 
@@ -86,3 +87,66 @@ def test_delta8x2_is_three_shifted_copies(chart):
     assert [line for line in got if line.startswith("contradiction: ")] == sorted(
         shifted(line, k) for k in range(3) for line in contradictions
     )
+
+
+@pytest.fixture(scope="module")
+def data_x2(chart, tmp_path_factory):
+    path = tmp_path_factory.mktemp("delta8x2") / "delta8x2.json"
+    path.write_text(dumps(delta8_extend(chart, 2)), encoding="utf-8")
+    return path
+
+
+def test_delta8x2_table_is_three_shifted_copies(capsys, data_x2):
+    """The Δ⁸×2 table is the shipped rows, then their +192 and +384 shifts,
+    with each copy's tmf names carrying one more ``Δ⁸·`` prefix."""
+    rows = json.loads((GOLDEN / "table.json").read_text(encoding="utf-8"))
+    expected = []
+    for k in range(3):
+        for row in rows:
+            name = row["tmfName"]
+            expected.append(
+                {
+                    **row,
+                    "imgP3": shifted(row["imgP3"], k),
+                    "imgP2": row["imgP2"] and shifted_value(row["imgP2"], k),
+                    "imgP1": row["imgP1"] and shifted_value(row["imgP1"], k),
+                    "liftI1": row["liftI1"] and shifted(row["liftI1"], k),
+                    "tmfName": name and "Δ⁸·" * k + name,
+                }
+            )
+    assert json.loads(cli_output(capsys, "table", "--format", "json", data=data_x2)) == expected
+
+
+def test_delta8x2_check_is_three_shifted_copies(capsys, data_x2):
+    """Per sequence, the Δ⁸×2 verdicts are the shipped ones, then the same
+    verdicts at stems +192 and +384."""
+    verdicts = json.loads((GOLDEN / "check.json").read_text(encoding="utf-8"))
+    expected = []
+    for sequence in dict.fromkeys(v["sequence"] for v in verdicts):
+        for k in range(3):
+            for v in verdicts:
+                if v["sequence"] == sequence:
+                    junction, _, stem = v["junction"].partition("@")
+                    expected.append(
+                        {
+                            **v,
+                            "stem": v["stem"] + 192 * k,
+                            "junction": f"{junction}@{int(stem) + 192 * k}",
+                            "detail": shifted(v["detail"], k),
+                        }
+                    )
+    assert json.loads(cli_output(capsys, "check", "--json", data=data_x2)) == expected
+
+
+def test_delta8x2_families_add_two_review_lines(capsys, data_x2):
+    """Families repeat every 192 stems, so Δ⁸×2 reports the shipped families;
+    only the review note on S:s_{116,4}'s two names recurs in each copy."""
+    lines = (GOLDEN / "families.txt").read_text(encoding="utf-8").splitlines()
+    (review,) = [i for i, line in enumerate(lines) if line.startswith("review: ")]
+    copies = [
+        re.sub(r"'([^']*)'", lambda m: f"'{'Δ⁸·' * k}{m.group(1)}'", shifted(lines[review], k))
+        for k in (1, 2)
+    ]
+    assert "S:s_{308,4}" in copies[0] and "S:s_{500,4}" in copies[1]
+    expected = lines[: review + 1] + copies + lines[review + 1 :]
+    assert cli_output(capsys, "families", data=data_x2).decode("utf-8").splitlines() == expected

@@ -27,6 +27,8 @@ from les_deduce.chartdata import (
 from les_deduce.families import build_table, emit_families
 from les_deduce.oracle import check_soundness, enumerate_fillings, random_instance
 from les_deduce.rules import (
+    _BASE_LABELS,
+    _CHASE_PARENTS,
     ALL_RULES,
     CHART_ONLY,
     fact_labels,
@@ -178,10 +180,10 @@ class TestPeriodicValuesOutOfTheStore:
     def test_labels_rows_families_and_verdicts_agree(self, with_and_without_periodic):
         target, default, full, _ = with_and_without_periodic
         full_labels = {
-            key: labels for key, labels in fact_labels(full).items()
+            key: labels for key, labels in fact_labels(full, full.derivations).items()
             if not full.sources[key].periodic
         }
-        assert full_labels == fact_labels(default)
+        assert full_labels == fact_labels(default, default.derivations)
         rows = build_table(default, target)
         assert rows == build_table(full, target)
         assert emit_families(rows, target) == emit_families(build_table(full, target), target)
@@ -261,7 +263,7 @@ class TestT3:
         assert known(store, "p2", "Y:y_{45,9}").is_zero
         assert {e.name for e in known(store, "i2", "M:m_{45,5}").span} == {"y_{45,9}"}
         assert "T3a" in rules_for(store, "p2", "Y:y_{45,9}")
-        assert "3" in fact_labels(store)["p2|Y:y_{45,3}"]
+        assert "3" in fact_labels(store, store.derivations)["p2|Y:y_{45,3}"]
 
     def test_degree_107_basis_matching(self, store):
         assert {e.name for e in known(store, "p2", "Y:y_{107,11}").span} == {"m_{105,17}"}
@@ -316,13 +318,13 @@ class TestT4:
         assert known(store, "p2", "Y:y_{50,6}").is_zero
         assert {e.name for e in known(store, "p2", "Y:y_{50,4}").span} == {"m_{48,6}"}
         assert "T4" in rules_for(store, "p2", "Y:y_{50,6}")
-        assert "4" in fact_labels(store)["p2|Y:y_{50,4}"]
+        assert "4" in fact_labels(store, store.derivations)["p2|Y:y_{50,4}"]
 
     def test_degree_70(self, store):
         assert known(store, "p2", "Y:y_{70,10}").is_zero
         assert {e.name for e in known(store, "p2", "Y:y_{70,8}").span} == {"m_{68,10}"}
         assert "T4" in rules_for(store, "p2", "Y:y_{70,10}")
-        assert "4" in fact_labels(store)["p2|Y:y_{70,8}"]
+        assert "4" in fact_labels(store, store.derivations)["p2|Y:y_{70,8}"]
 
     def test_fires_exactly_at_the_two_recorded_degrees(self, store):
         # Extra firings would be review events; the shipped dataset has none.
@@ -332,7 +334,7 @@ class TestT4:
             if any(d.rule == "T4" for d in derivations)
         }
         assert t4_facts == {"p2|Y:y_{50,6}", "p2|Y:y_{70,10}"}
-        labels = fact_labels(store)
+        labels = fact_labels(store, store.derivations)
         rows = ["p2|Y:y_{50,4}", "p2|Y:y_{50,6}", "p2|Y:y_{70,8}", "p2|Y:y_{70,10}"]
         assert all("4" in labels[key] for key in rows)
 
@@ -405,7 +407,7 @@ class TestExactCompletion:
         assert "EXACT" in rules_for(store, "p2", "Y:y_{153,11}")
 
     def test_degree_102_rederivation_carries_filtration_label(self, store):
-        labels = fact_labels(store)
+        labels = fact_labels(store, store.derivations)
         assert "3" in labels[fact_key("p2", Element(ModuleId.Y, 102, 10, "y_{102,10}"))]
         assert "3" in labels[fact_key("p2", Element(ModuleId.Y, 102, 2, "y_{102,2}"))]
 
@@ -463,7 +465,9 @@ class TestSaturation:
                 shuffled = saturate(target, rng=random.Random(seed))
                 assert shuffled.serialize() == expected.serialize()
                 assert derivation_sets(shuffled) == derivation_sets(expected)
-                assert fact_labels(shuffled) == fact_labels(expected)
+                assert fact_labels(shuffled, shuffled.derivations) == fact_labels(
+                    expected, expected.derivations
+                )
 
     @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
     def test_chart_only_rules_ignore_the_store(self, chart, store, chart_x2, store_x2, extended):
@@ -552,7 +556,9 @@ class TestSemiNaiveMatchesNaive:
     def assert_same(self, semi_naive, naive):
         assert semi_naive.serialize() == naive.serialize()
         assert derivation_sets(semi_naive) == derivation_sets(naive)
-        assert fact_labels(semi_naive) == fact_labels(naive)
+        assert fact_labels(semi_naive, semi_naive.derivations) == fact_labels(
+            naive, naive.derivations
+        )
 
     @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
     def test_charts(self, chart, store, chart_x2, store_x2, extended):
@@ -570,6 +576,56 @@ class TestSemiNaiveMatchesNaive:
             if rule_t4(semi_naive, instance, semi_naive.facts):
                 t4_seeds.append(seed)
         assert {9298, 10783, 27349, 54073} <= set(t4_seeds)
+
+
+def fixpoint_labels(store):
+    """Reference labels: the least fixpoint over the whole store, re-applying
+    every derivation (base labels, plus the labels of a completion's parents)
+    until no fact's label set grows."""
+    labels = {key: set() for key in store.derivations}
+    changed = True
+    while changed:
+        changed = False
+        for key, derivations in store.derivations.items():
+            current = labels[key]
+            for derivation in derivations:
+                add = set(_BASE_LABELS.get(derivation.rule, frozenset()))
+                if derivation.rule in _CHASE_PARENTS:
+                    for parent in derivation.inputs:
+                        if "|" in parent and parent in labels:
+                            add |= labels[parent]
+                if not add <= current:
+                    current |= add
+                    changed = True
+    return {key: frozenset(value) for key, value in labels.items()}
+
+
+class TestFactLabelsMatchFixpoint:
+    def assert_same(self, store):
+        reference = fixpoint_labels(store)
+        assert fact_labels(store, store.derivations) == reference
+        keys = [*sorted(reference)[::3], "p2|Y:not_stored", "dataset"]
+        assert fact_labels(store, keys) == {key: reference[key] for key in keys if key in reference}
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
+    def test_charts(self, store, store_x2, extended):
+        self.assert_same(store_x2 if extended else store)
+
+    def test_oracle_instances(self):
+        for seed in range(200):
+            self.assert_same(saturate(random_instance(random.Random(seed))))
+
+    def test_cycle_rooted_once(self):
+        # a and b are LIN completions of each other; only a also rests on the
+        # T2 fact c, and the walk must still end and reach c from b.
+        a, b, c = (Element(ModuleId.M, 8, 1, name) for name in ("a", "b", "c"))
+        store = FactStore()
+        store.insert("p1", c, Value.nonzero_unknown(), "T2")
+        store.insert("p1", a, Value.nonzero_unknown(), "LIN", ("p1|M:b",))
+        store.insert("p1", a, Value.nonzero_unknown(), "LIN", ("p1|M:c",))
+        store.insert("p1", b, Value.nonzero_unknown(), "LIN", ("p1|M:a",))
+        assert fact_labels(store, ["p1|M:a", "p1|M:b"]) == {"p1|M:a": {"2"}, "p1|M:b": {"2"}}
+        assert fact_labels(store, store.derivations) == fixpoint_labels(store)
 
 
 def off_spec(store):
