@@ -45,7 +45,8 @@ class Element:
     """A named basis class at a fixed (stem, filtration) of one module.
 
     ``periodic`` marks monomials generated from a periodic-part presentation;
-    they never participate in exactness checking or table emission.
+    they never participate in exactness checking or table emission.  The key
+    and its hash are computed once, when the element is built.
     """
 
     module: ModuleId
@@ -54,9 +55,15 @@ class Element:
     name: str
     periodic: bool = False
     _key: str = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", f"{self.module.value}:{self.name}")
+        key = f"{self.module._value_}:{self.name}"
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def key(self) -> str:
@@ -161,12 +168,19 @@ class ValueState(str, Enum):
     NONZERO = "nonzeroUnknown"
 
 
+# Module-level aliases: a global read is much cheaper than an Enum class
+# attribute lookup, and the state tests run once per fact.
+_KNOWN = ValueState.KNOWN
+_NONZERO = ValueState.NONZERO
+
+
 @dataclass(frozen=True)
 class Value:
     """Knowledge about a map or action value.  Absence of a Value is 'unknown'.
 
     ``known`` with an empty span is the known-zero state; a nonzero-unknown
     value has the empty span too, so a one-class span is always known.
+    ``zero()`` and ``nonzero_unknown()`` return one shared instance each.
     """
 
     state: ValueState
@@ -174,35 +188,39 @@ class Value:
 
     @staticmethod
     def known(span: F2Span) -> "Value":
-        return Value(ValueState.KNOWN, span)
+        return Value(_KNOWN, span)
 
     @staticmethod
     def zero() -> "Value":
-        return Value(ValueState.KNOWN, ZERO)
+        return _ZERO_VALUE
 
     @staticmethod
     def nonzero_unknown() -> "Value":
-        return Value(ValueState.NONZERO)
+        return _NONZERO_VALUE
 
     @property
     def is_known(self) -> bool:
-        return self.state is ValueState.KNOWN
+        return self.state is _KNOWN
 
     @property
     def is_zero(self) -> bool:
-        return self.state is ValueState.KNOWN and not self.span
+        return self.state is _KNOWN and not self.span
 
     @property
     def is_known_nonzero(self) -> bool:
-        return self.state is ValueState.KNOWN and bool(self.span)
+        return self.state is _KNOWN and bool(self.span)
 
     def serialize(self) -> str:
-        if self.state is ValueState.NONZERO:
+        if self.state is _NONZERO:
             return "nonzero"
         return span_key(self.span)
 
     def __str__(self) -> str:
         return self.serialize()
+
+
+_ZERO_VALUE = Value(_KNOWN, ZERO)
+_NONZERO_VALUE = Value(_NONZERO)
 
 
 def values_equal_mod_higher(a: Value, b: Value) -> bool:
@@ -212,7 +230,7 @@ def values_equal_mod_higher(a: Value, b: Value) -> bool:
     both floors; a representative is only pinned up to such corrections.
     Known-zero never merges with a nonzero span.
     """
-    if a.state is not ValueState.KNOWN or b.state is not ValueState.KNOWN:
+    if a.state is not _KNOWN or b.state is not _KNOWN:
         return False
     diff = span_add(a.span, b.span)
     if not diff:

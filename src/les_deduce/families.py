@@ -138,11 +138,10 @@ class FamilyReport:
     kind: str  # caseI | caseII | directP1
     witness: Element  # the p₃-image class anchoring the family
     hurewicz_image_name: Optional[str]
-    order_two: bool = False
 
     def describe(self) -> str:
         name = f" image {self.hurewicz_image_name}" if self.hurewicz_image_name else ""
-        torsion = ", simple 2-torsion" if self.order_two else ""
+        torsion = ", simple 2-torsion" if self.kind == "directP1" else ""
         return (
             f"{self.kind}: stems {self.base_stem} + {self.period}k{name}{torsion} "
             f"(witness {self.witness.key})"
@@ -173,8 +172,6 @@ class FamiliesResult:
             missing = sorted(NEW_ORDER_TWO_IMAGES - got_names)
             extra = sorted(str(n) for n in got_names - NEW_ORDER_TWO_IMAGES)
             diff.append(f"directP1 names: missing {missing}, unexpected {extra}")
-        if not all(r.order_two for r in self.direct_p1):
-            diff.append("directP1 report without order-2 flag")
         return diff
 
 
@@ -196,7 +193,6 @@ def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyRe
             kind="directP1",
             witness=row.img_p3,
             hurewicz_image_name=row.tmf_name,
-            order_two=True,
         )
     if row.img_p1 is None or not row.img_p1.is_zero:
         return None

@@ -1,8 +1,12 @@
 """Monotone inference rules and the saturation loop.
 
-Each rule is a pure function of (store, chart) returning emissions; firing a
-rule twice adds nothing new, and every guard reads only dataset structure or
-already-present facts, so the saturated store is independent of rule order.
+Each rule is a pure function of (store, chart) returning emissions, named
+tuples of ``FactStore.insert``'s arguments; the store keeps each distinct
+emission as a ``sequences.Derivation`` (rule, inputs, value).  Firing a rule
+twice adds nothing new, and every guard reads only dataset structure or
+already-present facts, so the saturated store is independent of rule order as
+long as no contradiction arises.  A clash keeps the first stored value, so a
+store with a contradiction can depend on the schedule (ROADMAP item 12).
 
 ``saturate`` evaluates in two strata.  EXC, T1, T2 and T3 read only the
 chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
@@ -54,8 +58,7 @@ Rule inventory, matching the techniques used to fill the summary table:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     ActionFact,
@@ -93,8 +96,9 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
+    """One fact a rule proposes: the arguments of ``FactStore.insert``, in order."""
+
     map: str
     source: Element
     value: Value
@@ -434,7 +438,8 @@ def saturate(
     rng: Optional[random.Random] = None,
     with_periodic: bool = False,
 ) -> FactStore:
-    """Run all rules to a fixpoint; deterministic result for any schedule.
+    """Run all rules to a fixpoint, the same for any schedule unless a
+    contradiction arises (see the module docstring).
 
     Saturation runs in two strata.  The chart-only rules (``CHART_ONLY``)
     fire once, since firing them again would emit the same facts.  T4, LIN
@@ -479,10 +484,9 @@ def saturate(
 def _insert_all(store: FactStore, emissions: List[Emission]) -> bool:
     """Insert every emission; True when any of them grew the store."""
     grew = False
+    insert = store.insert
     for emission in emissions:
-        if store.insert(
-            emission.map, emission.source, emission.value, emission.rule, emission.inputs
-        ):
+        if insert(*emission):
             grew = True
     return grew
 

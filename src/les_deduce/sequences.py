@@ -95,8 +95,7 @@ RULE_EXACT = "EXACT"
 RULE_P3 = "P3IMG"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     rule: str
     inputs: Tuple[str, ...]
     value: Value
@@ -151,7 +150,6 @@ class FactStore:
         Each distinct contradiction is recorded once, however often it recurs.
         """
         key = fact_key(map_name, source)
-        derivation = Derivation(rule, tuple(inputs), value)
         if value.is_known_nonzero and filtration_floor(value.span) < source.filtration:
             self._record(Contradiction(key, value, value, rule, f"{rule} (filtration law)"))
             return False
@@ -167,10 +165,9 @@ class FactStore:
                 self._contradict(key, existing, value, rule)
                 return False
             # Canonicalize to the lexicographically smaller representative so
-            # saturation is schedule-independent.
-            canonical = min(existing, value, key=lambda v: v.serialize())
-            if canonical != existing:
-                self.facts[key] = canonical
+            # saturation is schedule-independent; equal spans need no choice.
+            if value.span != existing.span and value.serialize() < existing.serialize():
+                self.facts[key] = value
                 grew = True
         elif existing.is_known and not value.is_known:
             if existing.is_zero:
@@ -185,6 +182,7 @@ class FactStore:
             grew = True
         # nonzeroUnknown vs nonzeroUnknown: nothing to do
 
+        derivation = Derivation(rule, tuple(inputs), value)
         seen = self.derivations.setdefault(key, [])
         if derivation not in seen:
             seen.append(derivation)
@@ -232,23 +230,25 @@ def load_axioms(store: FactStore, chart: ChartFile) -> None:
     orders, and η-kernel membership of every recorded kernel basis element
     in M (the SES-2.7 and SES-2.8 records) becomes an η fact.
     """
+    module_y, module_s, module_m = ModuleId.Y, ModuleId.S, ModuleId.M
+    zero, nonzero = Value.zero(), Value.nonzero_unknown()
     for axiom in chart.axioms:
         store.insert(axiom.map, axiom.source, axiom.value, AXIOM, ("dataset",))
     for fact in chart.actions.facts():
-        if fact.generator.name == "v₁" and fact.source.module is ModuleId.Y:
+        if fact.generator.name == "v₁" and fact.source.module is module_y:
             store.insert("v", fact.source, fact.value, AXIOM, ("v₁-action",))
     for key, order in chart.orders.items():
         element = chart.elements[key]
-        if element.module is not ModuleId.S:
+        if element.module is not module_s:
             continue
         if order == 2:
-            store.insert("mul2", element, Value.zero(), AXIOM, ("order",))
+            store.insert("mul2", element, zero, AXIOM, ("order",))
         elif order in (4, 8, "inf"):
-            store.insert("mul2", element, Value.nonzero_unknown(), AXIOM, ("order",))
+            store.insert("mul2", element, nonzero, AXIOM, ("order",))
     for record in chart.ses_records:
-        if record.side_module is ModuleId.M and record.kernel:
+        if record.side_module is module_m and record.kernel:
             for element in record.kernel:
-                store.insert("eta", element, Value.zero(), AXIOM, (f"kernel@{record.stem}",))
+                store.insert("eta", element, zero, AXIOM, (f"kernel@{record.stem}",))
 
 
 def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
@@ -258,18 +258,19 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
     returns the sorted list.  The loader guarantees every in-scope element a
     v₁ action (``chartdata._ChartRecords.add_classification``).
     """
-    in_scope = (ModuleId.Y, LesContext.LES_23, ClassificationKind.TORSION)
+    module_y, les_23, torsion = ModuleId.Y, LesContext.LES_23, ClassificationKind.TORSION
     hits: List[Element] = []
     for c in chart.classifications:
         element = c.element
-        if (element.module, c.context, c.kind) != in_scope:
+        if c.kind is not torsion or c.context is not les_23 or element.module is not module_y:
             continue
         if chart.actions.get("v₁", element).value.is_zero:
             hits.append(element)
     hits.sort(key=lambda e: (e.stem, e.filtration, e.name))
     store.p3_image = hits
+    nonzero = Value.nonzero_unknown()
     for element in hits:
-        store.insert("p3hit", element, Value.nonzero_unknown(), RULE_P3, ("v₁·y=0",))
+        store.insert("p3hit", element, nonzero, RULE_P3, ("v₁·y=0",))
     return hits
 
 
@@ -300,23 +301,29 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
     stems = sorted({stem for _, stem in by_degree})
     out: List[JunctionVerdict] = []
     for seq in SEQUENCES.values():
-        junctions = list(zip(seq.maps, seq.maps[1:] + seq.maps[:1]))
+        junctions = [
+            (f"{map1.name}->{map2.name}@", map1, map2)
+            for map1, map2 in zip(seq.maps, seq.maps[1:] + seq.maps[:1])
+        ]
         for stem in stems:
             source_stem = stem
-            for map1, map2 in junctions:
+            for prefix, map1, map2 in junctions:
                 junction_stem = source_stem + map1.stem_shift
-                label = f"{map1.name}->{map2.name}@{junction_stem}"
-                sources = by_degree.get((map1.source, source_stem), ())
-                verdict, detail = "exact", "zero modules"
-                if (
-                    sources
-                    or (map1.target, junction_stem) in by_degree
-                    or (map2.target, junction_stem + map2.stem_shift) in by_degree
-                ):
+                sources = by_degree.get((map1.source, source_stem))
+                if sources:
                     violations = (_composite_violation(store, map1, map2, e) for e in sources)
                     detail = next(filter(None, violations), "")
                     verdict = "contradiction" if detail else "undetermined"
-                out.append(JunctionVerdict(seq.id, stem, label, verdict, detail))
+                elif (
+                    (map1.target, junction_stem) in by_degree
+                    or (map2.target, junction_stem + map2.stem_shift) in by_degree
+                ):
+                    verdict, detail = "undetermined", ""
+                else:
+                    verdict, detail = "exact", "zero modules"
+                out.append(
+                    JunctionVerdict(seq.id, stem, f"{prefix}{junction_stem}", verdict, detail)
+                )
                 source_stem = junction_stem
     return out
 

@@ -1,5 +1,7 @@
 """Span arithmetic, knowledge states, and generator actions."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,6 +200,32 @@ class TestValueMerge:
         a = Value.known(span_of(Y50_4))
         b = Value.known(span_of(el("Y", 50, 4, "y50other")))
         assert not values_equal_mod_higher(a, b)
+
+
+class TestSharedValuesAndHashes:
+    def test_zero_and_nonzero_unknown_are_shared(self):
+        assert Value.zero() is Value.zero()
+        assert Value.nonzero_unknown() is Value.nonzero_unknown()
+
+    @pytest.mark.parametrize("shared", [Value.zero(), Value.nonzero_unknown()])
+    def test_shared_values_stay_frozen(self, shared):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.span = span_of(Y50_4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.state = shared.state
+
+    def test_equal_elements_hash_equal(self):
+        twin = el("Y", 50, 4, "y_{50,4}")
+        rebuilt = dataclasses.replace(Y50_6, filtration=4, name="y_{50,4}")
+        assert twin == Y50_4 == rebuilt
+        assert hash(twin) == hash(Y50_4) == hash(rebuilt)
+        assert len({Y50_4, twin, rebuilt}) == 1
+
+    def test_periodic_flag_separates_equal_keys(self):
+        periodic = dataclasses.replace(Y50_4, periodic=True)
+        assert periodic.key == Y50_4.key
+        assert periodic != Y50_4
+        assert len({periodic, Y50_4}) == 2
 
 
 class TestNameConvention:

@@ -68,7 +68,7 @@ class TestClassifyThreeOptions:
         report = classify_three_options(row_by_name(rows, "y_{20,2}"), chart)
         assert report.kind == "directP1"
         assert report.base_stem == 17
-        assert report.order_two
+        assert report.describe().endswith(", simple 2-torsion (witness Y:y_{20,2})")
         assert report.hurewicz_image_name == "κν"
 
     def test_case_i(self, rows, chart):
@@ -106,7 +106,8 @@ class TestEmitFamilies:
         result = emit_families(rows, chart)
         assert {r.base_stem for r in result.case_ii} == TRIVIAL_HUREWICZ_BASE_STEMS
         assert {r.hurewicz_image_name for r in result.direct_p1} == NEW_ORDER_TWO_IMAGES
-        assert all(r.order_two for r in result.direct_p1)
+        assert all("simple 2-torsion" in r.describe() for r in result.direct_p1)
+        assert not any("2-torsion" in r.describe() for r in result.case_i + result.case_ii)
         assert result.golden_diff() == []
 
     def test_case_ii_lifts_outside_hurewicz_image(self, rows, chart):

@@ -1,11 +1,15 @@
 """Fact store semantics, image of p₃, derived SES records, exactness checking."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from les_deduce import chartdata
 from les_deduce.algebra import Element, ModuleId, Value, span_of
 from les_deduce.rules import saturate
 from les_deduce.sequences import (
+    Derivation,
     FactStore,
     MAP_SPECS,
     SEQUENCES,
@@ -98,6 +102,33 @@ class TestStore:
         self.store.insert("p2", self.y, Value.known(span_of(self.m)), "T2")
         assert not self.store.contradictions
         assert self.store.get("p2", self.y) == Value.known(span_of(self.m))
+
+
+# Known values of p₂(y_{8,2}) that agree modulo higher filtration: m_{6,2}
+# plus any set of the classes above it in the same bidegree.
+_Y = Element(ModuleId.Y, 8, 2, "y_{8,2}")
+_FLOOR = Element(ModuleId.M, 6, 2, "m_{6,2}")
+_HIGHER = [Element(ModuleId.M, 6, f, f"m_{{6,{f}}}") for f in (3, 5, 9)]
+_agreeing = st.tuples(
+    st.sets(st.sampled_from(_HIGHER)).map(lambda extra: Value.known(span_of(_FLOOR, *extra))),
+    st.sampled_from(["axiom", "T2", "LIN"]),
+)
+
+
+class TestCanonicalRepresentative:
+    @given(st.lists(_agreeing, min_size=1, max_size=4))
+    def test_any_insertion_order_gives_one_state(self, inserts):
+        key = fact_key("p2", _Y)
+        least = min((value for value, _ in inserts), key=lambda v: v.serialize())
+        expected = {Derivation(rule, (), value) for value, rule in inserts}
+        for order in permutations(inserts):
+            store = FactStore()
+            for value, rule in order:
+                store.insert("p2", _Y, value, rule)
+            assert not store.contradictions
+            assert store.facts[key] == least
+            assert set(store.derivations[key]) == expected
+            assert len(store.derivations[key]) == len(expected)
 
 
 def ses_record(chart, context, stem):
