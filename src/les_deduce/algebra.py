@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class ModuleId(str, Enum):
@@ -299,6 +299,12 @@ class ActionTable:
     def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
         return self._facts.get((generator_name, source.key))
 
+    def copy(self) -> "ActionTable":
+        """A table holding the same facts, which ``add`` can extend apart."""
+        table = ActionTable()
+        table._facts = dict(self._facts)
+        return table
+
     def facts(self) -> list[ActionFact]:
         if self._sorted is None:
             self._sorted = sorted(
@@ -356,8 +362,7 @@ class LesContext(str, Enum):
     LES_24 = "LES-2.4"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     element: Element
     context: LesContext
     kind: ClassificationKind

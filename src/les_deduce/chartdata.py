@@ -3,11 +3,14 @@
 The dataset is a single JSON document (UTF-8, schemaVersion "1") with top-level
 keys {schemaVersion, maxStem, hurewiczFlags, exceptionalSets,
 periodicPresentations} plus the record lists of ``SCHEMA``, which states each
-record field's JSON kind and default once for the loader.  Element references
-everywhere use the key format "MODULE:name".  Unknown top-level or record
-fields are rejected so golden files stay byte-stable.  Once a record is read
-into typed objects, ``_ChartRecords`` checks it and files it under its
-identity key.
+record field's JSON kind and default once.  Element references everywhere use
+the key format "MODULE:name".  Unknown top-level or record fields are rejected
+so golden files stay byte-stable.  ``_READERS`` compiles each list's kinds
+and defaults at import; ``_records`` reads a value of its field's exact JSON
+type, or a known element key, inline and leaves enums, lists, nulls and
+defects to ``_read``.  An action or axiom value with an empty span is the
+shared ``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are
+too.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
 (SES-2.7, SES-2.8) or LES-2.4 (SES-2.9).  ``SesRecord`` reads its maps, the
@@ -19,22 +22,14 @@ classified exceptional needs a route in ``EXCEPTIONAL_LISTINGS``.
 Periodic parts are not stored element-by-element.  Each module carries a small
 presentation (a monomial pattern) that ``expand_periodic`` unfolds up to a stem
 bound; the per-part formulas of the deduction rules act on those monomials.
-The Moore-module pattern is a lightning flash on generators Δⁿv₁⁴ᵏ, full for
-k ≥ 1, with the k = 0 fraction listed per Δ-power (mod 8) because no closed
-formula covers it.
 
 ``delta8_extend`` shifts the loaded chart's objects: each copy of an element
 moves 192 stems and the filtration degree of Δ⁸ up, and the copies of the
-other records refer to the shifted elements.
-
-Every record check runs once, as the record enters: ``_ChartRecords`` checks
-each loaded record and each Δ⁸ copy in the method that adds it, and the base
-chart of an extension is not checked again.  The checks that read other
-records see them because elements enter first, then actions, then
-classifications, then ``ranks`` records: a torsion Y class in LES-2.3 needs a
-v₁ action (``image_of_p3`` reads it), and the middle classes of SES-2.8 and
-SES-2.9 must be classified.  The copies skip only the JSON-type checks, which
-their objects passed when they were read.
+other records refer to the shifted elements.  Every record check runs once,
+as the record enters: ``_ChartRecords`` checks each loaded record and each Δ⁸
+copy in the method that adds it, and the base chart of an extension is not
+checked again.  A check builds its message, location included, only when it
+fails; the tests pin every message in full.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -165,6 +161,9 @@ SES_CONTEXTS: Dict[str, Tuple[LesContext, bool]] = {
     "SES-2.8": (LesContext.LES_23, True),
     "SES-2.9": (LesContext.LES_24, True),
 }
+# Each context's LES maps (inclusion, projection, self-map), and the order of a basis.
+_SES_MAPS = {context: SEQUENCES[les.value].maps for context, (les, _) in SES_CONTEXTS.items()}
+_BASIS_ORDER = attrgetter("filtration", "name")
 
 
 @dataclass(frozen=True)
@@ -183,10 +182,10 @@ class SesRecord:
         for name in ("middle", "cokernel", "kernel"):
             basis = getattr(self, name)
             if basis is not None:
-                basis = tuple(sorted(basis, key=lambda e: (e.filtration, e.name)))
+                basis = tuple(sorted(basis, key=_BASIS_ORDER)) if len(basis) > 1 else tuple(basis)
                 object.__setattr__(self, name, basis)
         # Not a field: the LES maps, (inclusion, projection, self-map).
-        object.__setattr__(self, "_maps", SEQUENCES[SES_CONTEXTS[self.context][0].value].maps)
+        object.__setattr__(self, "_maps", _SES_MAPS[self.context])
 
     @property
     def include_map(self) -> str:
@@ -318,6 +317,12 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
     },
 }
 
+# Each record list's field kinds and optional-field defaults, built once for ``_records``.
+_READERS = {
+    name: ({f: kind for f, (kind, _) in fields.items()}, {f: d for f, (_, d) in fields.items() if d is not REQUIRED})
+    for name, fields in SCHEMA.items()
+}
+
 _JSON_TYPES = {
     int: "an integer", str: "a string", bool: "a boolean", list: "a list",
     dict: "an object", type(None): "null",
@@ -334,14 +339,11 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
 def _read(value, name: str, kind, where: str, elements=None):
     """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``):
     JSON types match exactly, so nothing is coerced (``"6"`` is not an integer),
-    no string is empty, enum values and element keys resolve to members, and
-    no list of element keys repeats one."""
-    if type(value) is kind and value != "":
-        return value
+    no string is empty, enum values resolve to members, an element key is
+    unknown (``_records`` reads a known one) and no list of element keys
+    repeats one."""
     if type(value) is str and type(kind) is dict and value in kind:
         return kind[value]
-    if kind is ELEMENT and type(value) is str and value in elements:
-        return elements[value]
     if type(value) is list and kind in (ELEMENTS, BASIS):
         for index, key in enumerate(value):
             if type(key) is not str or key not in elements:
@@ -349,7 +351,7 @@ def _read(value, name: str, kind, where: str, elements=None):
             if value.index(key) != index:
                 raise ChartValidationError(f"{where}: {name} repeats {key}")
         return [elements[key] for key in value]
-    # What is left is a value of a tuple kind, a null basis or a defect.
+    # What is left is a value of an exact or tuple kind, a null basis or a defect.
     if type(kind) is dict:
         types = (str,)
     else:
@@ -377,46 +379,52 @@ def _field(obj: dict, name: str, kind, where: str, default=REQUIRED):
 
 def _records(doc: dict, name: str, elements: Dict[str, Element]) -> Iterator[tuple[str, dict]]:
     """The top-level list ``name`` as (location, fields) pairs: each record
-    read against ``SCHEMA[name]``, with the defaults of its absent fields."""
-    schema = SCHEMA[name]
-    kinds = {field: kind for field, (kind, _) in schema.items()}
-    defaults = {field: default for field, (_, default) in schema.items() if default is not REQUIRED}
+    read against ``SCHEMA[name]``, with the defaults of its absent fields.
+    A value of its field's exact JSON type, or a known element key, is read
+    here; ``_read`` takes enums, lists, nulls and defects."""
+    kinds, defaults = _READERS[name]
     for index, record in enumerate(_field(doc, name, list, "top level", [])):
         where = f"{name}[{index}]"
         if type(record) is not dict:
             raise ChartValidationError(f"{where}: must be an object")
         if not record.keys() <= kinds.keys():
             _require_keys(record, kinds, where)
-        fields = dict(defaults)
+        fields = defaults.copy()
         for field, value in record.items():
-            fields[field] = _read(value, field, kinds[field], where, elements)
+            kind = kinds[field]
+            if type(value) is kind and value != "":
+                fields[field] = value
+            elif kind is ELEMENT and type(value) is str and value in elements:
+                fields[field] = elements[value]
+            else:
+                fields[field] = _read(value, field, kind, where, elements)
         if len(fields) < len(kinds):
             missing = next(field for field in kinds if field not in fields)
             raise ChartValidationError(f"{where}: missing field {missing!r}")
         yield where, fields
 
 
-def _require_degree(element: Element, module: ModuleId, stem: int, where: str) -> None:
-    if (element.module, element.stem) != (module, stem):
-        raise ChartValidationError(
-            f"{where}: {element.key} should live in module {module.value} at stem {stem}"
-        )
+def _off_degree(element: Element, module: ModuleId, stem: int, where: str) -> ChartValidationError:
+    """The error for ``element``, which should live in ``module`` at ``stem``."""
+    return ChartValidationError(f"{where}: {element.key} should live in module {module.value} at stem {stem}")
 
 
-def _value(fields: dict, where: str) -> Value:
-    """The ``value``/``nonzero`` pair of an action or axiom record: a span
-    (absent is zero) or a bare nonzero mark, never both."""
+def _value(fields: dict, where: str, head: str) -> Value:
+    """The ``value``/``nonzero`` pair of an action or axiom record: a span,
+    where an absent or empty one is the shared ``Value.zero()``, or the
+    shared bare nonzero mark, never both.  A defect's message names the
+    record by ``head`` formatted with its fields, e.g. ``axiom {map}``."""
     members = fields["value"]
+    if fields["nonzero"] and members is not ABSENT:
+        raise ChartValidationError(f"{where}: {head.format(**fields)}: both value and nonzero set")
     if fields["nonzero"]:
-        if members is not ABSENT:
-            raise ChartValidationError(f"{where}: both value and nonzero set")
         return Value.nonzero_unknown()
-    if members is ABSENT:
+    if members is ABSENT or not members:
         return Value.zero()
     try:
         return Value.known(span_of(*members))
     except DegreeMismatchError as exc:
-        raise ChartValidationError(f"{where}: {exc}") from exc
+        raise ChartValidationError(f"{where}: {head.format(**fields)}: {exc}") from exc
 
 
 def _value_fields(value: Value) -> dict:
@@ -431,10 +439,16 @@ def _value_fields(value: Value) -> dict:
 _DUPLICATE = {
     "elements": "duplicate element {}",
     "actions": "duplicate action {}·{}",
-    "classifications": "duplicate classification for {} in {}",
+    "classifications": "duplicate classification for {} in {.value}",
     "ranks": "duplicate ranks record for {} at stem {}",
     "tmfNameOverrides": "duplicate override for {} in column {}",
 }
+
+
+# Enum members read in the record checks, as globals: cheaper than a class attribute.
+_TORSION, _EXCEPTIONAL = ClassificationKind.TORSION, ClassificationKind.PERIODIC_EXCEPTIONAL
+_NONEXCEPTIONAL = ClassificationKind.PERIODIC_NONEXCEPTIONAL
+_LES_23, _MODULE_S, _MODULE_Y = LesContext.LES_23, ModuleId.S, ModuleId.Y
 
 
 class _ChartRecords:
@@ -459,12 +473,12 @@ class _ChartRecords:
         self.tmf_names = dict(chart.tmf_names) if chart else {}
         self.nu_multiples = set(chart.nu_multiples) if chart else set()
         self.prior_order_two = set(chart.prior_order_two) if chart else set()
-        self.actions = ActionTable(chart.actions.facts() if chart else ())
+        self.actions = chart.actions.copy() if chart else ActionTable()
         self.classifications = list(chart.classifications) if chart else []
         self.ses_records = list(chart.ses_records) if chart else []
         self.axioms = list(chart.axioms) if chart else []
         self.tmf_name_overrides = dict(chart.tmf_name_overrides) if chart else {}
-        self._classified = {(c.element.key, c.context.value): c for c in self.classifications}
+        self._classified = {(c.element.key, c.context): c for c in self.classifications}
         self._ranked = {(r.context, r.stem): r for r in self.ses_records}
         self._axiom_set = set(self.axioms)
 
@@ -530,15 +544,15 @@ class _ChartRecords:
     def add_classification(self, classification: Classification, where: str) -> None:
         """A classification: a torsion Y class in LES-2.3 with its v₁ action,
         an exceptional class where an exceptional listing can hold it."""
-        element, context, kind = classification.element, classification.context, classification.kind
+        element, context, kind = classification
         if (
-            kind is ClassificationKind.TORSION and (element.module, context) == (ModuleId.Y, LesContext.LES_23)
+            kind is _TORSION and context is _LES_23 and element.module is _MODULE_Y
             and self.actions.get("v₁", element) is None
         ):
             raise ChartValidationError(
                 f"{where}: torsion class {element.key} in {context.value} has no v₁ action"
             )
-        if kind is ClassificationKind.PERIODIC_EXCEPTIONAL:
+        if kind is _EXCEPTIONAL:
             route = EXCEPTIONAL_LISTINGS.get((context, element.module))
             if route is None:
                 raise ChartValidationError(
@@ -551,7 +565,7 @@ class _ChartRecords:
                     f"{where}: {element.key} marked exceptional in {context.value} but no "
                     f"{listing} monomial lives in stem {element.stem} (mod 192)"
                 )
-        key = (element.key, context.value)
+        key = (element.key, context)
         if self._is_new("classifications", key, self._classified.get(key), classification, where):
             self._classified[key] = classification
             self.classifications.append(classification)
@@ -561,34 +575,35 @@ class _ChartRecords:
         ranks adding up where both sides are known.  In SES-2.8 and SES-2.9
         each middle class is classified torsion or exceptional, and each
         sphere kernel class has order 2."""
-        record_where = f"{where}: ranks {ses.ref}"
+        middle, cokernel, kernel = ses.middle, ses.cokernel, ses.kernel
         for basis, module, basis_stem in (
-            (ses.middle, ses.middle_module, ses.stem),
-            (ses.cokernel or (), ses.side_module, ses.stem),
-            (ses.kernel or (), ses.side_module, ses.kernel_stem),
+            (middle, ses.middle_module, ses.stem),
+            (cokernel or (), ses.side_module, ses.stem),
+            (kernel or (), ses.side_module, ses.kernel_stem),
         ):
             for element in basis:
-                _require_degree(element, module, basis_stem, record_where)
-        if None not in (ses.cokernel, ses.kernel) and len(ses.middle) != len(ses.cokernel) + len(ses.kernel):
+                if element.module is not module or element.stem != basis_stem:
+                    raise _off_degree(element, module, basis_stem, f"{where}: ranks {ses.ref}")
+        if cokernel is not None and kernel is not None and len(middle) != len(cokernel) + len(kernel):
             raise ChartValidationError(
-                f"{record_where}: rank mismatch |middle|={len(ses.middle)} != "
-                f"|cokernel|={len(ses.cokernel)} + |kernel|={len(ses.kernel)}"
+                f"{where}: ranks {ses.ref}: rank mismatch |middle|={len(middle)} != "
+                f"|cokernel|={len(cokernel)} + |kernel|={len(kernel)}"
             )
         context, classified = SES_CONTEXTS[ses.context]
         if classified:
-            for element in ses.middle:
-                present = self._classified.get((element.key, context.value))
-                if present is None or present.kind is ClassificationKind.PERIODIC_NONEXCEPTIONAL:
+            for element in middle:
+                present = self._classified.get((element.key, context))
+                if present is None or present.kind is _NONEXCEPTIONAL:
                     raise ChartValidationError(
-                        f"{record_where}: middle element {element.key} "
+                        f"{where}: ranks {ses.ref}: middle element {element.key} "
                         f"must be classified torsion or exceptional in {context.value}"
                     )
             # A sphere kernel class lies in ker(·2), which the dataset states as order 2.
-            if ses.side_module is ModuleId.S:
-                for element in ses.kernel or ():
+            if ses.side_module is _MODULE_S:
+                for element in kernel or ():
                     if self.orders.get(element.key) != 2:
                         raise ChartValidationError(
-                            f"{record_where}: kernel element {element.key} "
+                            f"{where}: ranks {ses.ref}: kernel element {element.key} "
                             f"must carry order 2 (it lies in ker(·2))"
                         )
         key = (ses.context, ses.stem)
@@ -599,12 +614,15 @@ class _ChartRecords:
     def add_axiom(self, axiom: MapAxiom, where: str) -> None:
         """An axiom: its source and each class of its value where its map
         puts them."""
-        spec = MAP_SPECS[axiom.map]
-        where = f"{where}: axiom {axiom.map}({axiom.source.key})"
-        if axiom.source.module is not spec.source:
-            raise ChartValidationError(f"{where}: source must live in module {spec.source.value}")
+        spec, source = MAP_SPECS[axiom.map], axiom.source
+        if source.module is not spec.source:
+            raise ChartValidationError(
+                f"{where}: axiom {axiom.map}({source.key}): source must live in module {spec.source.value}"
+            )
+        stem = source.stem + spec.stem_shift
         for element in axiom.value.span:
-            _require_degree(element, spec.target, axiom.source.stem + spec.stem_shift, where)
+            if element.module is not spec.target or element.stem != stem:
+                raise _off_degree(element, spec.target, stem, f"{where}: axiom {axiom.map}({source.key})")
         if self.merge:
             if axiom in self._axiom_set:
                 return
@@ -667,7 +685,7 @@ def from_document(doc: dict) -> ChartFile:
         gen_name, source = fields["generator"], fields["source"]
         if gen_name not in generators:
             raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
-        value = _value(fields, f"{where}: action {gen_name}·{source.key}")
+        value = _value(fields, where, "action {generator}·{source.key}")
         records.add_action(generators[gen_name], source, value, where)
 
     for where, fields in _records(doc, "classifications", elements):
@@ -697,9 +715,8 @@ def from_document(doc: dict) -> ChartFile:
         records.add_ranks(ses, where)
 
     for where, fields in _records(doc, "axioms", elements):
-        map_name, source = fields["map"], fields["source"]
-        value = _value(fields, f"{where}: axiom {map_name}({source.key})")
-        records.add_axiom(MapAxiom(map_name, source, value), where)
+        value = _value(fields, where, "axiom {map}({source.key})")
+        records.add_axiom(MapAxiom(fields["map"], fields["source"], value), where)
 
     for where, fields in _records(doc, "tmfNameOverrides", elements):
         records.add_override((fields["row"].key, fields["column"]), fields["name"], where)
@@ -763,17 +780,16 @@ def to_document(chart: ChartFile) -> dict:
         {"generator": fact.generator.name, "source": fact.source.key, **_value_fields(fact.value)}
         for fact in chart.actions.facts()
     ]
-    ranks = []
-    for ses in sorted(chart.ses_records, key=lambda r: (r.context, r.stem)):
-        ranks.append(
-            {
-                "context": ses.context,
-                "stem": ses.stem,
-                "middle": [e.key for e in ses.middle],
-                "cokernel": None if ses.cokernel is None else [e.key for e in ses.cokernel],
-                "kernel": None if ses.kernel is None else [e.key for e in ses.kernel],
-            }
-        )
+    ranks = [
+        {
+            "context": ses.context,
+            "stem": ses.stem,
+            "middle": [e.key for e in ses.middle],
+            "cokernel": None if ses.cokernel is None else [e.key for e in ses.cokernel],
+            "kernel": None if ses.kernel is None else [e.key for e in ses.kernel],
+        }
+        for ses in sorted(chart.ses_records, key=lambda r: (r.context, r.stem))
+    ]
     axioms = [
         {"map": axiom.map, "source": axiom.source.key, **_value_fields(axiom.value)}
         for axiom in chart.axioms
@@ -818,9 +834,7 @@ def save(chart: ChartFile, path: str | Path) -> None:
     Path(path).write_text(dumps(chart), encoding="utf-8")
 
 
-# ---------------------------------------------------------------------------
-# Periodic-part expansion
-# ---------------------------------------------------------------------------
+# --- Periodic-part expansion ---
 
 def expand_periodic(
     module: ModuleId, stem_bound: int, presentations: Optional[dict] = None
@@ -844,19 +858,13 @@ def expand_periodic(
         k0_positions = {int(key): tuple(value) for key, value in k0_doc.items()}
     out: List[Monomial] = []
     if module is ModuleId.Y:
-        n = 0
-        while 24 * n <= stem_bound:
-            v = y_min[n % 8]
-            while 24 * n + 2 * v <= stem_bound:
+        for n in range(stem_bound // 24 + 1):
+            for v in range(y_min[n % 8], (stem_bound - 24 * n) // 2 + 1):
                 element = Element(ModuleId.Y, 24 * n + 2 * v, 0, monomial_name_y(n, v), periodic=True)
                 out.append(Monomial(element, n, v, 0))
-                v += 1
-            n += 1
     elif module is ModuleId.M:
-        n = 0
-        while 24 * n <= stem_bound:
-            k = 0
-            while 24 * n + 8 * k <= stem_bound:
+        for n in range(stem_bound // 24 + 1):
+            for k in range((stem_bound - 24 * n) // 8 + 1):
                 positions = range(6) if k >= 1 else k0_positions[n % 8]
                 for pos in positions:
                     extra_v, eta = FLASH_POSITIONS[pos]
@@ -866,13 +874,9 @@ def expand_periodic(
                         continue
                     element = Element(ModuleId.M, stem, eta, monomial_name_m(n, v, eta), periodic=True)
                     out.append(Monomial(element, n, v, eta))
-                k += 1
-            n += 1
     elif module is ModuleId.S:
-        n = 0
-        while 24 * n <= stem_bound:
-            k = 0
-            while 24 * n + 8 * k <= stem_bound:
+        for n in range(stem_bound // 24 + 1):
+            for k in range((stem_bound - 24 * n) // 8 + 1):
                 for eta in (0, 1, 2):
                     stem = 24 * n + 8 * k + eta
                     if stem > stem_bound:
@@ -886,16 +890,12 @@ def expand_periodic(
                             ModuleId.S, stem, 1, monomial_name_s_c6(n, k - 1), periodic=True
                         )
                         out.append(Monomial(element, n, k, 2, c6=True))
-                k += 1
-            n += 1
     else:
         raise ValueError(f"module {module.value} has no periodic presentation")
     return sorted(out, key=lambda m: (m.stem, m.element.filtration, m.element.name))
 
 
-# ---------------------------------------------------------------------------
-# Δ⁸ extension
-# ---------------------------------------------------------------------------
+# --- Δ⁸ extension ---
 
 _SHIFT_NAME = re.compile(r"^([a-z])_\{-?\d+,-?\d+\}$")
 
@@ -910,30 +910,27 @@ def _shifted(element: Element, k: int, filt_shift: int) -> Element:
     return Element(element.module, stem, filtration, name)
 
 
-def _shifted_value(value: Value, shifted: Dict[str, Element]) -> Value:
-    """``value`` with each class of its span replaced by its copy."""
-    return Value(value.state, span_of(*(shifted[e.key] for e in value.span)))
+def _shifted_value(value: Value, shifted: Dict[Element, Element]) -> Value:
+    """``value`` with each class of its span replaced by its copy; an empty
+    span (the zero or the bare nonzero mark) leaves ``value`` as it is."""
+    if not value.span:
+        return value
+    return Value.known(span_of(*(shifted[e] for e in value.span)))
 
 
 def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     """``chart`` with a Δ⁸-shifted copy of every record for each k ≤ copies.
 
-    The k-th copy of an element is ``_shifted``: 192k stems and k times the
-    filtration degree of Δ⁸ up.  It keeps the original's order and
-    prior-order-2 mark and prefixes its tmf name with Δ⁸· k times.  Copies
-    of ν-multiples are not marked as such and have Hurewicz flag false.  The
-    copies of actions, classifications, ``ranks`` records (at stem + 192k),
-    axioms and overrides refer to the shifted elements.
-
-    The copies are built from the chart's objects, not from a document.  Each
-    copy passes every check of the loader's records once, as ``_ChartRecords``
-    adds it, and the constructors' own checks; only the JSON-type checks of
-    ``_records`` are skipped.  The chart's own records, checked when they
-    entered, are not checked again.  Each container holds the chart's records
-    first, then copy 1, copy 2 and so on.  A copy equal to the record under
-    its identity key is skipped, as is an axiom equal to one present; any
-    other clash is a ``ChartValidationError`` naming the key.  A Hurewicz flag
-    already present is kept.
+    The k-th copy of an element is ``_shifted``.  It keeps the original's
+    order and prior-order-2 mark and prefixes its tmf name with Δ⁸· k times;
+    copies of ν-multiples are not marked as such and have Hurewicz flag false,
+    unless a flag is already present.  The copies of the other records
+    (``ranks`` records at stem + 192k) refer to the shifted elements.  Each
+    copy passes every ``_ChartRecords`` check and the constructors' own checks
+    once; only the JSON-type checks of ``_records`` are skipped.  Each
+    container holds the chart's records first, then copy 1, copy 2 and so on.
+    A copy equal to the record under its identity key, or an axiom equal to
+    one present, is skipped; any other clash is a ``ChartValidationError``.
     """
     if copies < 0:
         raise ValueError("copies must be ≥ 0")
@@ -944,31 +941,34 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     filt_shift = delta8.filtration_degree if delta8 else 0
     records = _ChartRecords(chart)
     hurewicz = dict(chart.hurewicz)
+    facts = chart.actions.facts()
     for k in range(1, copies + 1):
         where, prefix = f"Δ⁸ copy {k}", "Δ⁸·" * k
-        shifted = {key: _shifted(element, k, filt_shift) for key, element in chart.elements.items()}
-        for key, element in shifted.items():
+        # Keyed by the element itself, whose hash is cached.
+        shifted = {element: _shifted(element, k, filt_shift) for element in chart.elements.values()}
+        for element, copy in shifted.items():
+            key = element.key
             tmf_name = chart.tmf_names.get(key)
             records.add_element(
-                element, chart.orders.get(key), tmf_name and prefix + tmf_name, False,
+                copy, chart.orders.get(key), tmf_name and prefix + tmf_name, False,
                 key in chart.prior_order_two, where,
             )
             if key in chart.hurewicz:
-                hurewicz.setdefault(element.key, chart.hurewicz[key] and key not in chart.nu_multiples)
-        for fact in chart.actions.facts():
+                hurewicz.setdefault(copy.key, chart.hurewicz[key] and key not in chart.nu_multiples)
+        for fact in facts:
             value = _shifted_value(fact.value, shifted)
-            records.add_action(fact.generator, shifted[fact.source.key], value, where)
+            records.add_action(fact.generator, shifted[fact.source], value, where)
         for c in chart.classifications:
-            records.add_classification(Classification(shifted[c.element.key], c.context, c.kind), where)
+            records.add_classification(Classification(shifted[c.element], c.context, c.kind), where)
         for ses in chart.ses_records:
             bases = [
-                None if basis is None else [shifted[e.key] for e in basis]
+                None if basis is None else [shifted[e] for e in basis]
                 for basis in (ses.middle, ses.cokernel, ses.kernel)
             ]
             records.add_ranks(SesRecord(ses.context, ses.stem + 192 * k, *bases), where)
         for axiom in chart.axioms:
             value = _shifted_value(axiom.value, shifted)
-            records.add_axiom(MapAxiom(axiom.map, shifted[axiom.source.key], value), where)
+            records.add_axiom(MapAxiom(axiom.map, shifted[axiom.source], value), where)
         for (row, column), name in chart.tmf_name_overrides.items():
-            records.add_override((shifted[row].key, column), prefix + name, where)
+            records.add_override((shifted[chart.elements[row]].key, column), prefix + name, where)
     return replace(chart, max_stem=chart.max_stem + 192 * copies, hurewicz=hurewicz, **records.fields())

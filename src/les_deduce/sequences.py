@@ -299,20 +299,29 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
     for elements in by_degree.values():
         elements.sort()
     stems = sorted({stem for _, stem in by_degree})
+    facts = store.facts
     out: List[JunctionVerdict] = []
     for seq in SEQUENCES.values():
+        # Each junction's label prefix and the key prefix of map1's facts.
         junctions = [
-            (f"{map1.name}->{map2.name}@", map1, map2)
+            (f"{map1.name}->{map2.name}@", f"{map1.name}|", map1, map2)
             for map1, map2 in zip(seq.maps, seq.maps[1:] + seq.maps[:1])
         ]
         for stem in stems:
             source_stem = stem
-            for prefix, map1, map2 in junctions:
+            for prefix, key_prefix, map1, map2 in junctions:
                 junction_stem = source_stem + map1.stem_shift
                 sources = by_degree.get((map1.source, source_stem))
                 if sources:
-                    violations = (_composite_violation(store, map1, map2, e) for e in sources)
-                    detail = next(filter(None, violations), "")
+                    # Only a known nonzero map1 value can give a violation;
+                    # the first source in sorted order that gives one wins.
+                    detail = ""
+                    for element in sources:
+                        value = facts.get(key_prefix + element.key)
+                        if value is not None and value.is_known_nonzero:
+                            detail = _composite_violation(store, map1, map2, element, value)
+                            if detail:
+                                break
                     verdict = "contradiction" if detail else "undetermined"
                 elif (
                     (map1.target, junction_stem) in by_degree
@@ -329,24 +338,22 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
 
 
 def _composite_violation(
-    store: FactStore, map1: MapSpec, map2: MapSpec, element: Element
-) -> Optional[str]:
-    """Why map2 ∘ map1 cannot vanish on ``element``, or None if the known
-    facts do not show it: the image pushes through map2 to a nonzero sum, or
-    a single-class image meets a nonzero map2 value that is not known."""
-    value = store.get(map1.name, element)
-    if value is None or not value.is_known_nonzero:
-        return None
+    store: FactStore, map1: MapSpec, map2: MapSpec, element: Element, value: Value
+) -> str:
+    """Why map2 ∘ map1 cannot vanish on ``element``, whose map1 ``value`` is
+    known and nonzero, or "" if the known facts do not show it: the image
+    pushes through map2 to a nonzero sum, or a single-class image meets a
+    nonzero map2 value that is not known."""
     total: F2Span = ZERO
     for member in sorted(value.span):
         pushed = store.get(map2.name, member)
         if pushed is None:
-            return None
+            return ""
         if not pushed.is_known:
             if len(value.span) == 1:
                 return f"{map2.name} nonzero on img {map1.name}({element.key})"
-            return None
+            return ""
         total = span_add(total, pushed.span)
     if total:
         return f"{map2.name}({map1.name}({element.key})) = {span_key(total)} ≠ 0"
-    return None
+    return ""

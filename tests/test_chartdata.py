@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from les_deduce import chartdata
-from les_deduce.algebra import ModuleId, Value
+from les_deduce.algebra import Classification, ClassificationKind, LesContext, ModuleId, Value
 from les_deduce.chartdata import (
     ChartValidationError,
+    SesRecord,
     delta8_extend,
     expand_periodic,
     monomial_name_m,
@@ -265,6 +266,52 @@ CLASHES = {
 }
 
 
+
+def _past_checks(**records):
+    """A chart on ``_Y`` and the sphere class s_{3,1}, holding typed
+    ``records`` (``ChartFile`` fields) that the loader never checked."""
+    sphere = {"module": "S", "name": "s_{3,1}", "stem": 3, "filtration": 1}
+    chart = chartdata.from_document(dict(MINIMAL, elements=_Y + [sphere]))
+    e = chart.elements
+    return dataclasses.replace(chart, **{field: make(e) for field, make in records.items()})
+
+
+# case -> a chart with one record whose Δ⁸ copy fails a check, and the whole
+# message; the record itself is never checked.
+COPY_MALFORMED = {
+    "ranks-off-degree": lambda: (
+        _past_checks(ses_records=lambda e: [SesRecord("SES-2.7", 3, (e["Y:y_{4,2}"],), None, None)]),
+        "Δ⁸ copy 1: ranks SES-2.7@195: Y:y_{196,2} should live in module Y at stem 195",
+    ),
+    "rank-mismatch": lambda: (
+        _past_checks(ses_records=lambda e: [SesRecord("SES-2.7", 3, (e["Y:y_{3,1}"],), (), ())]),
+        "Δ⁸ copy 1: ranks SES-2.7@195: rank mismatch |middle|=1 != |cokernel|=0 + |kernel|=0",
+    ),
+    "unclassified-middle": lambda: (
+        _past_checks(ses_records=lambda e: [SesRecord("SES-2.8", 3, (e["Y:y_{3,1}"],), None, None)]),
+        "Δ⁸ copy 1: ranks SES-2.8@195: middle element Y:y_{195,1} must be classified torsion or "
+        "exceptional in LES-2.3",
+    ),
+    "kernel-order-not-two": lambda: (
+        _past_checks(ses_records=lambda e: [SesRecord("SES-2.9", 4, (), None, (e["S:s_{3,1}"],))]),
+        "Δ⁸ copy 1: ranks SES-2.9@196: kernel element S:s_{195,1} must carry order 2 (it lies in ker(·2))",
+    ),
+    "duplicate-action": lambda: (
+        chartdata.from_document(dict(MINIMAL, **CLASHES["action"][1])),
+        "Δ⁸ copy 1: duplicate action η·Y:y_{195,1}",
+    ),
+    "axiom-source-off-spec": lambda: (
+        _past_checks(axioms=lambda e: [chartdata.MapAxiom("i2", e["Y:y_{3,1}"], Value.zero())]),
+        "Δ⁸ copy 1: axiom i2(Y:y_{195,1}): source must live in module M",
+    ),
+    "axiom-value-off-degree": lambda: (
+        _past_checks(
+            axioms=lambda e: [chartdata.MapAxiom("p2", e["Y:y_{3,1}"], Value.known(frozenset({e["Y:y_{4,2}"]})))]
+        ),
+        "Δ⁸ copy 1: axiom p2(Y:y_{195,1}): Y:y_{196,2} should live in module M at stem 193",
+    ),
+}
+
 class TestDelta8Extend:
     def test_copies_one_replicates_elements(self, chart):
         ext = delta8_extend(chart, 1)
@@ -352,15 +399,21 @@ class TestDelta8Extend:
     def test_copies_are_checked_not_the_chart(self):
         # The loader rejects a torsion Y class without a v₁ action, so build
         # the chart past it: the copy is checked, the chart is not.
-        from les_deduce.algebra import Classification, ClassificationKind, LesContext
-
         chart = chartdata.from_document(dict(MINIMAL, elements=_Y[:1]))
         y3 = chart.elements["Y:y_{3,1}"]
         chart = dataclasses.replace(
             chart, classifications=[Classification(y3, LesContext.LES_23, ClassificationKind.TORSION)]
         )
-        with pytest.raises(ChartValidationError, match=r"Δ⁸ copy 1: torsion class Y:y_\{195,1\} in LES-2.3"):
+        with pytest.raises(ChartValidationError) as error:
             delta8_extend(chart, 1)
+        assert str(error.value) == "Δ⁸ copy 1: torsion class Y:y_{195,1} in LES-2.3 has no v₁ action"
+
+    @pytest.mark.parametrize("name", sorted(COPY_MALFORMED))
+    def test_copy_errors_name_the_copy(self, name):
+        chart, message = COPY_MALFORMED[name]()
+        with pytest.raises(ChartValidationError) as error:
+            delta8_extend(chart, 1)
+        assert str(error.value) == message
 
     def test_copies_follow_the_chart_in_order(self, chart):
         ext = delta8_extend(chart, 2)
@@ -373,6 +426,30 @@ class TestDelta8Extend:
             _shifted_key(a.source.key, k) for k in range(3) for a in chart.axioms
         ]
 
+
+
+class TestIngestSharesValues:
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_empty_spans_are_the_shared_values(self, chart, copies):
+        ext = delta8_extend(chart, copies)
+        values = [fact.value for fact in ext.actions.facts()] + [axiom.value for axiom in ext.axioms]
+        empty = [value for value in values if not value.span]
+        assert {value.serialize() for value in empty} == {"0", "nonzero"}
+        assert all(value is Value.zero() or value is Value.nonzero_unknown() for value in empty)
+
+    def test_equal_classification_is_skipped_when_merging(self, chart):
+        records = chartdata._ChartRecords(chart)
+        present = chart.classifications[0]
+        records.add_classification(Classification(*present), "here")
+        assert records.classifications == chart.classifications
+
+    def test_clashing_classification_is_rejected_when_merging(self, chart):
+        records = chartdata._ChartRecords(chart)
+        present = chart.classifications[0]
+        assert present.kind is ClassificationKind.TORSION
+        with pytest.raises(ChartValidationError) as error:
+            records.add_classification(present._replace(kind=ClassificationKind.PERIODIC_NONEXCEPTIONAL), "here")
+        assert str(error.value) == "here: duplicate classification for M:m_{100,20} in LES-2.3"
 
 _DELETE = object()
 
@@ -439,134 +516,142 @@ def _repeat_basis(doc):
     record["cokernel"] = ["S:s_{6,2}", "S:s_{6,2}"]
 
 
-# (mutation of the shipped document, location the error must name)
+# (mutation of the shipped document, the whole message of the error it raises)
 MALFORMED = {
-    "element-without-module": (_set(("elements", 0, "module"), _DELETE), r"elements\[0\]"),
-    "action-without-generator": (_set(("actions", 0, "generator"), _DELETE), r"actions\[0\]"),
-    "axiom-without-map": (_set(("axioms", 0, "map"), _DELETE), r"axioms\[0\]"),
-    "stem-not-a-number": (_set(("elements", 0, "stem"), "x"), r"elements\[0\]: stem"),
-    "stem-as-string": (_set(("elements", 0, "stem"), "6"), r"elements\[0\]: stem"),
-    "unknown-module": (_set(("elements", 0, "module"), "Q"), r"elements\[0\]: unknown module"),
+    "element-without-module": (_set(("elements", 0, "module"), _DELETE), "elements[0]: missing field 'module'"),
+    "action-without-generator": (_set(("actions", 0, "generator"), _DELETE), "actions[0]: missing field 'generator'"),
+    "axiom-without-map": (_set(("axioms", 0, "map"), _DELETE), "axioms[0]: missing field 'map'"),
+    "stem-not-a-number": (_set(("elements", 0, "stem"), "x"), "elements[0]: stem must be an integer, got 'x'"),
+    "stem-as-string": (_set(("elements", 0, "stem"), "6"), "elements[0]: stem must be an integer, got '6'"),
+    "unknown-module": (_set(("elements", 0, "module"), "Q"), "elements[0]: unknown module 'Q'"),
     "unknown-context": (
         _set(("classifications", 0, "context"), "LES-9"),
-        r"classifications\[0\]: unknown context",
+        "classifications[0]: unknown context 'LES-9'",
     ),
-    "elements-as-object": (_set(("elements",), {}), "top level: elements"),
-    "unknown-axiom-map": (_set(("axioms", 0, "map"), "nosuch"), r"axioms\[0\]: unknown map"),
+    "elements-as-object": (_set(("elements",), {}), "top level: elements must be a list, got {}"),
+    "unknown-axiom-map": (_set(("axioms", 0, "map"), "nosuch"), "axioms[0]: unknown map 'nosuch'"),
     "hurewicz-flag-not-bool": (
         _set(("hurewiczFlags", "S:s_{100,20}"), "no"),
-        r"hurewiczFlags\['S:s_\{100,20\}'\]: must be a boolean",
+        "hurewiczFlags['S:s_{100,20}']: must be a boolean, got 'no'",
     ),
-    "negative-max-stem": (_set(("maxStem",), -1), "top level: maxStem"),
+    "negative-max-stem": (_set(("maxStem",), -1), "top level: maxStem must be ≥ 0, got -1"),
     "flash-positions-not-a-list": (
         _set(("periodicPresentations", "M", "k0Positions", "3"), 5),
-        "periodicPresentations.M.k0Positions",
+        "periodicPresentations.M.k0Positions['3']: bad flash positions",
     ),
     "min-v1-not-an-integer": (
         _set(("periodicPresentations", "Y", "minV1ByDeltaMod8", 0), "0"),
-        "periodicPresentations.Y",
+        "periodicPresentations.Y needs eight minimal v₁-powers, got ['0', 1, 2, 3, 1, 2, 3, 4]",
     ),
     "torsion-y-without-v1-action": (
         _set(V1_ON_Y44, _DELETE),
-        r"torsion class Y:y_\{44,8\} in LES-2.3 has no v₁ action",
+        "classifications[220]: torsion class Y:y_{44,8} in LES-2.3 has no v₁ action",
     ),
     "axiom-source-off-spec": (
         _set(("axioms", 0), {"map": "p2", "source": "S:s_{3,1}", "value": ["Y:y_{44,8}"]}),
-        r"axiom p2\(S:s_\{3,1\}\): source must live in module Y",
+        "axioms[0]: axiom p2(S:s_{3,1}): source must live in module Y",
     ),
     "axiom-value-module-off-spec": (
         _set(("axioms", 0, "value"), ["Y:y_{44,8}"]),
-        r"axiom p2\(Y:y_\{30,2\}\): Y:y_\{44,8\} should live in module M at stem 28",
+        "axioms[0]: axiom p2(Y:y_{30,2}): Y:y_{44,8} should live in module M at stem 28",
     ),
     "axiom-value-stem-off-spec": (
         _set(("axioms", 0, "value"), ["M:m_{80,16}"]),
-        r"axiom p2\(Y:y_\{30,2\}\): M:m_\{80,16\} should live in module M at stem 28",
+        "axioms[0]: axiom p2(Y:y_{30,2}): M:m_{80,16} should live in module M at stem 28",
     ),
     "axiom-value-and-nonzero": (
         _set(("axioms", 0, "nonzero"), True),
-        r"axiom p2\(Y:y_\{30,2\}\): both value and nonzero set",
+        "axioms[0]: axiom p2(Y:y_{30,2}): both value and nonzero set",
     ),
     "nonzero-action-with-null-value": (
         _set(NONZERO_ACTION + ("value",), None),
-        r"actions\[\d+\]: value must be a list, got None",
+        "actions[9]: value must be a list, got None",
     ),
-    "value-null": (_set(("actions", 0, "value"), None), r"actions\[0\]: value must be a list, got None"),
-    "action-off-degree": (_set(KBAR_ON_M105 + ("value",), ["M:m_{100,20}"]), r"actions\[\d+\]: action κ̄·"),
-    "empty-tmf-name": (_set(("elements", 0, "tmfName"), ""), r"elements\[0\]: tmfName must not be empty"),
+    "value-null": (_set(("actions", 0, "value"), None), "actions[0]: value must be a list, got None"),
+    "action-off-degree": (
+        _set(KBAR_ON_M105 + ("value",), ["M:m_{100,20}"]),
+        "actions[104]: action κ̄·M:m_{105,17}: κ̄·M:m_{105,17} lands in stem 125, got stem 100",
+    ),
+    "empty-tmf-name": (_set(("elements", 0, "tmfName"), ""), "elements[0]: tmfName must not be empty"),
     "empty-override-name": (
         _set(("tmfNameOverrides", 0, "name"), ""),
-        r"tmfNameOverrides\[0\]: name must not be empty",
+        "tmfNameOverrides[0]: name must not be empty",
     ),
     "duplicate-element": (
         _append(("elements",), SHIPPED["elements"][0]),
-        r"elements\[\d+\]: duplicate element M:m_\{6,2\}",
+        "elements[207]: duplicate element M:m_{6,2}",
     ),
     "duplicate-generator": (
         _append(("generators",), SHIPPED["generators"][0]),
-        r"generators\[\d+\]: duplicate generator 2",
+        "generators[10]: duplicate generator 2",
     ),
     "duplicate-classification": (
         _append(("classifications",), SHIPPED["classifications"][0]),
-        r"classifications\[\d+\]: duplicate classification for M:m_\{100,20\} in LES-2.3",
+        "classifications[268]: duplicate classification for M:m_{100,20} in LES-2.3",
     ),
     "duplicate-ranks-record": (
         _append(("ranks",), SHIPPED["ranks"][0]),
-        r"ranks\[\d+\]: duplicate ranks record for SES-2.8 at stem 3",
+        "ranks[93]: duplicate ranks record for SES-2.8 at stem 3",
     ),
     "duplicate-action": (
         _append(("actions",), SHIPPED["actions"][0]),
-        r"actions\[\d+\]: duplicate action v₁·Y:y_\{101,15\}",
+        "actions[156]: duplicate action v₁·Y:y_{101,15}",
     ),
     "duplicate-override": (
         _append(("tmfNameOverrides",), {"row": "Y:y_{119,3}", "column": "imgP1", "name": "zzz"}),
-        r"tmfNameOverrides\[1\]: duplicate override for Y:y_\{119,3\} in column imgP1",
+        "tmfNameOverrides[1]: duplicate override for Y:y_{119,3} in column imgP1",
     ),
     "negative-degree": (
         _set(("elements", 0, "stem"), -1),
-        r"elements\[0\]: element M:m_\{6,2\}: negative degree",
+        "elements[0]: element M:m_{6,2}: negative degree",
     ),
     "name-off-degree": (
         _set(("elements", 0, "filtration"), 3),
-        r"elements\[0\]: element M:m_\{6,2\} has stem/filtration \(6,3\) inconsistent with its name",
+        "elements[0]: element M:m_{6,2} has stem/filtration (6,3) inconsistent with its name",
     ),
-    "bad-order": (_set(("elements", 0, "order"), 3), r"elements\[0\]: element M:m_\{6,2\}: bad order 3"),
+    "bad-order": (_set(("elements", 0, "order"), 3), "elements[0]: element M:m_{6,2}: bad order 3"),
     "order-null": (
         _set(("elements", 0, "order"), None),
-        r"elements\[0\]: order must be an integer or a string, got None",
+        "elements[0]: order must be an integer or a string, got None",
     ),
     "unknown-override-column": (
         _set(("tmfNameOverrides", 0, "column"), "x"),
-        r"tmfNameOverrides\[0\]: unknown column 'x'",
+        "tmfNameOverrides[0]: unknown column 'x'",
     ),
     "hurewicz-flag-off-sphere": (
         _set(("hurewiczFlags", "Y:y_{3,1}"), True),
-        r"hurewiczFlags\['Y:y_\{3,1\}'\]: hurewicz flag on non-sphere element Y:y_\{3,1\}",
+        "hurewiczFlags['Y:y_{3,1}']: hurewicz flag on non-sphere element Y:y_{3,1}",
     ),
     "empty-element-name": (
         _append(("elements",), {"module": "M", "name": "", "stem": 6, "filtration": 2}),
-        r"elements\[\d+\]: name must not be empty",
+        "elements[207]: name must not be empty",
     ),
     "exceptional-without-route": (
         _set(Y50_IN_LES23 + ("kind",), "periodicExceptional"),
-        r"classifications\[\d+\]: Y:y_\{50,4\} marked exceptional in LES-2.3, but no exceptional listing",
+        "classifications[223]: Y:y_{50,4} marked exceptional in LES-2.3, "
+        "but no exceptional listing there holds Y classes",
     ),
     "exceptional-off-listing-stem": (
         _set(M100_IN_LES23 + ("kind",), "periodicExceptional"),
-        r"classifications\[\d+\]: M:m_\{100,20\} marked exceptional in LES-2.3 but no EM monomial "
-        r"lives in stem 100",
+        "classifications[0]: M:m_{100,20} marked exceptional in LES-2.3 but no EM monomial "
+        "lives in stem 100 (mod 192)",
     ),
     "unclassified-middle": (
         _set(Y3_IN_LES23 + ("kind",), "periodicNonexceptional"),
-        r"ranks\[\d+\]: ranks SES-2.8@3: middle element Y:y_\{3,1\} must be classified",
+        "ranks[0]: ranks SES-2.8@3: middle element Y:y_{3,1} must be classified torsion or exceptional in LES-2.3",
     ),
     "kernel-order-not-two": (
         _set(S8 + ("order",), 4),
-        r"ranks\[\d+\]: ranks SES-2.9@9: kernel element S:s_\{8,2\} must carry order 2",
+        "ranks[65]: ranks SES-2.9@9: kernel element S:s_{8,2} must carry order 2 (it lies in ker(·2))",
     ),
-    "basis-repeats-element": (_repeat_basis, r"ranks\[\d+\]: cokernel repeats S:s_\{6,2\}"),
+    "rank-mismatch": (
+        _set(("ranks", SES29_AT_6, "cokernel"), []),
+        "ranks[64]: ranks SES-2.9@6: rank mismatch |middle|=1 != |cokernel|=0 + |kernel|=0",
+    ),
+    "basis-repeats-element": (_repeat_basis, "ranks[64]: cokernel repeats S:s_{6,2}"),
     "span-repeats-element": (
         _set(KBAR_ON_M105 + ("value",), ["M:m_{125,21}", "M:m_{125,21}"]),
-        r"actions\[\d+\]: value repeats M:m_\{125,21\}",
+        "actions[104]: value repeats M:m_{125,21}",
     ),
 }
 
@@ -594,18 +679,19 @@ def mutations(draw):
 class TestMalformedDocuments:
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_rejected_with_location(self, name, tmp_path, capsys):
-        mutate, location = MALFORMED[name]
+        mutate, message = MALFORMED[name]
         doc = json.loads(DATA.read_text(encoding="utf-8"))
         mutate(doc)
-        with pytest.raises(ChartValidationError, match=location):
+        with pytest.raises(ChartValidationError) as error:
             chartdata.from_document(doc)
+        assert str(error.value) == message
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         with pytest.raises(SystemExit) as exit_:
             main(["validate", str(path)])
         err = capsys.readouterr().err
         assert exit_.value.code == 1
-        assert err.startswith("validation error:") and "Traceback" not in err
+        assert err == f"validation error: {message}\n"
 
     @given(mutations())
     @example((V1_ON_Y44, _DELETE))

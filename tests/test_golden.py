@@ -5,9 +5,13 @@ for byte.  A snapshot changes only together with a CHANGES.md entry that says
 why; to refresh one, rerun the command named in its test and commit the
 output, e.g. ``les-deduce check data/tmf_chart.json --json >
 tests/golden/check.json`` or ``les-deduce deduce data/tmf_chart.json --log
-tests/golden/log.json``.
+tests/golden/log.json``.  The Δ⁸×2 reports are too large to commit, so
+``delta8x2.sha256`` pins their SHA-256 digests in ``sha256sum`` format; to
+refresh it, write each report of the dumped Δ⁸×2 chart to the file it names
+and run ``sha256sum check.json table.json families.txt``.
 """
 
+import hashlib
 import json
 import re
 
@@ -50,6 +54,25 @@ def test_derivation_log(capsys, tmp_path):
     path = tmp_path / "log.json"
     cli_output(capsys, "deduce", "--log", str(path))
     assert path.read_bytes() == (GOLDEN / "log.json").read_bytes()
+
+
+DELTA8X2_REPORTS = {
+    "check.json": ("check", "--json"),
+    "table.json": ("table", "--format", "json"),
+    "families.txt": ("families",),
+}
+
+
+def test_delta8x2_reports_match_their_digests(capsys, tmp_path, chart):
+    data = tmp_path / "delta8x2.json"
+    data.write_text(dumps(delta8_extend(chart, 2)), encoding="utf-8")
+    digests = dict(
+        reversed(line.split()) for line in (GOLDEN / "delta8x2.sha256").read_text(encoding="utf-8").splitlines()
+    )
+    assert digests.keys() == DELTA8X2_REPORTS.keys()
+    for name, argv in DELTA8X2_REPORTS.items():
+        output = cli_output(capsys, *argv, data=data)
+        assert hashlib.sha256(output).hexdigest() == digests[name], name
 
 
 def shifted(text, copies):
