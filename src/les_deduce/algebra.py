@@ -274,17 +274,22 @@ class ActionFact:
                 )
 
 
+# One entry of the push plan: an action g·x = t with one-element value, its
+# target t and the label "g·x" that provenance cites it by.
+Push = Tuple[ActionFact, Element, str]
+
+
 class ActionTable:
     """Partial generator-action data with a linear-extension query.
 
-    The sorted fact list and the index of single-valued actions by source are
-    built on first use and dropped by ``add``.
+    The sorted fact list and the push plan (``single_valued``) are built on
+    first use and dropped by ``add``.
     """
 
     def __init__(self, facts: Iterable[ActionFact] = ()) -> None:
         self._facts: dict[tuple[str, str], ActionFact] = {}
         self._sorted: Optional[List[ActionFact]] = None
-        self._by_source: Optional[Dict[str, Tuple[ActionFact, ...]]] = None
+        self._pushes: Optional[Dict[str, Tuple[Push, ...]]] = None
         for fact in facts:
             self.add(fact)
 
@@ -294,7 +299,7 @@ class ActionTable:
         if existing is not None and existing != fact:
             raise ValueError(f"conflicting action facts for {fact.generator.name}·{fact.source}")
         self._facts[key] = fact
-        self._sorted = self._by_source = None
+        self._sorted = self._pushes = None
 
     def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
         return self._facts.get((generator_name, source.key))
@@ -312,15 +317,19 @@ class ActionTable:
             )
         return list(self._sorted)
 
-    def single_valued(self, source: Element) -> Tuple[ActionFact, ...]:
-        """Actions on ``source`` whose value is one element, by generator name."""
-        if self._by_source is None:
-            by_source: Dict[str, List[ActionFact]] = {}
+    def single_valued(self) -> Dict[str, Tuple[Push, ...]]:
+        """The push plan: source key → the actions on that source whose value
+        is one element, by generator name, each as (fact, its target, the
+        provenance label ``g·x``)."""
+        if self._pushes is None:
+            pushes: Dict[str, List[Push]] = {}
             for fact in self.facts():
                 if len(fact.value.span) == 1:
-                    by_source.setdefault(fact.source.key, []).append(fact)
-            self._by_source = {key: tuple(facts) for key, facts in by_source.items()}
-        return self._by_source.get(source.key, ())
+                    (target,) = fact.value.span
+                    source = fact.source.key
+                    pushes.setdefault(source, []).append((fact, target, f"{fact.generator.name}·{source}"))
+            self._pushes = {key: tuple(plan) for key, plan in pushes.items()}
+        return self._pushes
 
     def act(self, generator_name: str, span: F2Span) -> Optional[Value]:
         """Linear extension of recorded actions to spans.

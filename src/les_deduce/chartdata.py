@@ -55,7 +55,7 @@ from .algebra import (
     Value,
     span_of,
 )
-from .sequences import MAP_SPECS, SEQUENCES, fact_key
+from .sequences import MAP_SPECS, SEQUENCES, RankOnePlan
 
 SCHEMA_VERSION = "1"
 
@@ -184,8 +184,10 @@ class SesRecord:
             if basis is not None:
                 basis = tuple(sorted(basis, key=_BASIS_ORDER)) if len(basis) > 1 else tuple(basis)
                 object.__setattr__(self, name, basis)
-        # Not a field: the LES maps, (inclusion, projection, self-map).
+        # Not fields: the LES maps, (inclusion, projection, self-map), and the
+        # record's name in provenance and messages, e.g. ``SES-2.8@50``.
         object.__setattr__(self, "_maps", _SES_MAPS[self.context])
+        object.__setattr__(self, "ref", f"{self.context}@{self.stem}")
 
     @property
     def include_map(self) -> str:
@@ -206,11 +208,6 @@ class SesRecord:
     @property
     def kernel_stem(self) -> int:
         return self.stem + self._maps[1].stem_shift
-
-    @property
-    def ref(self) -> str:
-        """The record's name in provenance and messages, e.g. ``SES-2.8@50``."""
-        return f"{self.context}@{self.stem}"
 
     def place(self, map_name: str, source: Element) -> Optional[Tuple[tuple, tuple]]:
         """Where the fact ``map_name`` on ``source`` sits in this record: the
@@ -234,10 +231,8 @@ class MapAxiom:
 @dataclass
 class ChartFile:
     """A chart dataset whose every record passed the ``_ChartRecords`` checks
-    as it entered; immutable by convention after load.
-
-    The ``rank_one_records`` index is built on first use and kept for the life
-    of the chart.
+    as it entered; immutable by convention after load, so the record plans of
+    ``rank_one_records`` are built on first use and kept for its life.
     """
 
     schema_version: str
@@ -259,14 +254,15 @@ class ChartFile:
     periodic_presentations: Dict[str, dict]
 
     @cached_property
-    def rank_one_records(self) -> Dict[str, List[SesRecord]]:
-        """Projection fact key p|x → the records with kernel rank 1 and middle
-        rank 2 that have x in their middle, in ``ses_records`` order."""
-        index: Dict[str, List[SesRecord]] = {}
+    def rank_one_records(self) -> Dict[str, List[RankOnePlan]]:
+        """Projection fact key p|x → the plan of each record with kernel rank 1
+        and middle rank 2 that has x in its middle, in ``ses_records`` order."""
+        index: Dict[str, List[RankOnePlan]] = {}
         for record in self.ses_records:
             if record.kernel is not None and len(record.kernel) == 1 and len(record.middle) == 2:
-                for element in record.middle:
-                    index.setdefault(fact_key(record.project_map, element), []).append(record)
+                plan = RankOnePlan.of(record)
+                for key in (plan.key_u, plan.key_w):
+                    index.setdefault(key, []).append(plan)
         return index
 
     def tmf_name(self, element: Element, row_key: str, column: str) -> Optional[str]:

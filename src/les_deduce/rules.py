@@ -12,10 +12,11 @@ store with a contradiction can depend on the schedule (ROADMAP item 12).
 chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
 fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 ``delta``, the fact keys that may have changed, visits only those facts
-(pass ``store.facts`` to visit all) and reaches the rest through indexes
-built once per chart (``ActionTable.single_valued``,
-``ChartFile.rank_one_records``).  A shuffled schedule permutes the rules
-within each stratum.
+(pass ``store.facts`` to visit all) and reaches the rest through plans built
+once per chart: the push plan ``ActionTable.single_valued`` (target and
+provenance label of each single-valued action) and the ``RankOnePlan`` of
+each rank-1 record in ``ChartFile.rank_one_records``.  A visit only reads
+them.  A shuffled schedule permutes the rules within each stratum.
 
 The rules read a record's geometry off the ``SesRecord``, which derives it
 from its LES in ``SEQUENCES``: the inclusion and projection maps, the bases
@@ -58,6 +59,7 @@ Rule inventory, matching the techniques used to fill the summary table:
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
@@ -300,24 +302,24 @@ _PROJECT_MAPS = frozenset(SEQUENCES[les.value].maps[1].name for les, _ in SES_CO
 
 def _pushes(
     store: FactStore, chart: ChartFile, delta: Iterable[str], maps: Container[str]
-) -> Iterator[Tuple[str, str, Value, ActionFact, Element]]:
-    """Walk ``delta`` through the recorded actions: for each known fact f(x) on
-    one of ``maps`` and each single-valued action g·x = t on its source, yield
-    (key, f, f(x), g·x, t).  Facts on periodic-part monomials are not pushed.
+) -> Iterator[Tuple[str, str, Value, ActionFact, Element, str]]:
+    """Walk ``delta`` through the push plan: for each known fact f(x) on one
+    of ``maps`` and each single-valued action g·x = t on its source, yield
+    (key, f, f(x), g·x, t, "g·x").  Facts on periodic-part monomials are not
+    pushed.
     """
+    plan = chart.actions.single_valued()
+    facts, sources = store.facts, store.sources
     for key in delta:
-        map_name, _, _ = key.partition("|")
-        if map_name not in maps:
+        map_name, _, source_key = key.partition("|")
+        pushes = plan.get(source_key)
+        if pushes is None or map_name not in maps:
             continue
-        value = store.facts[key]
-        if not value.is_known:
+        value = facts[key]
+        if not value.is_known or sources[key].periodic:
             continue
-        source = store.sources[key]
-        if source.periodic:
-            continue
-        for action in chart.actions.single_valued(source):
-            (target,) = action.value.span
-            yield key, map_name, value, action, target
+        for action, target, label in pushes:
+            yield key, map_name, value, action, target, label
 
 
 def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
@@ -332,16 +334,16 @@ def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Em
     a zero that the store rejects completes nothing.
     """
     out: List[Emission] = []
-    for key, project, parent, action, y in _pushes(store, chart, delta, _PROJECT_MAPS):
-        for record in chart.rank_one_records.get(fact_key(project, y), ()):
+    rank_one, act, zero = chart.rank_one_records, chart.actions.act, Value.zero()
+    for key, project, parent, action, y, label in _pushes(store, chart, delta, _PROJECT_MAPS):
+        for plan in rank_one.get(fact_key(project, y), ()):
             if not parent.is_zero:
-                if chart.actions.act(action.generator.name, parent.span) is not None:
+                if act(action.generator.name, parent.span) is not None:
                     continue
                 floor = filtration_floor(parent.span) + action.generator.filtration_degree
-                if floor <= record.kernel[0].filtration:
+                if floor <= plan.kernel.filtration:
                     continue
-            inputs = (key, f"{action.generator.name}·{action.source.key}", record.ref)
-            out.append(Emission(project, y, Value.zero(), RULE_T4, inputs))
+            out.append(Emission(project, y, zero, RULE_T4, (key, label, plan.ref)))
     return out
 
 
@@ -352,23 +354,11 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> 
     actions on its source: g·p(x) wherever it is charted, zero for p(x) = 0.
     """
     out: List[Emission] = []
-    for key, map_name, value, action, new_source in _pushes(store, chart, delta, MAP_SPECS):
-        name = action.generator.name
-        if value.is_zero:
-            pushed: Optional[Value] = Value.zero()
-        else:
-            pushed = chart.actions.act(name, value.span)
-        if pushed is None:
-            continue
-        out.append(
-            Emission(
-                map_name,
-                new_source,
-                pushed,
-                RULE_LIN,
-                (key, f"{name}·{action.source.key}"),
-            )
-        )
+    act, zero = chart.actions.act, Value.zero()
+    for key, map_name, value, action, new_source, label in _pushes(store, chart, delta, MAP_SPECS):
+        pushed = act(action.generator.name, value.span) if value.span else zero
+        if pushed is not None:
+            out.append(Emission(map_name, new_source, pushed, RULE_LIN, (key, label)))
     return out
 
 
@@ -384,30 +374,27 @@ def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List
     pinned onto whichever middle generator dies: the lift is read off the
     stored zero (p(w) = 0, else p(u) = 0), so a zero that the store rejects
     lifts nothing, and the zero of a basis adjustment lifts on the next call.
-    A record is revisited when either of its two projection facts is visited.
+    A record is revisited when either of its two projection facts is visited;
+    everything but the two stored values comes from its ``RankOnePlan``.
     """
     out: List[Emission] = []
-    for record in dict.fromkeys(r for key in delta for r in chart.rank_one_records.get(key, ())):
-        u, w = record.middle
-        ref = record.ref
-        project = record.project_map
-        onto_kernel = Value.known(span_of(record.kernel[0]))
-        key_u, key_w = fact_key(project, u), fact_key(project, w)
-        fu, fw = store.facts.get(key_u), store.facts.get(key_w)
-        if fw is not None and fw.is_zero:
-            out.append(Emission(project, u, onto_kernel, RULE_EXACT, (key_w, ref)))
+    facts, rank_one, zero = store.facts, chart.rank_one_records, Value.zero()
+    # Each record once, in first-visit order; a record has one shared plan.
+    plans = {id(plan): plan for key in delta for plan in rank_one.get(key, ())}
+    for plan in plans.values():
+        project, u, w, key_u, key_w, ref = plan.project, plan.u, plan.w, plan.key_u, plan.key_w, plan.ref
+        fu, fw = facts.get(key_u), facts.get(key_w)
+        u_dies = fu is not None and fu.is_zero
+        w_dies = fw is not None and fw.is_zero
+        if w_dies:
+            out.append(Emission(project, u, plan.onto_kernel, RULE_EXACT, (key_w, ref)))
         elif fw is not None and fw.is_known and u.filtration < w.filtration:
-            out.append(Emission(project, u, Value.zero(), RULE_EXACT, (key_w, ref)))
-        if fu is not None and fu.is_zero:
-            out.append(Emission(project, w, onto_kernel, RULE_EXACT, (key_u, ref)))
-        if record.cokernel is not None and len(record.cokernel) == 1:
-            for dead, key, value in ((w, key_w, fw), (u, key_u, fu)):
-                if value is not None and value.is_zero:
-                    lift = Value.known(span_of(dead))
-                    out.append(
-                        Emission(record.include_map, record.cokernel[0], lift, RULE_EXACT, (key, ref))
-                    )
-                    break
+            out.append(Emission(project, u, zero, RULE_EXACT, (key_w, ref)))
+        if u_dies:
+            out.append(Emission(project, w, plan.onto_kernel, RULE_EXACT, (key_u, ref)))
+        if plan.cokernel is not None and (w_dies or u_dies):
+            lift, key = (plan.lift_w, key_w) if w_dies else (plan.lift_u, key_u)
+            out.append(Emission(plan.include, plan.cokernel, lift, RULE_EXACT, (key, ref)))
     return out
 
 
@@ -474,7 +461,7 @@ def saturate(
         if rng is not None:
             rng.shuffle(looping)
         for name, rule in looping:
-            delta = dict.fromkeys(key for key, _ in store.log[seen.get(name, 0):])
+            delta = dict.fromkeys(map(itemgetter(0), store.log[seen.get(name, 0):]))
             seen[name] = len(store.log)
             if _insert_all(store, rule(store, chart, delta)):
                 changed = True

@@ -16,6 +16,7 @@ localized rows, which are not exact in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
@@ -26,6 +27,7 @@ from .algebra import (
     ModuleId,
     Value,
     ZERO,
+    _KNOWN,
     filtration_floor,
     span_add,
     span_key,
@@ -33,7 +35,7 @@ from .algebra import (
 )
 
 if TYPE_CHECKING:  # chartdata checks axiom maps against MAP_SPECS
-    from .chartdata import ChartFile
+    from .chartdata import ChartFile, SesRecord
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,9 @@ class Derivation(NamedTuple):
     value: Value
 
 
+_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
+
+
 @dataclass(frozen=True)
 class Contradiction:
     fact: str
@@ -117,7 +122,39 @@ class Contradiction:
 
 
 def fact_key(map_name: str, source: Element) -> str:
+    """The store's key of the fact ``map_name`` on ``source``.
+
+    ``FactStore.insert`` writes the same format inline."""
     return f"{map_name}|{source.key}"
+
+
+class RankOnePlan(NamedTuple):
+    """What the rules read off a record with kernel {g} and middle {u, w} (u
+    no higher than w) on each visit, built once per chart.  The keys and
+    values are computed here; the other fields copy the record's, so a visit
+    reads tuple fields instead of ``SesRecord`` properties."""
+
+    project: str
+    include: str
+    u: Element
+    w: Element
+    key_u: str  # the projection fact keys p|u and p|w
+    key_w: str
+    ref: str
+    kernel: Element  # g
+    onto_kernel: Value  # g as a known value
+    lift_u: Value  # u and w as known values
+    lift_w: Value
+    cokernel: Optional[Element]  # the class of a rank-1 cokernel, else None
+
+    @classmethod
+    def of(cls, record: SesRecord) -> "RankOnePlan":
+        (u, w), (g,), project, cokernel = record.middle, record.kernel, record.project_map, record.cokernel
+        return _new_tuple(cls, (
+            project, record.include_map, u, w, fact_key(project, u), fact_key(project, w), record.ref, g,
+            Value.known(frozenset((g,))), Value.known(frozenset((u,))), Value.known(frozenset((w,))),
+            cokernel[0] if cokernel is not None and len(cokernel) == 1 else None,
+        ))
 
 
 class FactStore:
@@ -149,41 +186,48 @@ class FactStore:
         contradictions against the incoming derivation and otherwise ignored.
         Each distinct contradiction is recorded once, however often it recurs.
         """
-        key = fact_key(map_name, source)
-        if value.is_known_nonzero and filtration_floor(value.span) < source.filtration:
+        key = f"{map_name}|{source.key}"  # fact_key, inline
+        known, span = value.state is _KNOWN, value.span
+        if known and span and filtration_floor(span) < source.filtration:
             self._record(Contradiction(key, value, value, rule, f"{rule} (filtration law)"))
             return False
-
+        if type(inputs) is not tuple:
+            inputs = tuple(inputs)
         existing = self.facts.get(key)
-        grew = False
-        if existing is None:
+        if existing is None:  # a new fact: four writes, nothing to compare
+            derivation = _new_tuple(Derivation, (rule, inputs, value))
             self.facts[key] = value
             self.sources[key] = source
-            grew = True
-        elif existing.is_known and value.is_known:
-            if not values_equal_mod_higher(existing, value):
-                self._contradict(key, existing, value, rule)
-                return False
-            # Canonicalize to the lexicographically smaller representative so
-            # saturation is schedule-independent; equal spans need no choice.
-            if value.span != existing.span and value.serialize() < existing.serialize():
-                self.facts[key] = value
-                grew = True
-        elif existing.is_known and not value.is_known:
-            if existing.is_zero:
+            self.derivations[key] = [derivation]
+            self.log.append((key, derivation))
+            return True
+
+        grew = False
+        if existing.state is _KNOWN:
+            if known:
+                if span != existing.span:
+                    if not values_equal_mod_higher(existing, value):
+                        self._contradict(key, existing, value, rule)
+                        return False
+                    # Canonicalize to the lexicographically smaller
+                    # representative so saturation is schedule-independent.
+                    if value.serialize() < existing.serialize():
+                        self.facts[key] = value
+                        grew = True
+            elif not existing.span:  # known zero vs nonzeroUnknown
                 self._contradict(key, existing, value, rule)
                 return False
             # known nonzero absorbs nonzeroUnknown
-        elif not existing.is_known and value.is_known:
-            if value.is_zero:
+        elif known:  # nonzeroUnknown upgraded, unless to zero
+            if not span:
                 self._contradict(key, existing, value, rule)
                 return False
             self.facts[key] = value
             grew = True
         # nonzeroUnknown vs nonzeroUnknown: nothing to do
 
-        derivation = Derivation(rule, tuple(inputs), value)
-        seen = self.derivations.setdefault(key, [])
+        derivation = _new_tuple(Derivation, (rule, inputs, value))
+        seen = self.derivations[key]
         if derivation not in seen:
             seen.append(derivation)
             self.log.append((key, derivation))
@@ -293,46 +337,51 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
     unless a violation is found.  A junction whose three positions carry no
     chart elements at all is trivially exact.
     """
-    by_degree: Dict[Tuple[ModuleId, int], List[Element]] = {}
-    for element in chart.elements.values():
-        by_degree.setdefault((element.module, element.stem), []).append(element)
-    for elements in by_degree.values():
-        elements.sort()
-    stems = sorted({stem for _, stem in by_degree})
-    facts = store.facts
+    stems_of: Dict[ModuleId, set] = {}  # module → the stems of its chart elements
+    elements = chart.elements
+    for element in elements.values():
+        stems_of.setdefault(element.module, set()).add(element.stem)
+    stems = sorted(set().union(*stems_of.values()))
+    # Only a known nonzero value on a chart element can give a violation:
+    # (map, source module) → source stem → those elements, each with its
+    # value, in sorted order, since the first that gives one wins.
+    candidates: Dict[Tuple[str, ModuleId], Dict[int, List[Tuple[Element, Value]]]] = {}
+    for key, value in store.facts.items():
+        if value.state is _KNOWN and value.span:
+            map_name, _, source_key = key.partition("|")
+            element = elements.get(source_key)
+            if element is not None:
+                by_stem = candidates.setdefault((map_name, element.module), {})
+                by_stem.setdefault(element.stem, []).append((element, value))
+    for by_stem in candidates.values():
+        for group in by_stem.values():
+            group.sort(key=itemgetter(0))
     out: List[JunctionVerdict] = []
     for seq in SEQUENCES.values():
-        # Each junction's label prefix and the key prefix of map1's facts.
+        # Each junction's label prefix, its maps, their candidates and the
+        # stems of the three modules it visits.
         junctions = [
-            (f"{map1.name}->{map2.name}@", f"{map1.name}|", map1, map2)
+            (f"{map1.name}->{map2.name}@", map1, map2, candidates.get((map1.name, map1.source), {}),
+             stems_of.get(map1.source, ()), stems_of.get(map1.target, ()), stems_of.get(map2.target, ()))
             for map1, map2 in zip(seq.maps, seq.maps[1:] + seq.maps[:1])
         ]
         for stem in stems:
             source_stem = stem
-            for prefix, key_prefix, map1, map2 in junctions:
+            for prefix, map1, map2, by_stem, source_stems, middle_stems, target_stems in junctions:
                 junction_stem = source_stem + map1.stem_shift
-                sources = by_degree.get((map1.source, source_stem))
-                if sources:
-                    # Only a known nonzero map1 value can give a violation;
-                    # the first source in sorted order that gives one wins.
+                if source_stem in source_stems:
                     detail = ""
-                    for element in sources:
-                        value = facts.get(key_prefix + element.key)
-                        if value is not None and value.is_known_nonzero:
-                            detail = _composite_violation(store, map1, map2, element, value)
-                            if detail:
-                                break
+                    for element, value in by_stem.get(source_stem, ()):
+                        detail = _composite_violation(store, map1, map2, element, value)
+                        if detail:
+                            break
                     verdict = "contradiction" if detail else "undetermined"
-                elif (
-                    (map1.target, junction_stem) in by_degree
-                    or (map2.target, junction_stem + map2.stem_shift) in by_degree
-                ):
+                elif junction_stem in middle_stems or junction_stem + map2.stem_shift in target_stems:
                     verdict, detail = "undetermined", ""
                 else:
                     verdict, detail = "exact", "zero modules"
-                out.append(
-                    JunctionVerdict(seq.id, stem, f"{prefix}{junction_stem}", verdict, detail)
-                )
+                label = f"{prefix}{junction_stem}"
+                out.append(_new_tuple(JunctionVerdict, (seq.id, stem, label, verdict, detail)))
                 source_stem = junction_stem
     return out
 

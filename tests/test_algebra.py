@@ -147,12 +147,20 @@ class TestAct:
         assert self.table.act("κ̄", span_of(self.a, c)) is None
 
     def test_single_valued_follows_add(self):
-        assert self.table.single_valued(self.a) == (self.table.get("κ̄", self.a),)
+        """``add`` drops the push plan, and ``act`` sees the added facts."""
+        pushes = self.table.single_valued()
+        assert pushes[self.a.key] == ((self.table.get("κ̄", self.a), self.ka, "κ̄·Y:a"),)
         c = el("Y", 62, 1, "c")
-        assert self.table.single_valued(c) == ()
+        assert c.key not in self.table.single_valued()
+        assert self.table.act("κ̄", span_of(c)) is None
         self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka))))
-        self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, Value.known(span_of(el("Y", 64, 1, "vc")))))
-        assert [f.generator.name for f in self.table.single_valued(c)] == ["v₁", "κ̄"]
+        vc = el("Y", 64, 1, "vc")
+        self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, Value.known(span_of(vc))))
+        assert [(f.generator.name, t, label) for f, t, label in self.table.single_valued()[c.key]] == [
+            ("v₁", vc, "v₁·Y:c"),
+            ("κ̄", self.ka, "κ̄·Y:c"),
+        ]
+        assert self.table.act("κ̄", span_of(c)) == Value.known(span_of(self.ka))
         assert len(self.table.facts()) == 4
 
     def test_single_valued_skips_sums_and_nonzero_marks(self):
@@ -162,8 +170,8 @@ class TestAct:
         self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka, self.kb))))
         self.table.add(ActionFact(self.kbar, d, Value.nonzero_unknown()))
         self.table.add(ActionFact(self.kbar, z, Value.zero()))
-        assert [self.table.single_valued(e) for e in (c, d, z)] == [(), (), ()]
-        assert [f.source for f in self.table.single_valued(self.a)] == [self.a]
+        assert sorted(self.table.single_valued()) == [self.a.key, self.b.key]
+        assert [f.source for f, _, _ in self.table.single_valued()[self.a.key]] == [self.a]
 
     def test_act_on_shipped_chart(self, chart):
         y62 = chart.elements["Y:y_{62,2}"]

@@ -6,9 +6,10 @@ why; to refresh one, rerun the command named in its test and commit the
 output, e.g. ``les-deduce check data/tmf_chart.json --json >
 tests/golden/check.json`` or ``les-deduce deduce data/tmf_chart.json --log
 tests/golden/log.json``.  The Δ⁸×2 reports are too large to commit, so
-``delta8x2.sha256`` pins their SHA-256 digests in ``sha256sum`` format; to
-refresh it, write each report of the dumped Δ⁸×2 chart to the file it names
-and run ``sha256sum check.json table.json families.txt``.
+``delta8x2.sha256`` pins their SHA-256 digests, and that of the ``deduce
+--log`` derivation log, in ``sha256sum`` format; to refresh it, write each
+report of the dumped Δ⁸×2 chart to the file it names and run ``sha256sum
+check.json table.json families.txt log.json``.
 """
 
 import hashlib
@@ -69,10 +70,13 @@ def test_delta8x2_reports_match_their_digests(capsys, tmp_path, chart):
     digests = dict(
         reversed(line.split()) for line in (GOLDEN / "delta8x2.sha256").read_text(encoding="utf-8").splitlines()
     )
-    assert digests.keys() == DELTA8X2_REPORTS.keys()
+    assert digests.keys() == {*DELTA8X2_REPORTS, "log.json"}
     for name, argv in DELTA8X2_REPORTS.items():
         output = cli_output(capsys, *argv, data=data)
         assert hashlib.sha256(output).hexdigest() == digests[name], name
+    log = tmp_path / "log.json"
+    cli_output(capsys, "deduce", "--log", str(log), data=data)
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digests["log.json"]
 
 
 def shifted(text, copies):

@@ -23,6 +23,7 @@ from les_deduce.chartdata import (
     delta8_extend,
     exceptional_map,
     expand_periodic,
+    load,
 )
 from les_deduce.families import build_table, emit_families
 from les_deduce.oracle import check_soundness, enumerate_fillings, random_instance
@@ -49,6 +50,8 @@ from les_deduce.sequences import (
     image_of_p3,
     load_axioms,
 )
+
+from conftest import DATA
 
 _SHIFT = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
@@ -478,6 +481,19 @@ class TestSaturation:
         assert {name for name, _ in chart_only} == {"PERIODIC", "EXC", "T1", "T2", "T3"}
         for name, rule in chart_only:
             assert rule(FactStore(), target) == rule(saturated, target), name
+
+    def test_extension_builds_its_own_plans(self, chart):
+        # The push plan and the record plans belong to one chart: an
+        # extension made after the shipped chart has built and used both must
+        # saturate as one made from a fresh load.
+        saturate(chart)
+        extended = delta8_extend(chart, 2)
+        assert len(extended.rank_one_records) == 3 * len(chart.rank_one_records)
+        assert len(extended.actions.single_valued()) == 3 * len(chart.actions.single_valued())
+        got = saturate(extended)
+        fresh = saturate(delta8_extend(load(DATA), 2))
+        assert got.serialize() == fresh.serialize()
+        assert got.log_document() == fresh.log_document()
 
     def test_given_store_reaches_the_same_fixpoint(self, chart, store):
         # LIN's first call on a store passed in visits every fact already there.

@@ -9,6 +9,7 @@ from les_deduce import chartdata
 from les_deduce.algebra import Element, ModuleId, Value, span_of
 from les_deduce.rules import saturate
 from les_deduce.sequences import (
+    Contradiction,
     Derivation,
     FactStore,
     MAP_SPECS,
@@ -129,6 +130,104 @@ class TestCanonicalRepresentative:
             assert store.facts[key] == least
             assert set(store.derivations[key]) == expected
             assert len(store.derivations[key]) == len(expected)
+
+
+_KEY = "p2|Y:y_{8,2}"
+_M = Value.known(span_of(_FLOOR))
+_M_HI = Value.known(span_of(_FLOOR, _HIGHER[2]))  # m_{6,2} + m_{6,9}
+_LOW = Value.known(span_of(Element(ModuleId.M, 6, 1, "m_{6,1}")))
+_ZERO, _NONZERO = Value.zero(), Value.nonzero_unknown()
+
+
+class TestInsertBranches:
+    """Every branch of ``FactStore.insert`` on one key, p₂(y_{8,2}): each case
+    inserts ``(value, rule, inputs)`` in turn and pins the whole store and the
+    return value of each call."""
+
+    @staticmethod
+    def run(*inserts):
+        store = FactStore()
+        returned = [store.insert("p2", _Y, value, rule, inputs) for value, rule, inputs in inserts]
+        return store, returned
+
+    @staticmethod
+    def assert_store(store, value, derivations, contradictions=()):
+        assert store.facts == ({_KEY: value} if value is not None else {})
+        assert list(store.sources) == list(store.facts)
+        assert store.derivations == ({_KEY: derivations} if derivations else {})
+        assert store.log == [(_KEY, d) for d in derivations]
+        assert store.contradictions == list(contradictions)
+
+    def test_new_key(self):
+        store, returned = self.run((_M, "T2", ("SES-2.8@8",)))
+        assert returned == [True]
+        self.assert_store(store, _M, [Derivation("T2", ("SES-2.8@8",), _M)])
+        assert store.sources[_KEY] is _Y
+
+    def test_equal_known_value(self):
+        store, returned = self.run((_M, "T2", ()), (Value.known(span_of(_FLOOR)), "LIN", ("x",)))
+        assert returned == [True, True]
+        self.assert_store(store, _M, [Derivation("T2", (), _M), Derivation("LIN", ("x",), _M)])
+
+    @pytest.mark.parametrize(
+        "first, second", [(_M_HI, _M), (_M, _M_HI)], ids=["smaller-last", "smaller-first"]
+    )
+    def test_smaller_representative_wins(self, first, second):
+        store, returned = self.run((first, "axiom", ()), (second, "T2", ()))
+        assert returned == [True, True]
+        self.assert_store(store, _M, [Derivation("axiom", (), first), Derivation("T2", (), second)])
+
+    def test_nonzero_unknown_upgraded_to_known(self):
+        store, returned = self.run((_NONZERO, "T2", ()), (_M, "LIN", ()))
+        assert returned == [True, True]
+        self.assert_store(store, _M, [Derivation("T2", (), _NONZERO), Derivation("LIN", (), _M)])
+
+    def test_known_nonzero_absorbs_nonzero_unknown(self):
+        store, returned = self.run((_M, "LIN", ()), (_NONZERO, "T2", ()))
+        assert returned == [True, True]
+        self.assert_store(store, _M, [Derivation("LIN", (), _M), Derivation("T2", (), _NONZERO)])
+
+    def test_nonzero_unknown_twice(self):
+        store, returned = self.run((_NONZERO, "T2", ()), (_NONZERO, "EXC", ()))
+        assert returned == [True, True]
+        self.assert_store(store, _NONZERO, [Derivation("T2", (), _NONZERO), Derivation("EXC", (), _NONZERO)])
+
+    @pytest.mark.parametrize("nonzero", [_NONZERO, _M], ids=["unknown", "known"])
+    def test_zero_then_nonzero(self, nonzero):
+        store, returned = self.run((_ZERO, "T1", ()), (nonzero, "T2", ()), (nonzero, "T2", ()))
+        assert returned == [True, False, False]
+        contradiction = Contradiction(_KEY, _ZERO, nonzero, "T1", "T2")
+        self.assert_store(store, _ZERO, [Derivation("T1", (), _ZERO)], [contradiction])
+
+    @pytest.mark.parametrize("nonzero", [_NONZERO, _M], ids=["unknown", "known"])
+    def test_nonzero_then_zero(self, nonzero):
+        store, returned = self.run((nonzero, "T2", ()), (_ZERO, "axiom", ()))
+        assert returned == [True, False]
+        contradiction = Contradiction(_KEY, nonzero, _ZERO, "T2", "axiom")
+        self.assert_store(store, nonzero, [Derivation("T2", (), nonzero)], [contradiction])
+
+    def test_filtration_law(self):
+        store, returned = self.run((_LOW, "T2", ()), (_LOW, "T2", ()))
+        assert returned == [False, False]
+        self.assert_store(store, None, [], [Contradiction(_KEY, _LOW, _LOW, "T2", "T2 (filtration law)")])
+
+    def test_filtration_law_against_a_stored_value(self):
+        store, returned = self.run((_NONZERO, "T2", ()), (_LOW, "LIN", ()))
+        assert returned == [True, False]
+        contradiction = Contradiction(_KEY, _LOW, _LOW, "LIN", "LIN (filtration law)")
+        self.assert_store(store, _NONZERO, [Derivation("T2", (), _NONZERO)], [contradiction])
+
+    def test_repeated_derivation(self):
+        store, returned = self.run((_M, "T2", ("a",)), (_M, "T2", ("a",)), (_M_HI, "T2", ("a",)))
+        assert returned == [True, False, True]
+        self.assert_store(store, _M, [Derivation("T2", ("a",), _M), Derivation("T2", ("a",), _M_HI)])
+
+    def test_inputs_as_a_list(self):
+        inputs = ["a", "b"], ("a", "b"), iter(["a", "b"])
+        store, returned = self.run(*((_M, "T2", each) for each in inputs))
+        assert returned == [True, False, False]
+        self.assert_store(store, _M, [Derivation("T2", ("a", "b"), _M)])
+        assert type(store.derivations[_KEY][0].inputs) is tuple
 
 
 def ses_record(chart, context, stem):
