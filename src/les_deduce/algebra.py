@@ -10,13 +10,20 @@ encoding of a value the chart gives, whether a generator product
 unknown.  Elements are representatives up to strictly higher
 filtration in the same bidegree, so span equality has a "modulo higher
 filtration" refinement used when merging independently derived values.
+
+Every immutable record of the package is a ``typing.NamedTuple``, so its
+hash, equality and order are the tuple's own.  A record whose constructor
+checks or derives fields (``Element``, ``RingGenerator``, ``ActionFact``
+here, ``chartdata.SesRecord``) is a subclass of its fields' named tuple with
+a ``__new__`` that checks, then builds the tuple; derived fields come last,
+and ``_replace`` goes through that constructor too (``checked_replace``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 
@@ -39,35 +46,56 @@ class UndefinedFloorError(ValueError):
 
 _NAME_CONVENTION = re.compile(r"^[a-z]_\{(-?\d+),(-?\d+)\}$")
 
+new_tuple = tuple.__new__  # builds a named tuple without its constructor
 
-@dataclass(frozen=True, order=True)
-class Element:
-    """A named basis class at a fixed (stem, filtration) of one module.
 
-    ``periodic`` marks monomials generated from a periodic-part presentation;
-    they never participate in exactness checking or table emission.  The key
-    and its hash are computed once, when the element is built.
-    """
+def checked_replace(self, **changes):
+    """``_replace`` for a record whose constructor checks or derives fields,
+    and ``__replace__`` (``copy.replace``, Python 3.13+), which would bypass
+    it too: the copy is built by that constructor, from the first ``_takes``
+    fields (the ones it takes) with ``changes``, so a derived field follows
+    and cannot be set."""
+    return type(self)(**{**dict(zip(self._fields, self[: self._takes])), **changes})
 
+
+def checked_newargs(self) -> tuple:
+    """What ``copy`` and ``pickle`` pass the constructor: the fields it takes."""
+    return self[: self._takes]
+
+
+class _ElementFields(NamedTuple):
     module: ModuleId
     stem: int
     filtration: int
     name: str
-    periodic: bool = False
-    _key: str = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    periodic: bool
+    key: str  # "MODULE:name", derived; last, so it never decides an order
 
-    def __post_init__(self) -> None:
-        key = f"{self.module._value_}:{self.name}"
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Element(_ElementFields):
+    """A named basis class at a fixed (stem, filtration) of one module.
 
-    @property
-    def key(self) -> str:
-        return self._key
+    ``periodic`` marks monomials generated from a periodic-part presentation;
+    they never participate in exactness checking or table emission.  The key
+    is a field, derived from the module and the name when the element is
+    built; the hash is the tuple's, and elements sort by (module, stem,
+    filtration, name, periodic).
+    """
+
+    __slots__ = ()
+    _takes = 5
+
+    def __new__(
+        cls, module: ModuleId, stem: int, filtration: int, name: str, periodic: bool = False
+    ) -> "Element":
+        return new_tuple(cls, (module, stem, filtration, name, periodic, f"{module._value_}:{name}"))
+
+    # A property over the key field rather than the field's own descriptor,
+    # so that a profiler can count key reads by wrapping it
+    # (``perfbench/spans.py`` does).
+    key = property(itemgetter(5), doc="The element's key, ``MODULE:name``.")
+    _replace = __replace__ = checked_replace
+    __getnewargs__ = checked_newargs
 
     def check_name_convention(self) -> None:
         """Names of the form x_{i,j} must encode stem i and filtration j."""
@@ -139,28 +167,35 @@ GENERATOR_STEMS = {
 KAPPA_BAR = "κ̄"
 
 
-@dataclass(frozen=True)
-class RingGenerator:
+class _RingGeneratorFields(NamedTuple):
+    name: str
+    stem_degree: int
+    filtration_degree: int
+
+
+class RingGenerator(_RingGeneratorFields):
     """A tmf ring generator acting on the charts.
 
     Stem degrees are fixed; filtration degrees ship with the dataset except
     for κ̄, whose filtration degree is pinned to 4.
     """
 
-    name: str
-    stem_degree: int
-    filtration_degree: int
+    __slots__ = ()
+    _takes = 3
 
-    def __post_init__(self) -> None:
-        if self.name not in GENERATOR_STEMS:
-            raise ValueError(f"unknown ring generator {self.name!r}")
-        if self.stem_degree != GENERATOR_STEMS[self.name]:
+    def __new__(cls, name: str, stem_degree: int, filtration_degree: int) -> "RingGenerator":
+        if name not in GENERATOR_STEMS:
+            raise ValueError(f"unknown ring generator {name!r}")
+        if stem_degree != GENERATOR_STEMS[name]:
             raise ValueError(
-                f"generator {self.name} must have stem degree {GENERATOR_STEMS[self.name]}, "
-                f"got {self.stem_degree}"
+                f"generator {name} must have stem degree {GENERATOR_STEMS[name]}, "
+                f"got {stem_degree}"
             )
-        if self.name == KAPPA_BAR and self.filtration_degree != 4:
+        if name == KAPPA_BAR and filtration_degree != 4:
             raise ValueError("κ̄ must have filtration degree 4")
+        return new_tuple(cls, (name, stem_degree, filtration_degree))
+
+    _replace = __replace__ = checked_replace
 
 
 class ValueState(str, Enum):
@@ -174,13 +209,13 @@ _KNOWN = ValueState.KNOWN
 _NONZERO = ValueState.NONZERO
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     """Knowledge about a map or action value.  Absence of a Value is 'unknown'.
 
     ``known`` with an empty span is the known-zero state; a nonzero-unknown
     value has the empty span too, so a one-class span is always known.
-    ``zero()`` and ``nonzero_unknown()`` return one shared instance each.
+    ``zero()`` and ``nonzero_unknown()`` return one shared instance each, and
+    ``known`` builds the tuple directly.
     """
 
     state: ValueState
@@ -188,7 +223,7 @@ class Value:
 
     @staticmethod
     def known(span: F2Span) -> "Value":
-        return Value(_KNOWN, span)
+        return new_tuple(Value, (_KNOWN, span))
 
     @staticmethod
     def zero() -> "Value":
@@ -240,8 +275,13 @@ def values_equal_mod_higher(a: Value, b: Value) -> bool:
     return filtration_floor(diff) > min(filtration_floor(a.span), filtration_floor(b.span))
 
 
-@dataclass(frozen=True)
-class ActionFact:
+class _ActionFactFields(NamedTuple):
+    generator: RingGenerator
+    source: Element
+    value: Value
+
+
+class ActionFact(_ActionFactFields):
     """The recorded value of one generator multiplication on one element.
 
     ``value`` is a known span (possibly zero), or nonzero-unknown when the
@@ -249,29 +289,31 @@ class ActionFact:
     degrees to check.
     """
 
-    generator: RingGenerator
-    source: Element
-    value: Value
+    __slots__ = ()
+    _takes = 3
 
-    def __post_init__(self) -> None:
-        if self.value.is_known_nonzero:
-            span = self.value.span
+    def __new__(cls, generator: RingGenerator, source: Element, value: Value) -> "ActionFact":
+        if value.state is _KNOWN and value.span:
+            span = value.span
             target = next(iter(span))
-            if target.stem != self.source.stem + self.generator.stem_degree:
+            if target.stem != source.stem + generator.stem_degree:
                 raise DegreeMismatchError(
-                    f"{self.generator.name}·{self.source} lands in stem "
-                    f"{self.source.stem + self.generator.stem_degree}, got stem {target.stem}"
+                    f"{generator.name}·{source} lands in stem "
+                    f"{source.stem + generator.stem_degree}, got stem {target.stem}"
                 )
-            if target.module != self.source.module:
+            if target.module != source.module:
                 raise DegreeMismatchError(
-                    f"{self.generator.name}·{self.source} must stay in module {self.source.module.value}"
+                    f"{generator.name}·{source} must stay in module {source.module.value}"
                 )
             floor = filtration_floor(span)
-            need = self.source.filtration + self.generator.filtration_degree
+            need = source.filtration + generator.filtration_degree
             if floor < need:
                 raise ValueError(
-                    f"action {self.generator.name}·{self.source} has filtration floor {floor} < {need}"
+                    f"action {generator.name}·{source} has filtration floor {floor} < {need}"
                 )
+        return new_tuple(cls, (generator, source, value))
+
+    _replace = __replace__ = checked_replace
 
 
 # One entry of the push plan: an action g·x = t with one-element value, its

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     ActionFact,
@@ -51,11 +51,15 @@ from .algebra import (
     Element,
     LesContext,
     ModuleId,
+    Push,
     RingGenerator,
     Value,
+    checked_newargs,
+    checked_replace,
+    new_tuple,
     span_of,
 )
-from .sequences import MAP_SPECS, SEQUENCES, RankOnePlan
+from .sequences import MAP_SPECS, SEQUENCES, RankOnePlan, fact_key
 
 SCHEMA_VERSION = "1"
 
@@ -135,8 +139,7 @@ M_K0_POSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A periodic-part basis monomial, tagged with its exponents."""
 
     element: Element
@@ -166,48 +169,62 @@ _SES_MAPS = {context: SEQUENCES[les.value].maps for context, (les, _) in SES_CON
 _BASIS_ORDER = attrgetter("filtration", "name")
 
 
-@dataclass(frozen=True)
-class SesRecord:
-    """One degree of a derived SES; each basis is stored sorted by (filtration,
-    name), and None is an unknown basis (an empty one asserts rank 0).  Maps,
-    modules and stems are read off the record's LES in ``SEQUENCES``."""
+def _sorted_basis(basis) -> Optional[tuple]:
+    if basis is None:
+        return None
+    return tuple(sorted(basis, key=_BASIS_ORDER)) if len(basis) > 1 else tuple(basis)
 
+
+class _SesRecordFields(NamedTuple):
     context: str  # a key of SES_CONTEXTS
     stem: int  # stem of the middle term
     middle: tuple[Element, ...]
     cokernel: Optional[tuple[Element, ...]]
     kernel: Optional[tuple[Element, ...]]
+    # Derived from the context and the stem: the record's name in provenance
+    # and messages, e.g. ``SES-2.8@50``, and its LES maps (inclusion,
+    # projection, self-map).
+    ref: str
+    maps: tuple
 
-    def __post_init__(self) -> None:
-        for name in ("middle", "cokernel", "kernel"):
-            basis = getattr(self, name)
-            if basis is not None:
-                basis = tuple(sorted(basis, key=_BASIS_ORDER)) if len(basis) > 1 else tuple(basis)
-                object.__setattr__(self, name, basis)
-        # Not fields: the LES maps, (inclusion, projection, self-map), and the
-        # record's name in provenance and messages, e.g. ``SES-2.8@50``.
-        object.__setattr__(self, "_maps", _SES_MAPS[self.context])
-        object.__setattr__(self, "ref", f"{self.context}@{self.stem}")
+
+class SesRecord(_SesRecordFields):
+    """One degree of a derived SES; each basis is stored sorted by (filtration,
+    name), and None is an unknown basis (an empty one asserts rank 0).  Maps,
+    modules and stems are read off the record's LES in ``SEQUENCES``; ``ref``
+    and ``maps`` are fields, derived when the record is built."""
+
+    __slots__ = ()
+    _takes = 5
+
+    def __new__(cls, context: str, stem: int, middle, cokernel, kernel) -> "SesRecord":
+        return new_tuple(cls, (
+            context, stem, _sorted_basis(middle), _sorted_basis(cokernel), _sorted_basis(kernel),
+            f"{context}@{stem}", _SES_MAPS[context],
+        ))
+
+    _replace = __replace__ = checked_replace
+    __getnewargs__ = checked_newargs
 
     @property
     def include_map(self) -> str:
-        return self._maps[0].name
+        return self.maps[0].name
 
     @property
     def project_map(self) -> str:
-        return self._maps[1].name
+        return self.maps[1].name
 
     @property
     def middle_module(self) -> ModuleId:
-        return self._maps[1].source
+        return self.maps[1].source
 
     @property
     def side_module(self) -> ModuleId:  # of the cokernel and the kernel
-        return self._maps[0].source
+        return self.maps[0].source
 
     @property
     def kernel_stem(self) -> int:
-        return self.stem + self._maps[1].stem_shift
+        return self.stem + self.maps[1].stem_shift
 
     def place(self, map_name: str, source: Element) -> Optional[Tuple[tuple, tuple]]:
         """Where the fact ``map_name`` on ``source`` sits in this record: the
@@ -219,8 +236,7 @@ class SesRecord:
         return None
 
 
-@dataclass(frozen=True)
-class MapAxiom:
+class MapAxiom(NamedTuple):
     """A chart-read map value: a known span (possibly zero) or nonzero-unknown."""
 
     map: str
@@ -231,8 +247,9 @@ class MapAxiom:
 @dataclass
 class ChartFile:
     """A chart dataset whose every record passed the ``_ChartRecords`` checks
-    as it entered; immutable by convention after load, so the record plans of
-    ``rank_one_records`` are built on first use and kept for its life.
+    as it entered; immutable by convention after load, so the plans of
+    ``rank_one_records`` and ``push_plan`` are built on first use and kept for
+    its life.
     """
 
     schema_version: str
@@ -264,6 +281,18 @@ class ChartFile:
                 for key in (plan.key_u, plan.key_w):
                     index.setdefault(key, []).append(plan)
         return index
+
+    @cached_property
+    def push_plan(self) -> Dict[str, Tuple[str, Tuple[Push, ...]]]:
+        """Fact key f|x → (f, the pushes ``actions.single_valued()`` holds for
+        x), for each source x with a push and each map f out of its module."""
+        plan: Dict[str, Tuple[str, Tuple[Push, ...]]] = {}
+        for pushes in self.actions.single_valued().values():
+            source = pushes[0][0].source
+            for spec in MAP_SPECS.values():
+                if spec.source is source.module:
+                    plan[fact_key(spec.name, source)] = (spec.name, pushes)
+        return plan
 
     def tmf_name(self, element: Element, row_key: str, column: str) -> Optional[str]:
         override = self.tmf_name_overrides.get((row_key, column))
@@ -896,13 +925,18 @@ def expand_periodic(
 _SHIFT_NAME = re.compile(r"^([a-z])_\{-?\d+,-?\d+\}$")
 
 
-def _shifted(element: Element, k: int, filt_shift: int) -> Element:
-    """The k-th Δ⁸ copy of ``element``: 192k stems and k·``filt_shift``
-    filtrations up, with an x_{i,j} name re-encoding the new degree and any
-    other name suffixed ·Δ⁸ k times."""
-    stem, filtration = element.stem + 192 * k, element.filtration + filt_shift * k
+def _name_letter(element: Element) -> Optional[str]:
+    """The x of an x_{i,j} name, which ``_shifted`` re-encodes, else None."""
     m = _SHIFT_NAME.match(element.name)
-    name = f"{m.group(1)}_{{{stem},{filtration}}}" if m else element.name + "·Δ⁸" * k
+    return m.group(1) if m else None
+
+
+def _shifted(element: Element, letter: Optional[str], k: int, filt_shift: int) -> Element:
+    """The k-th Δ⁸ copy of ``element``, whose ``_name_letter`` is ``letter``:
+    192k stems and k·``filt_shift`` filtrations up, with an x_{i,j} name
+    re-encoding the new degree and any other name suffixed ·Δ⁸ k times."""
+    stem, filtration = element.stem + 192 * k, element.filtration + filt_shift * k
+    name = f"{letter}_{{{stem},{filtration}}}" if letter else element.name + "·Δ⁸" * k
     return Element(element.module, stem, filtration, name)
 
 
@@ -938,10 +972,10 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     records = _ChartRecords(chart)
     hurewicz = dict(chart.hurewicz)
     facts = chart.actions.facts()
+    letters = [(element, _name_letter(element)) for element in chart.elements.values()]
     for k in range(1, copies + 1):
         where, prefix = f"Δ⁸ copy {k}", "Δ⁸·" * k
-        # Keyed by the element itself, whose hash is cached.
-        shifted = {element: _shifted(element, k, filt_shift) for element in chart.elements.values()}
+        shifted = {element: _shifted(element, letter, k, filt_shift) for element, letter in letters}
         for element, copy in shifted.items():
             key = element.key
             tmf_name = chart.tmf_names.get(key)

@@ -24,7 +24,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Value
 from .chartdata import ChartFile
@@ -49,8 +49,7 @@ def _single(value: Optional[Value]) -> Optional[Element]:
     return None
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     img_p3: Element
     img_p2: Optional[Value]  # None = unknown
     tech_p2: Tuple[str, ...]
@@ -131,8 +130,7 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     base_stem: int
     period: int
     kind: str  # caseI | caseII | directP1

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     ActionFact,
@@ -31,8 +30,8 @@ from .algebra import (
     RingGenerator,
     Value,
 )
-from .chartdata import ChartFile, MapAxiom, SesRecord
-from .sequences import FactStore
+from .chartdata import SES_CONTEXTS, ChartFile, MapAxiom, SesRecord
+from .sequences import SEQUENCES, FactStore
 from .rules import saturate
 
 
@@ -49,8 +48,7 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class JunctionFilling:
+class JunctionFilling(NamedTuple):
     """One exact filling of one SES record, as index bitmasks."""
 
     record: SesRecord
@@ -291,6 +289,7 @@ _GENERATOR = RingGenerator("κ̄", 20, 4)
 def random_instance(rng: random.Random) -> ChartFile:
     """A small consistent synthetic dataset with one or two junctions."""
     context = rng.choice(["SES-2.8", "SES-2.9"])
+    include, project, _ = SEQUENCES[SES_CONTEXTS[context][0].value].maps
     coupled = rng.random() < 0.3
 
     elements: Dict[str, Element] = {}
@@ -302,13 +301,14 @@ def random_instance(rng: random.Random) -> ChartFile:
         return element
 
     def record_at(stem: int, middle: List[int], cokernel: List[int], kernel: List[int]) -> SesRecord:
-        """A record with fresh basis classes at the given filtrations."""
-        empty = SesRecord(context, stem, (), (), ())
-        return replace(
-            empty,
-            middle=tuple(fresh(empty.middle_module, stem, f) for f in middle),
-            cokernel=tuple(fresh(empty.side_module, stem, f) for f in cokernel),
-            kernel=tuple(fresh(empty.side_module, empty.kernel_stem, f) for f in kernel),
+        """A record with fresh basis classes at the given filtrations, drawn
+        in the order middle, cokernel, kernel."""
+        return SesRecord(
+            context,
+            stem,
+            tuple(fresh(project.source, stem, f) for f in middle),
+            tuple(fresh(include.source, stem, f) for f in cokernel),
+            tuple(fresh(include.source, stem + project.stem_shift, f) for f in kernel),
         )
 
     def filtrations(n: int) -> List[int]:

@@ -13,8 +13,9 @@ chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
 fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 ``delta``, the fact keys that may have changed, visits only those facts
 (pass ``store.facts`` to visit all) and reaches the rest through plans built
-once per chart: the push plan ``ActionTable.single_valued`` (target and
-provenance label of each single-valued action) and the ``RankOnePlan`` of
+once per chart: the push plan ``ChartFile.push_plan`` (by fact key, the
+target and provenance label of each single-valued action on the source,
+from ``ActionTable.single_valued``) and the ``RankOnePlan`` of
 each rank-1 record in ``ChartFile.rank_one_records``.  A visit only reads
 them.  A shuffled schedule permutes the rules within each stratum.
 
@@ -306,14 +307,17 @@ def _pushes(
     """Walk ``delta`` through the push plan: for each known fact f(x) on one
     of ``maps`` and each single-valued action g·x = t on its source, yield
     (key, f, f(x), g·x, t, "g·x").  Facts on periodic-part monomials are not
-    pushed.
+    pushed.  The plan is keyed by fact key (``ChartFile.push_plan``), so a
+    key with no push costs one lookup.
     """
-    plan = chart.actions.single_valued()
+    plan = chart.push_plan
     facts, sources = store.facts, store.sources
     for key in delta:
-        map_name, _, source_key = key.partition("|")
-        pushes = plan.get(source_key)
-        if pushes is None or map_name not in maps:
+        entry = plan.get(key)
+        if entry is None:
+            continue
+        map_name, pushes = entry
+        if map_name not in maps:
             continue
         value = facts[key]
         if not value.is_known or sources[key].periodic:

@@ -15,7 +15,6 @@ localized rows, which are not exact in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -29,6 +28,7 @@ from .algebra import (
     ZERO,
     _KNOWN,
     filtration_floor,
+    new_tuple,
     span_add,
     span_key,
     values_equal_mod_higher,
@@ -38,16 +38,14 @@ if TYPE_CHECKING:  # chartdata checks axiom maps against MAP_SPECS
     from .chartdata import ChartFile, SesRecord
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(NamedTuple):
     name: str
     source: ModuleId
     target: ModuleId
     stem_shift: int
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """One LES as an ordered triple of maps; shifts sum to the triangle degree."""
 
     id: str
@@ -103,11 +101,7 @@ class Derivation(NamedTuple):
     value: Value
 
 
-_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
-
-
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     fact: str
     existing: Value
     incoming: Value
@@ -124,7 +118,7 @@ class Contradiction:
 def fact_key(map_name: str, source: Element) -> str:
     """The store's key of the fact ``map_name`` on ``source``.
 
-    ``FactStore.insert`` writes the same format inline."""
+    ``FactStore.insert`` and ``FactStore.get`` write the same format inline."""
     return f"{map_name}|{source.key}"
 
 
@@ -150,7 +144,7 @@ class RankOnePlan(NamedTuple):
     @classmethod
     def of(cls, record: SesRecord) -> "RankOnePlan":
         (u, w), (g,), project, cokernel = record.middle, record.kernel, record.project_map, record.cokernel
-        return _new_tuple(cls, (
+        return new_tuple(cls, (
             project, record.include_map, u, w, fact_key(project, u), fact_key(project, w), record.ref, g,
             Value.known(frozenset((g,))), Value.known(frozenset((u,))), Value.known(frozenset((w,))),
             cokernel[0] if cokernel is not None and len(cokernel) == 1 else None,
@@ -169,7 +163,7 @@ class FactStore:
         self.log: List[Tuple[str, Derivation]] = []
 
     def get(self, map_name: str, source: Element) -> Optional[Value]:
-        return self.facts.get(fact_key(map_name, source))
+        return self.facts.get(f"{map_name}|{source.key}")  # fact_key, inline
 
     def insert(
         self,
@@ -195,7 +189,7 @@ class FactStore:
             inputs = tuple(inputs)
         existing = self.facts.get(key)
         if existing is None:  # a new fact: four writes, nothing to compare
-            derivation = _new_tuple(Derivation, (rule, inputs, value))
+            derivation = new_tuple(Derivation, (rule, inputs, value))
             self.facts[key] = value
             self.sources[key] = source
             self.derivations[key] = [derivation]
@@ -226,7 +220,7 @@ class FactStore:
             grew = True
         # nonzeroUnknown vs nonzeroUnknown: nothing to do
 
-        derivation = _new_tuple(Derivation, (rule, inputs, value))
+        derivation = new_tuple(Derivation, (rule, inputs, value))
         seen = self.derivations[key]
         if derivation not in seen:
             seen.append(derivation)
@@ -358,17 +352,19 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
             group.sort(key=itemgetter(0))
     out: List[JunctionVerdict] = []
     for seq in SEQUENCES.values():
-        # Each junction's label prefix, its maps, their candidates and the
-        # stems of the three modules it visits.
+        # Each junction's label prefix, its maps and their stem shifts, their
+        # candidates and the stems of the three modules it visits.
         junctions = [
-            (f"{map1.name}->{map2.name}@", map1, map2, candidates.get((map1.name, map1.source), {}),
+            (f"{map1.name}->{map2.name}@", map1, map2, map1.stem_shift, map2.stem_shift,
+             candidates.get((map1.name, map1.source), {}),
              stems_of.get(map1.source, ()), stems_of.get(map1.target, ()), stems_of.get(map2.target, ()))
             for map1, map2 in zip(seq.maps, seq.maps[1:] + seq.maps[:1])
         ]
+        seq_id = seq.id
         for stem in stems:
             source_stem = stem
-            for prefix, map1, map2, by_stem, source_stems, middle_stems, target_stems in junctions:
-                junction_stem = source_stem + map1.stem_shift
+            for prefix, map1, map2, shift1, shift2, by_stem, source_stems, middle_stems, target_stems in junctions:
+                junction_stem = source_stem + shift1
                 if source_stem in source_stems:
                     detail = ""
                     for element, value in by_stem.get(source_stem, ()):
@@ -376,12 +372,12 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
                         if detail:
                             break
                     verdict = "contradiction" if detail else "undetermined"
-                elif junction_stem in middle_stems or junction_stem + map2.stem_shift in target_stems:
+                elif junction_stem in middle_stems or junction_stem + shift2 in target_stems:
                     verdict, detail = "undetermined", ""
                 else:
                     verdict, detail = "exact", "zero modules"
                 label = f"{prefix}{junction_stem}"
-                out.append(_new_tuple(JunctionVerdict, (seq.id, stem, label, verdict, detail)))
+                out.append(new_tuple(JunctionVerdict, (seq_id, stem, label, verdict, detail)))
                 source_stem = junction_stem
     return out
 

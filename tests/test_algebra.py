@@ -1,6 +1,9 @@
-"""Span arithmetic, knowledge states, and generator actions."""
+"""Span arithmetic, knowledge states, generator actions, and the record tuples."""
 
-import dataclasses
+import copy
+import pickle
+import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -217,23 +220,102 @@ class TestSharedValuesAndHashes:
 
     @pytest.mark.parametrize("shared", [Value.zero(), Value.nonzero_unknown()])
     def test_shared_values_stay_frozen(self, shared):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             shared.span = span_of(Y50_4)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             shared.state = shared.state
 
     def test_equal_elements_hash_equal(self):
         twin = el("Y", 50, 4, "y_{50,4}")
-        rebuilt = dataclasses.replace(Y50_6, filtration=4, name="y_{50,4}")
+        rebuilt = Y50_6._replace(filtration=4, name="y_{50,4}")
         assert twin == Y50_4 == rebuilt
         assert hash(twin) == hash(Y50_4) == hash(rebuilt)
         assert len({Y50_4, twin, rebuilt}) == 1
 
     def test_periodic_flag_separates_equal_keys(self):
-        periodic = dataclasses.replace(Y50_4, periodic=True)
+        periodic = Y50_4._replace(periodic=True)
         assert periodic.key == Y50_4.key
         assert periodic != Y50_4
         assert len({periodic, Y50_4}) == 2
+
+
+class TestRecordTuples:
+    """Every immutable record is a named tuple: the tuple's hash, equality and
+    order, fields that cannot be assigned, and derived fields that follow
+    ``_replace``."""
+
+    def test_element_order_is_the_field_order(self, chart):
+        from les_deduce.chartdata import delta8_extend, expand_periodic
+
+        extended = delta8_extend(chart, 2)
+        monomials = [
+            m.element
+            for module in (ModuleId.Y, ModuleId.M, ModuleId.S)
+            for m in expand_periodic(module, extended.max_stem, extended.periodic_presentations)
+        ]
+        elements = [*extended.elements.values(), *monomials]
+        by_fields = sorted(elements, key=attrgetter("module", "stem", "filtration", "name", "periodic"))
+        assert sorted(elements) == by_fields
+        assert sorted(reversed(elements)) == by_fields
+
+    def test_replace_rebuilds_derived_fields(self, chart):
+        from les_deduce.chartdata import SesRecord
+
+        renamed = Y50_6._replace(name="y_{50,4}")
+        assert renamed.key == "Y:y_{50,4}" and renamed == el("Y", 50, 6, "y_{50,4}")
+        assert Y50_4._replace(module=ModuleId.M).key == "M:y_{50,4}"
+        with pytest.raises(TypeError):
+            Y50_4._replace(key="Y:other")
+        if hasattr(copy, "replace"):  # Python 3.13+
+            assert copy.replace(Y50_6, name="y_{50,4}").key == "Y:y_{50,4}"
+
+        record = next(r for r in chart.ses_records if len(r.middle) == 2)
+        low, high = record.middle
+        assert low.filtration <= high.filtration
+        moved = record._replace(stem=record.stem + 192)
+        assert moved.ref == f"{record.context}@{record.stem + 192}" and moved.middle == record.middle
+        swapped = record._replace(middle=(high, low), kernel=None)
+        assert swapped.middle == (low, high) and swapped.kernel is None and swapped == record._replace(kernel=None)
+        with pytest.raises(TypeError):
+            record._replace(ref="SES-2.7@0")
+
+    def test_replace_and_copies_keep_the_checks(self, chart):
+        fact = chart.actions.facts()[0]
+        with pytest.raises(DegreeMismatchError):
+            fact._replace(value=Value.known(span_of(M6_2)))
+        with pytest.raises(ValueError):
+            fact.generator._replace(stem_degree=fact.generator.stem_degree + 1)
+        record = chart.ses_records[0]
+        for original in (Y50_4, fact, fact.generator, record):
+            assert copy.copy(original) == original == pickle.loads(pickle.dumps(original))
+
+    def test_fields_cannot_be_assigned(self, chart, store):
+        from les_deduce.chartdata import MapAxiom, expand_periodic
+        from les_deduce.families import build_table, emit_families
+        from les_deduce.oracle import enumerate_fillings, random_instance
+        from les_deduce.sequences import SEQUENCES, Contradiction
+
+        rows = build_table(store, chart)
+        les = next(iter(SEQUENCES.values()))
+        records = [
+            Y50_4, RingGenerator("κ̄", 20, 4), Value.known(span_of(Y50_4)), chart.actions.facts()[0],
+            chart.ses_records[0], MapAxiom("p2", Y50_4, Value.zero()),
+            expand_periodic(ModuleId.Y, 48)[0], les, les.maps[0],
+            Contradiction("p2|Y:y_{50,4}", Value.zero(), Value.nonzero_unknown(), "T1", "T2"),
+            rows[0], emit_families(rows, chart).case_ii[0],
+            next(iter(enumerate_fillings(random_instance(random.Random(0)))[0].values())),
+        ]
+        assert {type(r).__name__ for r in records} == {
+            "Element", "RingGenerator", "Value", "ActionFact", "SesRecord", "MapAxiom", "Monomial",
+            "SequenceSpec", "MapSpec", "Contradiction", "TableRow", "FamilyReport", "JunctionFilling",
+        }
+        for record in records:
+            assert isinstance(record, tuple)
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
 
 class TestNameConvention:

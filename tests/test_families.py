@@ -79,10 +79,8 @@ class TestClassifyThreeOptions:
         assert classify_three_options(row_by_name(rows, "y_{3,1}"), chart) is None
 
     def test_missing_lift_is_an_error(self, rows, chart):
-        from dataclasses import replace
-
         row = row_by_name(rows, "y_{26,4}")
-        broken = replace(row, lift_i1=None)
+        broken = row._replace(lift_i1=None)
         with pytest.raises(IncompleteRowError):
             classify_three_options(broken, chart)
         with pytest.raises(IncompleteRowError):
@@ -91,10 +89,8 @@ class TestClassifyThreeOptions:
     def test_low_stem_lift_reported_not_dropped(self, rows, chart):
         # A Hurewicz-image torsion lift in stem ≤ 3 falls outside the case-I
         # hypotheses: no family, but the row is surfaced for review.
-        from dataclasses import replace
-
         row = row_by_name(rows, "y_{8,2}")
-        low = replace(row, lift_i1=chart.elements["S:s_{3,1}"])
+        low = row._replace(lift_i1=chart.elements["S:s_{3,1}"])
         assert classify_three_options(low, chart) is None
         result = emit_families([low], chart)
         assert result.case_i == [] and result.case_ii == []
