@@ -350,12 +350,6 @@ def main() -> None:
         "actions": actions,
         "classifications": classifications,
         "hurewiczFlags": dict(sorted(hurewicz.items())),
-        "exceptionalSets": {
-            "EM": list(chartdata.EXCEPTIONAL_EM),
-            "FS": list(chartdata.EXCEPTIONAL_FS),
-            "FM": list(chartdata.EXCEPTIONAL_FM),
-            "delta8Closure": True,
-        },
         "ranks": ranks,
         "axioms": [
             {"map": map_name, "source": source, "value": value}

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional
 
 
 class ModuleId(str, Enum):
@@ -241,10 +241,6 @@ class Value(NamedTuple):
     def is_zero(self) -> bool:
         return self.state is _KNOWN and not self.span
 
-    @property
-    def is_known_nonzero(self) -> bool:
-        return self.state is _KNOWN and bool(self.span)
-
     def serialize(self) -> str:
         if self.state is _NONZERO:
             return "nonzero"
@@ -316,22 +312,15 @@ class ActionFact(_ActionFactFields):
     _replace = __replace__ = checked_replace
 
 
-# One entry of the push plan: an action g·x = t with one-element value, its
-# target t and the label "g·x" that provenance cites it by.
-Push = Tuple[ActionFact, Element, str]
-
-
 class ActionTable:
     """Partial generator-action data with a linear-extension query.
 
-    The sorted fact list and the push plan (``single_valued``) are built on
-    first use and dropped by ``add``.
+    The sorted fact list is built on first use and dropped by ``add``.
     """
 
     def __init__(self, facts: Iterable[ActionFact] = ()) -> None:
         self._facts: dict[tuple[str, str], ActionFact] = {}
         self._sorted: Optional[List[ActionFact]] = None
-        self._pushes: Optional[Dict[str, Tuple[Push, ...]]] = None
         for fact in facts:
             self.add(fact)
 
@@ -341,7 +330,7 @@ class ActionTable:
         if existing is not None and existing != fact:
             raise ValueError(f"conflicting action facts for {fact.generator.name}·{fact.source}")
         self._facts[key] = fact
-        self._sorted = self._pushes = None
+        self._sorted = None
 
     def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
         return self._facts.get((generator_name, source.key))
@@ -358,20 +347,6 @@ class ActionTable:
                 self._facts.values(), key=lambda f: (f.generator.name, f.source.key)
             )
         return list(self._sorted)
-
-    def single_valued(self) -> Dict[str, Tuple[Push, ...]]:
-        """The push plan: source key → the actions on that source whose value
-        is one element, by generator name, each as (fact, its target, the
-        provenance label ``g·x``)."""
-        if self._pushes is None:
-            pushes: Dict[str, List[Push]] = {}
-            for fact in self.facts():
-                if len(fact.value.span) == 1:
-                    (target,) = fact.value.span
-                    source = fact.source.key
-                    pushes.setdefault(source, []).append((fact, target, f"{fact.generator.name}·{source}"))
-            self._pushes = {key: tuple(plan) for key, plan in pushes.items()}
-        return self._pushes
 
     def act(self, generator_name: str, span: F2Span) -> Optional[Value]:
         """Linear extension of recorded actions to spans.

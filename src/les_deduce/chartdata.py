@@ -1,16 +1,15 @@
 """Chart dataset format: load/validate/save, periodic-part expansion, Δ⁸ extension.
 
 The dataset is a single JSON document (UTF-8, schemaVersion "1") with top-level
-keys {schemaVersion, maxStem, hurewiczFlags, exceptionalSets,
-periodicPresentations} plus the record lists of ``SCHEMA``, which states each
-record field's JSON kind and default once.  Element references everywhere use
-the key format "MODULE:name".  Unknown top-level or record fields are rejected
-so golden files stay byte-stable.  ``_READERS`` compiles each list's kinds
-and defaults at import; ``_records`` reads a value of its field's exact JSON
-type, or a known element key, inline and leaves enums, lists, nulls and
-defects to ``_read``.  An action or axiom value with an empty span is the
-shared ``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are
-too.
+keys {schemaVersion, maxStem, hurewiczFlags, periodicPresentations} plus the
+record lists of ``SCHEMA``, which states each record field's JSON kind and
+default once.  Element references everywhere use the key format
+"MODULE:name".  Unknown top-level or record fields are rejected so golden
+files stay byte-stable.  ``_READERS`` compiles each list's kinds and defaults
+at import; ``_records`` reads a value of its field's exact JSON type, or a
+known element key, inline and leaves enums, lists, nulls and defects to
+``_read``.  An action or axiom value with an empty span is the shared
+``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are too.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
 (SES-2.7, SES-2.8) or LES-2.4 (SES-2.9).  ``SesRecord`` reads its maps, the
@@ -22,6 +21,8 @@ classified exceptional needs a route in ``EXCEPTIONAL_LISTINGS``.
 Periodic parts are not stored element-by-element.  Each module carries a small
 presentation (a monomial pattern) that ``expand_periodic`` unfolds up to a stem
 bound; the per-part formulas of the deduction rules act on those monomials.
+A presentation takes only the keys ``expand_periodic`` reads, and ``pattern``,
+a description (``_PRESENTATION_KEYS``).
 
 ``delta8_extend`` shifts the loaded chart's objects: each copy of an element
 moves 192 stems and the filtration degree of Δ⁸ up, and the copies of the
@@ -51,7 +52,6 @@ from .algebra import (
     Element,
     LesContext,
     ModuleId,
-    Push,
     RingGenerator,
     Value,
     checked_newargs,
@@ -62,15 +62,6 @@ from .algebra import (
 from .sequences import MAP_SPECS, SEQUENCES, RankOnePlan, fact_key
 
 SCHEMA_VERSION = "1"
-
-# Frozen exceptional-element listings; datasets must match these verbatim.
-EXCEPTIONAL_EM = (
-    "Δη", "Δ²η²", "Δ²v₁η", "Δ³v₁η²", "Δ⁴η", "Δ⁵η²", "Δ⁵v₁η", "Δ⁶v₁η²",
-)
-EXCEPTIONAL_FS = ("8Δ", "4Δ²", "8Δ³", "2Δ⁴", "8Δ⁵", "4Δ⁶", "8Δ⁷")
-EXCEPTIONAL_FM = (
-    "v₁η²", "Δv₁η²", "Δ²v₁η²", "Δ³v₁η²", "Δ⁴v₁η²", "Δ⁵v₁η²", "Δ⁶v₁η²",
-)
 
 # Where a periodic class may be exceptional: (LES, module of the class) → the
 # listing its monomial comes from, and the stems (mod 192) of that listing.
@@ -236,6 +227,11 @@ class SesRecord(_SesRecordFields):
         return None
 
 
+# One entry of the push plan: an action g·x = t with one-element value, its
+# target t and the label "g·x" that provenance cites it by.
+Push = Tuple[ActionFact, Element, str]
+
+
 class MapAxiom(NamedTuple):
     """A chart-read map value: a known span (possibly zero) or nonzero-unknown."""
 
@@ -264,8 +260,6 @@ class ChartFile:
     tmf_name_overrides: Dict[tuple[str, str], str]
     nu_multiples: frozenset[str]
     prior_order_two: frozenset[str]
-    exceptional_sets: Dict[str, tuple[str, ...]]
-    delta8_closure: bool
     ses_records: List[SesRecord]
     axioms: List[MapAxiom]
     periodic_presentations: Dict[str, dict]
@@ -284,11 +278,19 @@ class ChartFile:
 
     @cached_property
     def push_plan(self) -> Dict[str, Tuple[str, Tuple[Push, ...]]]:
-        """Fact key f|x → (f, the pushes ``actions.single_valued()`` holds for
-        x), for each source x with a push and each map f out of its module."""
+        """Fact key f|x → (f, the pushes on x), for each source x with an
+        action whose value is one element and each map f out of its module.
+        A source's pushes go by generator name, as ``actions.facts()`` lists
+        them: that order fixes the order of LIN's emissions."""
+        by_source: Dict[Element, List[Push]] = {}
+        for fact in self.actions.facts():
+            if len(fact.value.span) == 1:
+                (target,) = fact.value.span
+                source = fact.source
+                by_source.setdefault(source, []).append((fact, target, f"{fact.generator.name}·{source.key}"))
         plan: Dict[str, Tuple[str, Tuple[Push, ...]]] = {}
-        for pushes in self.actions.single_valued().values():
-            source = pushes[0][0].source
+        for source, pushes in by_source.items():
+            pushes = tuple(pushes)
             for spec in MAP_SPECS.values():
                 if spec.source is source.module:
                     plan[fact_key(spec.name, source)] = (spec.name, pushes)
@@ -678,7 +680,7 @@ def load(path: str | Path) -> ChartFile:
 def from_document(doc: dict) -> ChartFile:
     if type(doc) is not dict:
         raise ChartValidationError("top level: must be an object")
-    top_level = {"schemaVersion", "maxStem", "hurewiczFlags", "exceptionalSets", "periodicPresentations"}
+    top_level = {"schemaVersion", "maxStem", "hurewiczFlags", "periodicPresentations"}
     _require_keys(doc, top_level | SCHEMA.keys(), "top level")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise ChartValidationError(
@@ -727,14 +729,6 @@ def from_document(doc: dict) -> ChartFile:
             raise ChartValidationError(f"{where}: must be a boolean, got {flag!r}")
         hurewicz[key] = flag
 
-    exc_doc = _field(doc, "exceptionalSets", dict, "top level", {})
-    _require_keys(exc_doc, {"EM", "FS", "FM", "delta8Closure"}, "exceptionalSets")
-    exceptional = {}
-    for label, want in (("EM", EXCEPTIONAL_EM), ("FS", EXCEPTIONAL_FS), ("FM", EXCEPTIONAL_FM)):
-        exceptional[label] = tuple(_field(exc_doc, label, list, "exceptionalSets", []))
-        if exceptional[label] and exceptional[label] != want:
-            raise ChartValidationError(f"exceptionalSets.{label} does not match the fixed listing")
-
     for where, fields in _records(doc, "ranks", elements):
         ses = SesRecord(fields["context"], fields["stem"], fields["middle"], fields["cokernel"], fields["kernel"])
         records.add_ranks(ses, where)
@@ -754,22 +748,28 @@ def from_document(doc: dict) -> ChartFile:
         max_stem=max_stem,
         generators=generators,
         hurewicz=hurewicz,
-        exceptional_sets=exceptional,
-        delta8_closure=_field(exc_doc, "delta8Closure", bool, "exceptionalSets", False),
         periodic_presentations=presentations,
         **records.fields(),
     )
 
 
+# The keys of each periodicPresentations module: those ``expand_periodic``
+# reads, and ``pattern``, a description that nothing reads.
+_PRESENTATION_KEYS = {"Y": {"minV1ByDeltaMod8", "pattern"}, "M": {"k0Positions", "pattern"}, "S": {"pattern"}}
+
+
 def _check_presentations(presentations: dict) -> None:
     """The pattern data ``expand_periodic`` reads: eight minimal v₁-powers
-    for Y and, for M, the k = 0 flash positions of each Δ-power mod 8."""
+    for Y and, for M, the k = 0 flash positions of each Δ-power mod 8.  An
+    absent value leaves the module's default."""
     where = "periodicPresentations"
-    _require_keys(presentations, {"Y", "M", "S"}, where)
+    _require_keys(presentations, _PRESENTATION_KEYS, where)
     for module in presentations:
-        _field(presentations, module, dict, where)
-    y_min = _field(presentations.get("Y", {}), "minV1ByDeltaMod8", list, f"{where}.Y", [0] * 8)
-    if len(y_min) != 8 or any(type(v) is not int or v < 0 for v in y_min):
+        body = _field(presentations, module, dict, where)
+        _require_keys(body, _PRESENTATION_KEYS[module], f"{where}.{module}")
+        _field(body, "pattern", str, f"{where}.{module}", None)
+    y_min = _field(presentations.get("Y", {}), "minV1ByDeltaMod8", list, f"{where}.Y", None)
+    if y_min is not None and (len(y_min) != 8 or any(type(v) is not int or v < 0 for v in y_min)):
         raise ChartValidationError(f"{where}.Y needs eight minimal v₁-powers, got {y_min!r}")
     k0 = _field(presentations.get("M", {}), "k0Positions", dict, f"{where}.M", None)
     if k0 is None:
@@ -835,12 +835,6 @@ def to_document(chart: ChartFile) -> dict:
             )
         ],
         "hurewiczFlags": dict(sorted(chart.hurewicz.items())),
-        "exceptionalSets": {
-            "EM": list(chart.exceptional_sets["EM"]),
-            "FS": list(chart.exceptional_sets["FS"]),
-            "FM": list(chart.exceptional_sets["FM"]),
-            "delta8Closure": chart.delta8_closure,
-        },
         "ranks": ranks,
         "axioms": axioms,
         "tmfNameOverrides": [

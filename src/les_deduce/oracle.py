@@ -9,9 +9,10 @@ way chart names are read: the source may be adjusted by strictly
 higher-filtration classes of its own basis, and a nonzero value is pinned only
 up to strictly higher-filtration classes of the target basis.
 
-The instance generator keeps total dimension small (well under the engine's
-12-per-sequence soundness budget) and draws axioms from one concrete filling,
-so every instance is consistent by construction.  Generator actions are only
+The instance generator keeps total dimension small (at most 3 middle classes
+per record, and ``enumerate_fillings`` refuses more than ``FILLING_CAP``
+candidate combinations) and draws axioms from one concrete filling, so every
+instance is consistent by construction.  Generator actions are only
 attached upward (into the higher record), never into the adjustable low slot
 of a rank-1 junction, mirroring how the real chart data is keyed.
 """
@@ -357,8 +358,6 @@ def random_instance(rng: random.Random) -> ChartFile:
         tmf_name_overrides={},
         nu_multiples=frozenset(),
         prior_order_two=frozenset(),
-        exceptional_sets={"EM": (), "FS": (), "FM": ()},
-        delta8_closure=False,
         ses_records=records,
         axioms=[],
         periodic_presentations={},

@@ -14,10 +14,10 @@ fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 ``delta``, the fact keys that may have changed, visits only those facts
 (pass ``store.facts`` to visit all) and reaches the rest through plans built
 once per chart: the push plan ``ChartFile.push_plan`` (by fact key, the
-target and provenance label of each single-valued action on the source,
-from ``ActionTable.single_valued``) and the ``RankOnePlan`` of
-each rank-1 record in ``ChartFile.rank_one_records``.  A visit only reads
-them.  A shuffled schedule permutes the rules within each stratum.
+target and provenance label of each single-valued action on the source) and
+the ``RankOnePlan`` of each rank-1 record in ``ChartFile.rank_one_records``.
+A visit only reads them.  A shuffled schedule permutes the rules within each
+stratum.
 
 The rules read a record's geometry off the ``SesRecord``, which derives it
 from its LES in ``SEQUENCES``: the inclusion and projection maps, the bases

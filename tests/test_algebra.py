@@ -149,32 +149,17 @@ class TestAct:
         c = el("Y", 62, 7, "c")
         assert self.table.act("κ̄", span_of(self.a, c)) is None
 
-    def test_single_valued_follows_add(self):
-        """``add`` drops the push plan, and ``act`` sees the added facts."""
-        pushes = self.table.single_valued()
-        assert pushes[self.a.key] == ((self.table.get("κ̄", self.a), self.ka, "κ̄·Y:a"),)
+    def test_act_and_facts_follow_add(self):
         c = el("Y", 62, 1, "c")
-        assert c.key not in self.table.single_valued()
         assert self.table.act("κ̄", span_of(c)) is None
+        assert len(self.table.facts()) == 2
         self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka))))
         vc = el("Y", 64, 1, "vc")
         self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, Value.known(span_of(vc))))
-        assert [(f.generator.name, t, label) for f, t, label in self.table.single_valued()[c.key]] == [
-            ("v₁", vc, "v₁·Y:c"),
-            ("κ̄", self.ka, "κ̄·Y:c"),
-        ]
         assert self.table.act("κ̄", span_of(c)) == Value.known(span_of(self.ka))
-        assert len(self.table.facts()) == 4
-
-    def test_single_valued_skips_sums_and_nonzero_marks(self):
-        c = el("Y", 62, 1, "c")
-        d = el("Y", 62, 0, "d")
-        z = el("Y", 62, 3, "z")
-        self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka, self.kb))))
-        self.table.add(ActionFact(self.kbar, d, Value.nonzero_unknown()))
-        self.table.add(ActionFact(self.kbar, z, Value.zero()))
-        assert sorted(self.table.single_valued()) == [self.a.key, self.b.key]
-        assert [f.source for f, _, _ in self.table.single_valued()[self.a.key]] == [self.a]
+        assert [(f.generator.name, f.source) for f in self.table.facts()] == [
+            ("v₁", c), ("κ̄", self.a), ("κ̄", self.b), ("κ̄", c),
+        ]
 
     def test_act_on_shipped_chart(self, chart):
         y62 = chart.elements["Y:y_{62,2}"]

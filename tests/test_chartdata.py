@@ -32,7 +32,6 @@ MINIMAL = {
     "actions": [],
     "classifications": [],
     "hurewiczFlags": {},
-    "exceptionalSets": {"EM": [], "FS": [], "FM": [], "delta8Closure": False},
     "ranks": [],
     "axioms": [],
     "tmfNameOverrides": [],
@@ -67,22 +66,18 @@ class TestLoad:
         with pytest.raises(ChartValidationError, match="ghost"):
             chartdata.from_document(doc)
 
-    def test_unknown_field_rejected(self):
+    # The exceptional listings live in ``EXCEPTIONAL_LISTINGS`` alone: a
+    # document that restates them is rejected like any unknown field.
+    @pytest.mark.parametrize("field, value", [
+        ("surprise", 1),
+        ("exceptionalSets", {"EM": ["Δη"], "FS": [], "FM": [], "delta8Closure": False}),
+    ])
+    def test_unknown_field_rejected(self, field, value):
         doc = dict(MINIMAL)
-        doc["surprise"] = 1
-        with pytest.raises(ChartValidationError, match="surprise"):
+        doc[field] = value
+        with pytest.raises(ChartValidationError) as error:
             chartdata.from_document(doc)
-
-    def test_exceptional_listing_pinned(self):
-        doc = dict(MINIMAL)
-        doc["exceptionalSets"] = {
-            "EM": ["Δη"],
-            "FS": [],
-            "FM": [],
-            "delta8Closure": False,
-        }
-        with pytest.raises(ChartValidationError, match="EM"):
-            chartdata.from_document(doc)
+        assert str(error.value) == f"top level: unknown fields [{field!r}]"
 
     def test_rank_dimensions_checked(self):
         doc = dict(MINIMAL)
@@ -177,9 +172,11 @@ class TestExpandPeriodic:
                 assert (n - 8, v) in index
 
     def test_exceptional_monomials_exist_in_m_expansion(self, chart):
-        names = {m.element.name for m in expand_periodic(ModuleId.M, 176)}
-        for monomial in chart.exceptional_sets["EM"] + chart.exceptional_sets["FM"]:
-            assert monomial in names
+        # Each stem of the E^M and F^M listings holds a Moore monomial.
+        stems = {m.stem for m in expand_periodic(ModuleId.M, 176, chart.periodic_presentations)}
+        for context in (LesContext.LES_23, LesContext.LES_24):
+            listing, listing_stems = chartdata.EXCEPTIONAL_LISTINGS[(context, ModuleId.M)]
+            assert listing_stems <= stems, listing
 
     def test_m_k0_fraction_is_dataset_driven(self, chart):
         # The shipped presentation matches the default fraction; emptying it
@@ -542,6 +539,32 @@ MALFORMED = {
     "min-v1-not-an-integer": (
         _set(("periodicPresentations", "Y", "minV1ByDeltaMod8", 0), "0"),
         "periodicPresentations.Y needs eight minimal v₁-powers, got ['0', 1, 2, 3, 1, 2, 3, 4]",
+    ),
+    "min-v1-typo": (
+        _set(("periodicPresentations", "Y"), {"minV1ByDeltaMod9": [0, 1, 2, 3, 1, 2, 3, 4]}),
+        "periodicPresentations.Y: unknown fields ['minV1ByDeltaMod9']",
+    ),
+    "flash-positions-typo": (
+        _set(("periodicPresentations", "M"), {"k0positions": SHIPPED["periodicPresentations"]["M"]["k0Positions"]}),
+        "periodicPresentations.M: unknown fields ['k0positions']",
+    ),
+    "sphere-presentation-unknown-field": (
+        _set(("periodicPresentations", "S", "anything"), 1),
+        "periodicPresentations.S: unknown fields ['anything']",
+    ),
+    "pattern-not-a-string": (
+        _set(("periodicPresentations", "Y", "pattern"), 7),
+        "periodicPresentations.Y: pattern must be a string, got 7",
+    ),
+    # The exceptional listings live in ``EXCEPTIONAL_LISTINGS`` alone.
+    "exceptional-sets-restated": (
+        _set(("exceptionalSets",), {
+            "EM": ["Δη", "Δ²η²", "Δ²v₁η", "Δ³v₁η²", "Δ⁴η", "Δ⁵η²", "Δ⁵v₁η", "Δ⁶v₁η²"],
+            "FS": ["8Δ", "4Δ²", "8Δ³", "2Δ⁴", "8Δ⁵", "4Δ⁶", "8Δ⁷"],
+            "FM": ["v₁η²", "Δv₁η²", "Δ²v₁η²", "Δ³v₁η²", "Δ⁴v₁η²", "Δ⁵v₁η²", "Δ⁶v₁η²"],
+            "delta8Closure": True,
+        }),
+        "top level: unknown fields ['exceptionalSets']",
     ),
     "torsion-y-without-v1-action": (
         _set(V1_ON_Y44, _DELETE),

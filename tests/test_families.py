@@ -119,7 +119,7 @@ class TestEmitFamilies:
         for report in result.case_i + result.case_ii + result.direct_p1:
             key = fact_key("p2", report.witness)
             value = store.facts[key]
-            assert value.is_known_nonzero
+            assert value.is_known and value.span
             assert store.derivations[key]
 
     def test_family_stems_stable_under_two_copies(self, chart):

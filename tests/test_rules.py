@@ -109,8 +109,6 @@ def mini_chart(records, elements, actions=(), axioms=()):
         tmf_name_overrides={},
         nu_multiples=frozenset(),
         prior_order_two=frozenset(),
-        exceptional_sets={"EM": (), "FS": (), "FM": ()},
-        delta8_closure=False,
         ses_records=list(records),
         axioms=list(axioms),
         periodic_presentations={},
@@ -314,6 +312,35 @@ class TestLinearity:
         assert rule_linearity(store, chart, store.facts) == []  # κ̄·m unrecorded
 
 
+class TestPushPlan:
+    # Every map out of the source's module gets the source's pushes.
+    KBAR, V1 = RingGenerator("κ̄", 20, 4), RingGenerator("v₁", 2, 0)
+    OUT_OF_Y = [spec.name for spec in MAP_SPECS.values() if spec.source is ModuleId.Y]
+
+    def test_pushes_by_generator_name_with_labels(self):
+        # v₁ sorts before κ̄, and each push is labelled g·x.
+        a, ka = Element(ModuleId.Y, 62, 2, "a"), Element(ModuleId.Y, 82, 6, "ka")
+        va = Element(ModuleId.Y, 64, 2, "va")
+        chart = mini_chart([], [a, ka, va], actions=[
+            ActionFact(self.KBAR, a, Value.known(span_of(ka))),
+            ActionFact(self.V1, a, Value.known(span_of(va))),
+        ])
+        pushes = ((chart.actions.get("v₁", a), va, "v₁·Y:a"), (chart.actions.get("κ̄", a), ka, "κ̄·Y:a"))
+        assert chart.push_plan == {fact_key(name, a): (name, pushes) for name in self.OUT_OF_Y}
+
+    def test_skips_sums_nonzero_marks_and_zeros(self):
+        a, c, d, z = (Element(ModuleId.Y, 62, f, name) for f, name in ((2, "a"), (1, "c"), (0, "d"), (3, "z")))
+        ka, kb = Element(ModuleId.Y, 82, 6, "ka"), Element(ModuleId.Y, 82, 9, "kb")
+        chart = mini_chart([], [a, c, d, z, ka, kb], actions=[
+            ActionFact(self.KBAR, a, Value.known(span_of(ka))),
+            ActionFact(self.KBAR, c, Value.known(span_of(ka, kb))),
+            ActionFact(self.KBAR, d, Value.nonzero_unknown()),
+            ActionFact(self.KBAR, z, Value.zero()),
+        ])
+        pushes = ((chart.actions.get("κ̄", a), ka, "κ̄·Y:a"),)
+        assert chart.push_plan == {fact_key(name, a): (name, pushes) for name in self.OUT_OF_Y}
+
+
 class TestT4:
     # T4 derives the zero; EXACT completes the record from it, and the
     # completion carries T4's label.
@@ -489,7 +516,7 @@ class TestSaturation:
         saturate(chart)
         extended = delta8_extend(chart, 2)
         assert len(extended.rank_one_records) == 3 * len(chart.rank_one_records)
-        assert len(extended.actions.single_valued()) == 3 * len(chart.actions.single_valued())
+        assert len(extended.push_plan) == 3 * len(chart.push_plan)
         got = saturate(extended)
         fresh = saturate(delta8_extend(load(DATA), 2))
         assert got.serialize() == fresh.serialize()

@@ -56,7 +56,6 @@ class TestImageOfP3:
                 "actions": [],
                 "classifications": [],
                 "hurewiczFlags": {},
-                "exceptionalSets": {"EM": [], "FS": [], "FM": [], "delta8Closure": False},
                 "ranks": [],
                 "axioms": [],
                 "tmfNameOverrides": [],
@@ -278,7 +277,6 @@ def ses27_document(elements, record, axioms=()):
         "actions": [],
         "classifications": [],
         "hurewiczFlags": {},
-        "exceptionalSets": {"EM": [], "FS": [], "FM": [], "delta8Closure": False},
         "ranks": [
             {"context": "SES-2.7", "stem": 10, "cokernel": None, "kernel": None, **record}
         ],
