@@ -691,6 +691,37 @@ SITES = list(_sites(SHIPPED))
 OTHER_TYPES = (7, "x", True, None, [], {})
 
 
+def _pinned_mutations():
+    """Every 19th site of ``SITES``, each deleted and, in a second mutation,
+    given one other JSON type, picked by the site's index."""
+    for index, (path, value) in enumerate(SITES[::19]):
+        others = [v for v in OTHER_TYPES if type(v) is not type(value)]
+        yield path, _DELETE
+        yield path, others[index % len(others)]
+
+
+def mutation_outcomes() -> str:
+    """One JSON line per pinned mutation: its path, ``"delete"`` or the value
+    set, and ``"loads"`` or the whole ``ChartValidationError`` message."""
+    lines = []
+    for path, value in _pinned_mutations():
+        doc = json.loads(SHIPPED_TEXT)
+        _set(path, value)(doc)
+        try:
+            chartdata.from_document(doc)
+            outcome = "loads"
+        except ChartValidationError as exc:
+            outcome = str(exc)
+        change = "delete" if value is _DELETE else {"set": value}
+        lines.append(json.dumps([list(path), change, outcome], ensure_ascii=False))
+    return "\n".join(lines) + "\n"
+
+
+# To refresh: PYTHONPATH=src:tests python -c 'import test_chartdata as t;
+# t.MUTATIONS_GOLDEN.write_text(t.mutation_outcomes(), encoding="utf-8")'
+MUTATIONS_GOLDEN = REPO / "tests" / "golden" / "mutations.jsonl"
+
+
 @st.composite
 def mutations(draw):
     """Delete one entry of the shipped document, or give it another JSON type."""
@@ -728,6 +759,11 @@ class TestMalformedDocuments:
         except ChartValidationError:
             return
         saturate(chart, with_periodic=False)
+
+    def test_single_mutation_outcomes_are_pinned(self):
+        """A fixed slice of the single mutations, and what the loader makes of
+        each, byte for byte: it loads, or it raises exactly this message."""
+        assert mutation_outcomes() == MUTATIONS_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestShippedDataset:
