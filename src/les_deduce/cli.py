@@ -2,7 +2,9 @@
 
 Subcommands: ``validate``, ``deduce``, ``table``, ``families``, ``check``.
 Exit codes: 0 success, 1 unreadable or invalid dataset, 2 contradictions in
-the saturated store, 3 acceptance mismatch against the frozen family sets.
+the saturated store, 3 acceptance mismatch against the frozen family sets,
+4 (``families``) a family verdict left undetermined because the dataset
+lacks an entry it reads: a lift's Hurewicz flag, or its order.
 The dataset path may be omitted when LES_DEDUCE_DATA is set.
 """
 
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONTRADICTION = 2
 EXIT_ACCEPTANCE = 3
+EXIT_UNDETERMINED = 4
 
 
 def _load(path_arg: str | None):
@@ -110,6 +113,8 @@ def _print_families(result: FamiliesResult) -> None:
         print(f"review: {note}")
     for note in result.outside_hypotheses:
         print(f"outside hypotheses: {note}")
+    for note in result.undetermined:
+        print(f"undetermined: {note}")
 
 
 def cmd_families(args: argparse.Namespace) -> int:
@@ -119,6 +124,8 @@ def cmd_families(args: argparse.Namespace) -> int:
     _print_families(result)
     if store.contradictions:
         return EXIT_CONTRADICTION
+    if result.undetermined:
+        return EXIT_UNDETERMINED
     diff = result.golden_diff()
     if diff:
         for line in diff:

@@ -42,6 +42,10 @@ class IncompleteRowError(ValueError):
     """A row violates the lift obligation: zero projection but no lift found."""
 
 
+class MissingPremiseError(ValueError):
+    """A row's family verdict reads a dataset entry that the chart leaves out."""
+
+
 def _single(value: Optional[Value]) -> Optional[Element]:
     """The element of a known value with exactly one element, else None."""
     if value is not None and value.is_known and len(value.span) == 1:
@@ -154,6 +158,7 @@ class FamiliesResult:
     suppressed_direct_p1: List[FamilyReport] = field(default_factory=list)
     outside_hypotheses: List[str] = field(default_factory=list)
     review_notes: List[str] = field(default_factory=list)
+    undetermined: List[str] = field(default_factory=list)  # rows missing a premise
 
     def golden_diff(self) -> List[str]:
         """Differences against the frozen family sets; empty means acceptance."""
@@ -178,7 +183,9 @@ def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyRe
 
     Requires a nonzero Moore-level projection.  A zero sphere projection with
     no recorded lift is an error: exactness guarantees a lift exists, so its
-    absence means the dataset is incomplete.
+    absence means the dataset is incomplete.  An absent entry is no verdict:
+    a lift with no Hurewicz flag, or one flagged true in stem > 3 with no
+    order, raises ``MissingPremiseError`` naming the entry.
     """
     m = row.p2_element
     if m is None:
@@ -199,9 +206,13 @@ def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyRe
         raise IncompleteRowError(
             f"row {row.img_p3.key}: p1 image vanishes but no i1-lift of {m.key} is recorded"
         )
-    in_hurewicz = chart.hurewicz.get(lift.key, False)
-    torsion = chart.orders.get(lift.key) not in (None, "inf")
-    if in_hurewicz and torsion and lift.stem > 3:
+    in_hurewicz = chart.hurewicz.get(lift.key)
+    if in_hurewicz is None:
+        raise MissingPremiseError(f"no Hurewicz flag for {lift.key} (hurewiczFlags), witness {row.img_p3.key}")
+    order = chart.orders.get(lift.key)
+    if in_hurewicz and order is None and lift.stem > 3:
+        raise MissingPremiseError(f"no order for {lift.key} (elements.order), witness {row.img_p3.key}")
+    if in_hurewicz and order != "inf" and lift.stem > 3:
         return FamilyReport(
             base_stem=lift.stem,
             period=192,
@@ -221,7 +232,8 @@ def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyRe
 
 
 def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
-    """All family reports, deduplicated modulo the 192-periodicity.
+    """All family reports, deduplicated modulo the 192-periodicity, and a
+    line for each row whose verdict misses a premise (``undetermined``).
 
     Prior-known simple-2-torsion images (a dataset flag sourced from the
     earlier literature) are reported separately and excluded from the golden
@@ -246,7 +258,11 @@ def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
                 f"row {row.img_p3.key}: lift {row.lift_i1.key} in stem ≤ 3, outside the "
                 f"case-I hypotheses"
             )
-        report = classify_three_options(row, chart)
+        try:
+            report = classify_three_options(row, chart)
+        except MissingPremiseError as exc:
+            result.undetermined.append(str(exc))
+            continue
         if report is None:
             continue
         for element in (row.p1_element, row.lift_i1):

@@ -113,6 +113,18 @@ class TestFamilies:
         assert code == 3
         assert "mismatch" in err
 
+    def test_missing_flag_is_undetermined(self, tmp_path, chart_document, capsys):
+        # Without its flag, the ν² lift gives no verdict, not a caseII family.
+        doc = json.loads(json.dumps(chart_document))
+        del doc["hurewiczFlags"]["S:s_{6,2}"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run(capsys, "families", str(broken))
+        assert code == 4
+        assert "undetermined: no Hurewicz flag for S:s_{6,2} (hurewiczFlags), witness Y:y_{8,2}\n" in out
+        assert out.count("caseII:") == 7 and "caseII: stems 5 " not in out
+        assert err == ""
+
 
 class TestCheck:
     def test_clean(self, capsys):

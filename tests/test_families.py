@@ -1,6 +1,8 @@
 """Table rows, the three-way family classification, and the family reports."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -18,6 +20,7 @@ from les_deduce.families import (
 )
 from les_deduce.rules import saturate
 
+from conftest import DATA
 
 def row_by_name(rows, name):
     return next(r for r in rows if r.img_p3.name == name)
@@ -105,6 +108,7 @@ class TestEmitFamilies:
         assert all("simple 2-torsion" in r.describe() for r in result.direct_p1)
         assert not any("2-torsion" in r.describe() for r in result.case_i + result.case_ii)
         assert result.golden_diff() == []
+        assert result.undetermined == []
 
     def test_case_ii_lifts_outside_hurewicz_image(self, rows, chart):
         result = emit_families(rows, chart)
@@ -129,6 +133,7 @@ class TestEmitFamilies:
         store = saturate(ext)
         result = emit_families(build_table(store, ext), ext)
         assert {r.base_stem % 192 for r in result.case_ii} == TRIVIAL_HUREWICZ_BASE_STEMS
+        assert result.undetermined == []
 
     def test_prior_known_images_reported_separately(self, rows, chart):
         result = emit_families(rows, chart)
@@ -170,6 +175,68 @@ class TestEmitFamilies:
         stems = {r.base_stem for r in result.case_ii}
         assert 167 not in stems
         assert {23, 47, 71, 74, 95, 119} <= stems
+
+
+SHIPPED_TEXT = DATA.read_text(encoding="utf-8")
+SHIPPED = json.loads(SHIPPED_TEXT)
+# (what is deleted, the element it is about, the line a verdict that reads it gives)
+PREMISES = [
+    (("hurewiczFlags", key), key, "no Hurewicz flag for {} (hurewiczFlags)") for key in SHIPPED["hurewiczFlags"]
+] + [
+    (("elements", i, "order"), f"{e['module']}:{e['name']}", "no order for {} (elements.order)")
+    for i, e in enumerate(SHIPPED["elements"]) if "order" in e
+]
+
+
+def _reads(row, chart, key, deleted):
+    """Whether the verdict on ``row`` reads the entry ``deleted`` about ``key``:
+    a zero sphere projection reads its lift's flag, and, where that flag is
+    true and the lift lies above stem 3, its lift's order."""
+    lift = row.lift_i1
+    if row.p2_element is None or row.img_p1 is None or not row.img_p1.is_zero or lift is None or lift.key != key:
+        return False
+    return deleted[0] == "hurewiczFlags" or (chart.hurewicz.get(key) is True and lift.stem > 3)
+
+
+class TestMissingPremises:
+    """An absent flag or order is no verdict.  Deleting one raises a located
+    ``ChartValidationError``, leaves every report as it was, or turns exactly
+    the verdicts that read it into ``undetermined`` lines that name it; it
+    never adds or changes a caseII or directP1 report."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        chart = chartdata.loads(SHIPPED_TEXT)
+        rows = build_table(saturate(chart), chart)
+        return render_table_json(rows), emit_families(rows, chart)
+
+    def test_counts(self):
+        assert [deleted[0] for deleted, _, _ in PREMISES].count("hurewiczFlags") == 42
+        assert [deleted[0] for deleted, _, _ in PREMISES].count("elements") == 42
+
+    @pytest.mark.parametrize("deleted, key, line", PREMISES, ids=[f"{d[0]}-{k}" for d, k, _ in PREMISES])
+    def test_single_deletion(self, base, deleted, key, line):
+        table, families = base
+        doc = json.loads(SHIPPED_TEXT)
+        entry = doc
+        for step in deleted[:-1]:
+            entry = entry[step]
+        del entry[deleted[-1]]
+        try:
+            chart = chartdata.from_document(doc)
+        except chartdata.ChartValidationError as error:
+            assert re.match(r"\w+\[\d+\]: ", str(error)), str(error)
+            return
+        rows = build_table(saturate(chart), chart)
+        assert render_table_json(rows) == table
+        result = emit_families(rows, chart)
+        readers = [row for row in rows if _reads(row, chart, key, deleted)]
+        assert result.undetermined == [f"{line.format(key)}, witness {row.img_p3.key}" for row in readers]
+        expected = emit_families([row for row in rows if row not in readers], chart)
+        assert dataclasses.replace(result, undetermined=[]) == expected
+        for got, was in ((result.case_ii, families.case_ii), (result.direct_p1, families.direct_p1)):
+            assert set(got) <= set(was)
+        assert result.suppressed_direct_p1 == families.suppressed_direct_p1
 
 
 class TestRendering:
