@@ -44,7 +44,8 @@ class UndefinedFloorError(ValueError):
     """Raised when asking for the filtration floor of the zero span."""
 
 
-_NAME_CONVENTION = re.compile(r"^[a-z]_\{(-?\d+),(-?\d+)\}$")
+# The x_{i,j} name convention: a letter, then the stem i and filtration j.
+NAME_CONVENTION = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
 new_tuple = tuple.__new__  # builds a named tuple without its constructor
 
@@ -99,8 +100,8 @@ class Element(_ElementFields):
 
     def check_name_convention(self) -> None:
         """Names of the form x_{i,j} must encode stem i and filtration j."""
-        m = _NAME_CONVENTION.match(self.name)
-        if m and (int(m.group(1)) != self.stem or int(m.group(2)) != self.filtration):
+        m = NAME_CONVENTION.match(self.name)
+        if m and (int(m.group(2)) != self.stem or int(m.group(3)) != self.filtration):
             raise ValueError(
                 f"element {self.key} has stem/filtration ({self.stem},{self.filtration}) "
                 f"inconsistent with its name"
@@ -315,37 +316,40 @@ class ActionFact(_ActionFactFields):
 class ActionTable:
     """Partial generator-action data with a linear-extension query.
 
-    The sorted fact list is built on first use and dropped by ``add``.
+    ``by_key`` maps (generator name, source key) to the fact.  The sorted
+    fact list is built on first use and dropped by ``add``; a builder that
+    checks its facts itself (``chartdata._ChartRecords``) writes ``by_key``
+    of a new table directly, before that first use.
     """
 
     def __init__(self, facts: Iterable[ActionFact] = ()) -> None:
-        self._facts: dict[tuple[str, str], ActionFact] = {}
+        self.by_key: dict[tuple[str, str], ActionFact] = {}
         self._sorted: Optional[List[ActionFact]] = None
         for fact in facts:
             self.add(fact)
 
     def add(self, fact: ActionFact) -> None:
         key = (fact.generator.name, fact.source.key)
-        existing = self._facts.get(key)
+        existing = self.by_key.get(key)
         if existing is not None and existing != fact:
             raise ValueError(f"conflicting action facts for {fact.generator.name}·{fact.source}")
-        self._facts[key] = fact
+        self.by_key[key] = fact
         self._sorted = None
 
     def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
-        return self._facts.get((generator_name, source.key))
+        return self.by_key.get((generator_name, source.key))
 
     def copy(self) -> "ActionTable":
         """A table holding the same facts, which ``add`` can extend apart."""
         table = ActionTable()
-        table._facts = dict(self._facts)
+        table.by_key = dict(self.by_key)
         return table
 
     def facts(self) -> list[ActionFact]:
+        """The facts by generator name, then source key: the order of their keys."""
         if self._sorted is None:
-            self._sorted = sorted(
-                self._facts.values(), key=lambda f: (f.generator.name, f.source.key)
-            )
+            by_key = self.by_key
+            self._sorted = [by_key[key] for key in sorted(by_key)]
         return list(self._sorted)
 
     def act(self, generator_name: str, span: F2Span) -> Optional[Value]:
@@ -359,7 +363,7 @@ class ActionTable:
         total: F2Span = ZERO
         saw_nonzero_unknown = False
         for element in sorted(span):
-            fact = self._facts.get((generator_name, element.key))
+            fact = self.by_key.get((generator_name, element.key))
             if fact is None:
                 return None
             if fact.value.is_known:

@@ -5,10 +5,10 @@ keys {schemaVersion, maxStem, hurewiczFlags, periodicPresentations} plus the
 record lists of ``SCHEMA``, which states each record field's JSON kind and
 default once.  Element references everywhere use the key format
 "MODULE:name".  Unknown top-level or record fields are rejected so golden
-files stay byte-stable.  ``_READERS`` compiles each list's kinds and defaults
-at import; ``_records`` reads a value of its field's exact JSON type, or a
-known element key, inline and leaves enums, lists, nulls and defects to
-``_read``.  An action or axiom value with an empty span is the shared
+files stay byte-stable.  ``_records`` reads, inline, a value of its field's
+exact JSON type, a known enum value or element key, and a list of known,
+distinct element keys; ``_read`` takes nulls, the order's two types and
+defects.  An action or axiom value with an empty span is the shared
 ``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are too.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
@@ -27,21 +27,19 @@ a description (``_PRESENTATION_KEYS``).
 ``delta8_extend`` shifts the loaded chart's objects: each copy of an element
 moves 192 stems and the filtration degree of Δ⁸ up, and the copies of the
 other records refer to the shifted elements.  Every record check runs once,
-as the record enters: ``_ChartRecords`` checks each loaded record and each Δ⁸
-copy in the method that adds it, and the base chart of an extension is not
-checked again.  A check builds its message, location included, only when it
-fails; the tests pin every message in full.
+as the record enters, in the one ``_ChartRecords`` method that adds its
+record list: the loader and each Δ⁸ copy feed it a whole list.  A check
+builds its message only when it fails; the tests pin every message in full.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     ActionFact,
@@ -50,6 +48,7 @@ from .algebra import (
     ClassificationKind,
     DegreeMismatchError,
     Element,
+    NAME_CONVENTION,
     LesContext,
     ModuleId,
     RingGenerator,
@@ -75,9 +74,7 @@ EXCEPTIONAL_LISTINGS = {
 def exceptional_map(context: LesContext, module: ModuleId) -> str:
     """The map of ``context``'s LES out of ``module`` that is not its self-map:
     the map on which an exceptional class of ``module`` is nonzero."""
-    return next(
-        m.name for m in SEQUENCES[context.value].maps if m.source is module and m.target is not module
-    )
+    return next(m.name for m in SEQUENCES[context.value].maps if m.source is module and m.target is not module)
 
 ALLOWED_ORDERS = {1, 2, 4, 8}  # plus None (unknown) and "inf" (torsion free)
 
@@ -206,16 +203,8 @@ class SesRecord(_SesRecordFields):
         return self.maps[1].name
 
     @property
-    def middle_module(self) -> ModuleId:
-        return self.maps[1].source
-
-    @property
     def side_module(self) -> ModuleId:  # of the cokernel and the kernel
         return self.maps[0].source
-
-    @property
-    def kernel_stem(self) -> int:
-        return self.stem + self.maps[1].stem_shift
 
     def place(self, map_name: str, source: Element) -> Optional[Tuple[tuple, tuple]]:
         """Where the fact ``map_name`` on ``source`` sits in this record: the
@@ -226,6 +215,11 @@ class SesRecord(_SesRecordFields):
             return self.cokernel, self.middle
         return None
 
+
+# Each module → the names of the maps out of it, in ``MAP_SPECS`` order.
+_MAPS_OUT_OF = {
+    module: tuple(name for name, spec in MAP_SPECS.items() if spec.source is module) for module in ModuleId
+}
 
 # One entry of the push plan: an action g·x = t with one-element value, its
 # target t and the label "g·x" that provenance cites it by.
@@ -291,14 +285,12 @@ class ChartFile:
         plan: Dict[str, Tuple[str, Tuple[Push, ...]]] = {}
         for source, pushes in by_source.items():
             pushes = tuple(pushes)
-            for spec in MAP_SPECS.values():
-                if spec.source is source.module:
-                    plan[fact_key(spec.name, source)] = (spec.name, pushes)
+            for name in _MAPS_OUT_OF[source.module]:
+                plan[fact_key(name, source)] = (name, pushes)
         return plan
 
     def tmf_name(self, element: Element, row_key: str, column: str) -> Optional[str]:
-        override = self.tmf_name_overrides.get((row_key, column))
-        return override or self.tmf_names.get(element.key)
+        return self.tmf_name_overrides.get((row_key, column)) or self.tmf_names.get(element.key)
 
 
 class ChartValidationError(ValueError):
@@ -364,21 +356,16 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
 
 
 def _read(value, name: str, kind, where: str, elements=None):
-    """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``):
-    JSON types match exactly, so nothing is coerced (``"6"`` is not an integer),
-    no string is empty, enum values resolve to members, an element key is
-    unknown (``_records`` reads a known one) and no list of element keys
-    repeats one."""
-    if type(value) is str and type(kind) is dict and value in kind:
-        return kind[value]
+    """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``)
+    where ``_records`` does not read it inline: a top-level value, a null, an
+    order, or a defect, which raises.  JSON types match exactly (``"6"`` is not
+    an integer), no string is empty, and no list of element keys repeats one."""
     if type(value) is list and kind in (ELEMENTS, BASIS):
         for index, key in enumerate(value):
             if type(key) is not str or key not in elements:
                 raise ChartValidationError(f"{where}: dangling element reference {key!r}")
             if value.index(key) != index:
                 raise ChartValidationError(f"{where}: {name} repeats {key}")
-        return [elements[key] for key in value]
-    # What is left is a value of an exact or tuple kind, a null basis or a defect.
     if type(kind) is dict:
         types = (str,)
     else:
@@ -405,26 +392,37 @@ def _field(obj: dict, name: str, kind, where: str, default=REQUIRED):
 
 
 def _records(doc: dict, name: str, elements: Dict[str, Element]) -> Iterator[tuple[str, dict]]:
-    """The top-level list ``name`` as (location, fields) pairs: each record
-    read against ``SCHEMA[name]``, with the defaults of its absent fields.
-    A value of its field's exact JSON type, or a known element key, is read
-    here; ``_read`` takes enums, lists, nulls and defects."""
+    """The top-level list ``name`` as (location, fields) pairs: each record read
+    against ``SCHEMA[name]``, with the defaults of its absent fields.  A value of
+    its field's exact JSON type, a known enum value or element key, and a list of
+    known, distinct element keys are read inline; ``_read`` takes the rest."""
     kinds, defaults = _READERS[name]
+    # An element key reads like an enum value, with the elements for members.
+    members = {field: elements if kind is ELEMENT else kind for field, kind in kinds.items()}
     for index, record in enumerate(_field(doc, name, list, "top level", [])):
         where = f"{name}[{index}]"
         if type(record) is not dict:
             raise ChartValidationError(f"{where}: must be an object")
-        if not record.keys() <= kinds.keys():
-            _require_keys(record, kinds, where)
         fields = defaults.copy()
-        for field, value in record.items():
-            kind = kinds[field]
-            if type(value) is kind and value != "":
-                fields[field] = value
-            elif kind is ELEMENT and type(value) is str and value in elements:
-                fields[field] = elements[value]
-            else:
-                fields[field] = _read(value, field, kind, where, elements)
+        try:
+            for field, value in record.items():
+                kind = members[field]  # a KeyError for an unknown field
+                if type(value) is kind and value != "":
+                    fields[field] = value
+                elif type(value) is str and type(kind) is dict and value in kind:
+                    fields[field] = kind[value]
+                elif type(value) is list and (kind is ELEMENTS or kind is BASIS):
+                    try:
+                        fields[field] = [elements[key] for key in value]
+                    except (KeyError, TypeError):  # a dangling or unhashable key
+                        _read(value, field, kind, where, elements)
+                    if len(set(value)) < len(value):
+                        _read(value, field, kind, where, elements)
+                else:
+                    fields[field] = _read(value, field, kinds[field], where, elements)
+        except (KeyError, ChartValidationError):
+            _require_keys(record, kinds, where)  # unknown fields are reported first
+            raise
         if len(fields) < len(kinds):
             missing = next(field for field in kinds if field not in fields)
             raise ChartValidationError(f"{where}: missing field {missing!r}")
@@ -479,18 +477,15 @@ _LES_23, _MODULE_S, _MODULE_Y = LesContext.LES_23, ModuleId.S, ModuleId.Y
 
 
 class _ChartRecords:
-    """The record containers of a chart being built, and every check that a
-    typed record passes, run once as it enters.  ``from_document`` fills empty
-    ones; ``delta8_extend`` adds its copies to ``_ChartRecords(chart)``, whose
-    records it does not check again.
-
-    Each method checks its record first on its own, then against the records
-    already present: elements enter first, then actions, then
-    classifications, then ``ranks`` records.  A record that repeats the
-    identity key of one already present (see ``_DUPLICATE``) is rejected,
-    except that when ``merge`` is set, one equal to the present record is
-    skipped, and an axiom equal to one present too.
-    """
+    """The record containers of a chart being built, and every check that a typed
+    record passes, run once as it enters.  ``from_document`` fills empty ones;
+    ``delta8_extend`` adds each copy to ``_ChartRecords(chart)``, whose records it
+    does not check again.  One method adds each record list, from rows led by the
+    record's location; it checks each record on its own, then against the records
+    present (elements enter first, then actions, classifications and ``ranks``),
+    with one dict lookup per identity key.  A record that repeats the identity key
+    of one present (``_DUPLICATE``) is rejected, except that when ``merge`` is set,
+    one equal to it is skipped, and an axiom equal to one present too."""
 
     def __init__(self, chart: Optional[ChartFile] = None) -> None:
         """Empty containers, or copies of ``chart``'s that merge what is added."""
@@ -518,147 +513,159 @@ class _ChartRecords:
             axioms=self.axioms, tmf_name_overrides=self.tmf_name_overrides,
         )
 
-    def _is_new(self, name: str, key: tuple, present, record, where: str) -> bool:
-        """Whether ``record`` goes in under ``key``, where ``present`` (or
-        None) already is: False to skip an equal one when merging."""
-        if present is None:
-            return True
-        if self.merge and present == record:
-            return False
-        raise ChartValidationError(f"{where}: " + _DUPLICATE[name].format(*key))
+    def _clash(self, name: str, key: tuple, present, record, where: str) -> None:
+        """``record`` repeats the ``key`` of ``present``: a merge skips it if equal."""
+        if not (self.merge and present == record):
+            raise ChartValidationError(f"{where}: " + _DUPLICATE[name].format(*key))
 
-    def add_element(
-        self, element: Element, order, tmf_name: Optional[str], nu_multiple: bool,
-        prior_order_two: bool, where: str,
-    ) -> None:
-        key = element.key
-        if element.stem < 0 or element.filtration < 0:
-            raise ChartValidationError(f"{where}: element {key}: negative degree")
-        try:
-            element.check_name_convention()
-        except ValueError as exc:
-            raise ChartValidationError(f"{where}: {exc}") from exc
-        if order is not None and order != "inf" and order not in ALLOWED_ORDERS:
-            raise ChartValidationError(f"{where}: element {key}: bad order {order!r}")
-        present = self.elements.get(key)
-        if present is not None:
-            present = (
-                present, self.orders.get(key), self.tmf_names.get(key),
-                key in self.nu_multiples, key in self.prior_order_two,
-            )
-            record = (element, order, tmf_name, nu_multiple, prior_order_two)
-            if not self._is_new("elements", (key,), present, record, where):
-                return
-        self.elements[key] = element
-        if order is not None:
-            self.orders[key] = order
-        if tmf_name is not None:
-            self.tmf_names[key] = tmf_name
-        if nu_multiple:
-            self.nu_multiples.add(key)
-        if prior_order_two:
-            self.prior_order_two.add(key)
+    def add_elements(self, rows: Iterable[tuple]) -> None:
+        """Rows (where, element, order, tmf name, ν-multiple, prior order 2)."""
+        elements, orders, tmf_names = self.elements, self.orders, self.tmf_names
+        nu_multiples, prior_order_two = self.nu_multiples, self.prior_order_two
+        for row in rows:
+            where, element, order, tmf_name, nu_multiple, prior = row
+            key = element.key
+            if element.stem < 0 or element.filtration < 0:
+                raise ChartValidationError(f"{where}: element {key}: negative degree")
+            try:
+                element.check_name_convention()
+            except ValueError as exc:
+                raise ChartValidationError(f"{where}: {exc}") from exc
+            if order is not None and order != "inf" and order not in ALLOWED_ORDERS:
+                raise ChartValidationError(f"{where}: element {key}: bad order {order!r}")
+            present = elements.get(key)
+            if present is not None:
+                present = present, orders.get(key), tmf_names.get(key), key in nu_multiples, key in prior_order_two
+                self._clash("elements", (key,), present, row[1:], where)
+                continue
+            elements[key] = element
+            if order is not None:
+                orders[key] = order
+            if tmf_name is not None:
+                tmf_names[key] = tmf_name
+            if nu_multiple:
+                nu_multiples.add(key)
+            if prior:
+                prior_order_two.add(key)
 
-    def add_action(self, generator: RingGenerator, source: Element, value: Value, where: str) -> None:
-        try:
-            fact = ActionFact(generator, source, value)
-        except ValueError as exc:
-            raise ChartValidationError(f"{where}: action {generator.name}·{source.key}: {exc}") from exc
-        key = (generator.name, source.key)
-        if self._is_new("actions", key, self.actions.get(generator.name, source), fact, where):
-            self.actions.add(fact)
+    def add_actions(self, rows: Iterable[tuple]) -> None:
+        """Rows (where, generator, source, value)."""
+        by_key = self.actions.by_key
+        for where, generator, source, value in rows:
+            try:
+                fact = ActionFact(generator, source, value)
+            except ValueError as exc:
+                raise ChartValidationError(f"{where}: action {generator.name}·{source.key}: {exc}") from exc
+            key = (generator.name, source.key)
+            present = by_key.get(key)
+            if present is None:
+                by_key[key] = fact
+            else:
+                self._clash("actions", key, present, fact, where)
 
-    def add_classification(self, classification: Classification, where: str) -> None:
-        """A classification: a torsion Y class in LES-2.3 with its v₁ action,
-        an exceptional class where an exceptional listing can hold it."""
-        element, context, kind = classification
-        if (
-            kind is _TORSION and context is _LES_23 and element.module is _MODULE_Y
-            and self.actions.get("v₁", element) is None
-        ):
-            raise ChartValidationError(
-                f"{where}: torsion class {element.key} in {context.value} has no v₁ action"
-            )
-        if kind is _EXCEPTIONAL:
-            route = EXCEPTIONAL_LISTINGS.get((context, element.module))
-            if route is None:
+    def add_classifications(self, rows: Iterable[Tuple[str, Classification]]) -> None:
+        """Rows (where, classification): a torsion Y class in LES-2.3 with its
+        v₁ action, an exceptional class where an exceptional listing can hold it."""
+        actions, classified, classifications = self.actions.by_key, self._classified, self.classifications
+        for where, classification in rows:
+            element, context, kind = classification
+            if kind is _TORSION and context is _LES_23 and element.module is _MODULE_Y:
+                if ("v₁", element.key) not in actions:
+                    raise ChartValidationError(
+                        f"{where}: torsion class {element.key} in {context.value} has no v₁ action"
+                    )
+            elif kind is _EXCEPTIONAL:
+                route = EXCEPTIONAL_LISTINGS.get((context, element.module))
+                if route is None:
+                    raise ChartValidationError(
+                        f"{where}: {element.key} marked exceptional in {context.value}, "
+                        f"but no exceptional listing there holds {element.module.value} classes"
+                    )
+                if element.stem % 192 not in route[1]:
+                    raise ChartValidationError(
+                        f"{where}: {element.key} marked exceptional in {context.value} but no "
+                        f"{route[0]} monomial lives in stem {element.stem} (mod 192)"
+                    )
+            key = (element.key, context)
+            present = classified.get(key)
+            if present is None:
+                classified[key] = classification
+                classifications.append(classification)
+            else:
+                self._clash("classifications", key, present, classification, where)
+
+    def add_ranks(self, rows: Iterable[Tuple[str, SesRecord]]) -> None:
+        """Rows (where, ``ranks`` record): each basis in its module and stem, the
+        ranks adding up where both sides are known; in SES-2.8 and SES-2.9 each
+        middle class classified torsion or exceptional, and each sphere kernel
+        class of order 2."""
+        classified, orders, ranked, ses_records = self._classified, self.orders, self._ranked, self.ses_records
+        for where, ses in rows:
+            name, stem, middle, cokernel, kernel, ref, (include, project, _) = ses
+            side = include.source
+            for basis, module, basis_stem in (
+                (middle, project.source, stem), (cokernel or (), side, stem),
+                (kernel or (), side, stem + project.stem_shift),
+            ):
+                for element in basis:
+                    if element.module is not module or element.stem != basis_stem:
+                        raise _off_degree(element, module, basis_stem, f"{where}: ranks {ref}")
+            if cokernel is not None and kernel is not None and len(middle) != len(cokernel) + len(kernel):
                 raise ChartValidationError(
-                    f"{where}: {element.key} marked exceptional in {context.value}, "
-                    f"but no exceptional listing there holds {element.module.value} classes"
+                    f"{where}: ranks {ref}: rank mismatch |middle|={len(middle)} != "
+                    f"|cokernel|={len(cokernel)} + |kernel|={len(kernel)}"
                 )
-            listing, stems = route
-            if element.stem % 192 not in stems:
-                raise ChartValidationError(
-                    f"{where}: {element.key} marked exceptional in {context.value} but no "
-                    f"{listing} monomial lives in stem {element.stem} (mod 192)"
-                )
-        key = (element.key, context)
-        if self._is_new("classifications", key, self._classified.get(key), classification, where):
-            self._classified[key] = classification
-            self.classifications.append(classification)
-
-    def add_ranks(self, ses: SesRecord, where: str) -> None:
-        """A ``ranks`` record: each basis in its module and stem, and the
-        ranks adding up where both sides are known.  In SES-2.8 and SES-2.9
-        each middle class is classified torsion or exceptional, and each
-        sphere kernel class has order 2."""
-        middle, cokernel, kernel = ses.middle, ses.cokernel, ses.kernel
-        for basis, module, basis_stem in (
-            (middle, ses.middle_module, ses.stem),
-            (cokernel or (), ses.side_module, ses.stem),
-            (kernel or (), ses.side_module, ses.kernel_stem),
-        ):
-            for element in basis:
-                if element.module is not module or element.stem != basis_stem:
-                    raise _off_degree(element, module, basis_stem, f"{where}: ranks {ses.ref}")
-        if cokernel is not None and kernel is not None and len(middle) != len(cokernel) + len(kernel):
-            raise ChartValidationError(
-                f"{where}: ranks {ses.ref}: rank mismatch |middle|={len(middle)} != "
-                f"|cokernel|={len(cokernel)} + |kernel|={len(kernel)}"
-            )
-        context, classified = SES_CONTEXTS[ses.context]
-        if classified:
-            for element in middle:
-                present = self._classified.get((element.key, context))
+            context, restricted = SES_CONTEXTS[name]
+            for element in middle if restricted else ():
+                present = classified.get((element.key, context))
                 if present is None or present.kind is _NONEXCEPTIONAL:
                     raise ChartValidationError(
-                        f"{where}: ranks {ses.ref}: middle element {element.key} "
+                        f"{where}: ranks {ref}: middle element {element.key} "
                         f"must be classified torsion or exceptional in {context.value}"
                     )
             # A sphere kernel class lies in ker(·2), which the dataset states as order 2.
-            if ses.side_module is _MODULE_S:
-                for element in kernel or ():
-                    if self.orders.get(element.key) != 2:
-                        raise ChartValidationError(
-                            f"{where}: ranks {ses.ref}: kernel element {element.key} "
-                            f"must carry order 2 (it lies in ker(·2))"
-                        )
-        key = (ses.context, ses.stem)
-        if self._is_new("ranks", key, self._ranked.get(key), ses, where):
-            self._ranked[key] = ses
-            self.ses_records.append(ses)
+            for element in (kernel or ()) if restricted and side is _MODULE_S else ():
+                if orders.get(element.key) != 2:
+                    raise ChartValidationError(
+                        f"{where}: ranks {ref}: kernel element {element.key} must carry order 2 (it lies in ker(·2))"
+                    )
+            key = (name, stem)
+            present = ranked.get(key)
+            if present is None:
+                ranked[key] = ses
+                ses_records.append(ses)
+            else:
+                self._clash("ranks", key, present, ses, where)
 
-    def add_axiom(self, axiom: MapAxiom, where: str) -> None:
-        """An axiom: its source and each class of its value where its map
-        puts them."""
-        spec, source = MAP_SPECS[axiom.map], axiom.source
-        if source.module is not spec.source:
-            raise ChartValidationError(
-                f"{where}: axiom {axiom.map}({source.key}): source must live in module {spec.source.value}"
-            )
-        stem = source.stem + spec.stem_shift
-        for element in axiom.value.span:
-            if element.module is not spec.target or element.stem != stem:
-                raise _off_degree(element, spec.target, stem, f"{where}: axiom {axiom.map}({source.key})")
-        if self.merge:
-            if axiom in self._axiom_set:
-                return
-            self._axiom_set.add(axiom)
-        self.axioms.append(axiom)
+    def add_axioms(self, rows: Iterable[Tuple[str, MapAxiom]]) -> None:
+        """Rows (where, axiom): its source and value classes where its map puts them."""
+        axioms, present = self.axioms, self._axiom_set
+        for where, axiom in rows:
+            map_name, source, value = axiom
+            spec = MAP_SPECS[map_name]
+            if source.module is not spec.source:
+                raise ChartValidationError(
+                    f"{where}: axiom {map_name}({source.key}): source must live in module {spec.source.value}"
+                )
+            stem = source.stem + spec.stem_shift
+            for element in value.span:
+                if element.module is not spec.target or element.stem != stem:
+                    raise _off_degree(element, spec.target, stem, f"{where}: axiom {map_name}({source.key})")
+            if self.merge:
+                if axiom in present:
+                    continue
+                present.add(axiom)
+            axioms.append(axiom)
 
-    def add_override(self, cell: tuple[str, str], name: str, where: str) -> None:
-        if self._is_new("tmfNameOverrides", cell, self.tmf_name_overrides.get(cell), name, where):
-            self.tmf_name_overrides[cell] = name
+    def add_overrides(self, rows: Iterable[Tuple[str, Tuple[str, str], str]]) -> None:
+        """Rows (where, (row key, column), name)."""
+        overrides = self.tmf_name_overrides
+        for where, cell, name in rows:
+            present = overrides.get(cell)
+            if present is None:
+                overrides[cell] = name
+            else:
+                self._clash("tmfNameOverrides", cell, present, name, where)
 
 
 def loads(text: str) -> ChartFile:
@@ -683,9 +690,7 @@ def from_document(doc: dict) -> ChartFile:
     top_level = {"schemaVersion", "maxStem", "hurewiczFlags", "periodicPresentations"}
     _require_keys(doc, top_level | SCHEMA.keys(), "top level")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
-        raise ChartValidationError(
-            f"unsupported schemaVersion {doc.get('schemaVersion')!r}, want {SCHEMA_VERSION!r}"
-        )
+        raise ChartValidationError(f"unsupported schemaVersion {doc.get('schemaVersion')!r}, want {SCHEMA_VERSION!r}")
     max_stem = _field(doc, "maxStem", int, "top level", 0)
     if max_stem < 0:
         raise ChartValidationError(f"top level: maxStem must be ≥ 0, got {max_stem}")
@@ -702,21 +707,20 @@ def from_document(doc: dict) -> ChartFile:
             raise ChartValidationError(f"{where}: duplicate generator {gen.name}")
         generators[gen.name] = gen
 
-    for where, fields in _records(doc, "elements", elements):
-        element = Element(fields["module"], fields["stem"], fields["filtration"], fields["name"])
-        records.add_element(
-            element, fields["order"], fields["tmfName"], fields["nuMultiple"], fields["priorOrderTwo"], where
-        )
-
-    for where, fields in _records(doc, "actions", elements):
-        gen_name, source = fields["generator"], fields["source"]
-        if gen_name not in generators:
-            raise ChartValidationError(f"{where}: unknown generator {gen_name!r}")
-        value = _value(fields, where, "action {generator}·{source.key}")
-        records.add_action(generators[gen_name], source, value, where)
-
-    for where, fields in _records(doc, "classifications", elements):
-        records.add_classification(Classification(fields["element"], fields["context"], fields["kind"]), where)
+    records.add_elements(
+        (where, Element(f["module"], f["stem"], f["filtration"], f["name"]),
+         f["order"], f["tmfName"], f["nuMultiple"], f["priorOrderTwo"])
+        for where, f in _records(doc, "elements", elements)
+    )
+    records.add_actions(
+        (where, generators.get(f["generator"]) or _read(f["generator"], "generator", generators, where),
+         f["source"], _value(f, where, "action {generator}·{source.key}"))
+        for where, f in _records(doc, "actions", elements)
+    )
+    records.add_classifications(
+        (where, Classification(f["element"], f["context"], f["kind"]))
+        for where, f in _records(doc, "classifications", elements)
+    )
 
     hurewicz: Dict[str, bool] = {}
     for key, flag in _field(doc, "hurewiczFlags", dict, "top level", {}).items():
@@ -729,16 +733,17 @@ def from_document(doc: dict) -> ChartFile:
             raise ChartValidationError(f"{where}: must be a boolean, got {flag!r}")
         hurewicz[key] = flag
 
-    for where, fields in _records(doc, "ranks", elements):
-        ses = SesRecord(fields["context"], fields["stem"], fields["middle"], fields["cokernel"], fields["kernel"])
-        records.add_ranks(ses, where)
-
-    for where, fields in _records(doc, "axioms", elements):
-        value = _value(fields, where, "axiom {map}({source.key})")
-        records.add_axiom(MapAxiom(fields["map"], fields["source"], value), where)
-
-    for where, fields in _records(doc, "tmfNameOverrides", elements):
-        records.add_override((fields["row"].key, fields["column"]), fields["name"], where)
+    records.add_ranks(
+        (where, SesRecord(f["context"], f["stem"], f["middle"], f["cokernel"], f["kernel"]))
+        for where, f in _records(doc, "ranks", elements)
+    )
+    records.add_axioms(
+        (where, MapAxiom(f["map"], f["source"], _value(f, where, "axiom {map}({source.key})")))
+        for where, f in _records(doc, "axioms", elements)
+    )
+    records.add_overrides(
+        (where, (f["row"].key, f["column"]), f["name"]) for where, f in _records(doc, "tmfNameOverrides", elements)
+    )
 
     presentations = _field(doc, "periodicPresentations", dict, "top level", {})
     _check_presentations(presentations)
@@ -787,9 +792,7 @@ def to_document(chart: ChartFile) -> dict:
     elements = []
     for element in sorted(chart.elements.values()):
         record: dict = {
-            "module": element.module.value,
-            "name": element.name,
-            "stem": element.stem,
+            "module": element.module.value, "name": element.name, "stem": element.stem,
             "filtration": element.filtration,
         }
         if element.key in chart.orders:
@@ -807,18 +810,13 @@ def to_document(chart: ChartFile) -> dict:
     ]
     ranks = [
         {
-            "context": ses.context,
-            "stem": ses.stem,
-            "middle": [e.key for e in ses.middle],
+            "context": ses.context, "stem": ses.stem, "middle": [e.key for e in ses.middle],
             "cokernel": None if ses.cokernel is None else [e.key for e in ses.cokernel],
             "kernel": None if ses.kernel is None else [e.key for e in ses.kernel],
         }
         for ses in sorted(chart.ses_records, key=lambda r: (r.context, r.stem))
     ]
-    axioms = [
-        {"map": axiom.map, "source": axiom.source.key, **_value_fields(axiom.value)}
-        for axiom in chart.axioms
-    ]
+    axioms = [{"map": axiom.map, "source": axiom.source.key, **_value_fields(axiom.value)} for axiom in chart.axioms]
     return {
         "schemaVersion": chart.schema_version,
         "maxStem": chart.max_stem,
@@ -830,9 +828,7 @@ def to_document(chart: ChartFile) -> dict:
         "actions": actions,
         "classifications": [
             {"element": c.element.key, "context": c.context.value, "kind": c.kind.value}
-            for c in sorted(
-                chart.classifications, key=lambda c: (c.element.key, c.context.value)
-            )
+            for c in sorted(chart.classifications, key=lambda c: (c.element.key, c.context.value))
         ],
         "hurewiczFlags": dict(sorted(chart.hurewicz.items())),
         "ranks": ranks,
@@ -855,9 +851,7 @@ def save(chart: ChartFile, path: str | Path) -> None:
 
 # --- Periodic-part expansion ---
 
-def expand_periodic(
-    module: ModuleId, stem_bound: int, presentations: Optional[dict] = None
-) -> List[Monomial]:
+def expand_periodic(module: ModuleId, stem_bound: int, presentations: Optional[dict] = None) -> List[Monomial]:
     """All periodic-part monomials of one module with stem ≤ stem_bound.
 
     ``presentations`` is the dataset's periodicPresentations section, as the
@@ -905,9 +899,7 @@ def expand_periodic(
                 if k >= 1:
                     stem = 24 * n + 8 * k + 4
                     if stem <= stem_bound:
-                        element = Element(
-                            ModuleId.S, stem, 1, monomial_name_s_c6(n, k - 1), periodic=True
-                        )
+                        element = Element(ModuleId.S, stem, 1, monomial_name_s_c6(n, k - 1), periodic=True)
                         out.append(Monomial(element, n, k, 2, c6=True))
     else:
         raise ValueError(f"module {module.value} has no periodic presentation")
@@ -916,12 +908,9 @@ def expand_periodic(
 
 # --- Δ⁸ extension ---
 
-_SHIFT_NAME = re.compile(r"^([a-z])_\{-?\d+,-?\d+\}$")
-
-
 def _name_letter(element: Element) -> Optional[str]:
     """The x of an x_{i,j} name, which ``_shifted`` re-encodes, else None."""
-    m = _SHIFT_NAME.match(element.name)
+    m = NAME_CONVENTION.match(element.name)
     return m.group(1) if m else None
 
 
@@ -950,7 +939,8 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     copies of ν-multiples are not marked as such and have Hurewicz flag false,
     unless a flag is already present.  The copies of the other records
     (``ranks`` records at stem + 192k) refer to the shifted elements.  Each
-    copy passes every ``_ChartRecords`` check and the constructors' own checks
+    copy of a record list goes through the ``_ChartRecords`` method the loader
+    uses, so it passes every check there and the constructors' own checks
     once; only the JSON-type checks of ``_records`` are skipped.  Each
     container holds the chart's records first, then copy 1, copy 2 and so on.
     A copy equal to the record under its identity key, or an axiom equal to
@@ -966,33 +956,43 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     records = _ChartRecords(chart)
     hurewicz = dict(chart.hurewicz)
     facts = chart.actions.facts()
-    letters = [(element, _name_letter(element)) for element in chart.elements.values()]
+    kept = [  # each element, its name's letter, and the order, tmf name and mark its copies keep
+        (element, _name_letter(element), chart.orders.get(key), chart.tmf_names.get(key), key in chart.prior_order_two)
+        for key, element in chart.elements.items()
+    ]
+    flags = [  # in element order, the flag of each flagged element's copies
+        (element, chart.hurewicz[key] and key not in chart.nu_multiples)
+        for key, element in chart.elements.items() if key in chart.hurewicz
+    ]
     for k in range(1, copies + 1):
         where, prefix = f"Δ⁸ copy {k}", "Δ⁸·" * k
-        shifted = {element: _shifted(element, letter, k, filt_shift) for element, letter in letters}
-        for element, copy in shifted.items():
-            key = element.key
-            tmf_name = chart.tmf_names.get(key)
-            records.add_element(
-                copy, chart.orders.get(key), tmf_name and prefix + tmf_name, False,
-                key in chart.prior_order_two, where,
-            )
-            if key in chart.hurewicz:
-                hurewicz.setdefault(copy.key, chart.hurewicz[key] and key not in chart.nu_multiples)
-        for fact in facts:
-            value = _shifted_value(fact.value, shifted)
-            records.add_action(fact.generator, shifted[fact.source], value, where)
-        for c in chart.classifications:
-            records.add_classification(Classification(shifted[c.element], c.context, c.kind), where)
-        for ses in chart.ses_records:
-            bases = [
-                None if basis is None else [shifted[e] for e in basis]
-                for basis in (ses.middle, ses.cokernel, ses.kernel)
-            ]
-            records.add_ranks(SesRecord(ses.context, ses.stem + 192 * k, *bases), where)
-        for axiom in chart.axioms:
-            value = _shifted_value(axiom.value, shifted)
-            records.add_axiom(MapAxiom(axiom.map, shifted[axiom.source], value), where)
-        for (row, column), name in chart.tmf_name_overrides.items():
-            records.add_override((shifted[chart.elements[row]].key, column), prefix + name, where)
+        shifted = {element: _shifted(element, letter, k, filt_shift) for element, letter, _, _, _ in kept}
+        shift = shifted.__getitem__
+        records.add_elements(
+            (where, shifted[element], order, tmf_name and prefix + tmf_name, False, prior)
+            for element, _, order, tmf_name, prior in kept
+        )
+        for element, flag in flags:
+            hurewicz.setdefault(shifted[element].key, flag)
+        records.add_actions(
+            (where, fact.generator, shifted[fact.source], _shifted_value(fact.value, shifted)) for fact in facts
+        )
+        records.add_classifications(
+            (where, Classification(shifted[c.element], c.context, c.kind)) for c in chart.classifications
+        )
+        records.add_ranks(
+            (where, SesRecord(
+                ses.context, ses.stem + 192 * k, [*map(shift, ses.middle)],
+                ses.cokernel and [*map(shift, ses.cokernel)], ses.kernel and [*map(shift, ses.kernel)],
+            ))
+            for ses in chart.ses_records
+        )
+        records.add_axioms(
+            (where, MapAxiom(axiom.map, shifted[axiom.source], _shifted_value(axiom.value, shifted)))
+            for axiom in chart.axioms
+        )
+        records.add_overrides(
+            (where, (shifted[chart.elements[row]].key, column), prefix + name)
+            for (row, column), name in chart.tmf_name_overrides.items()
+        )
     return replace(chart, max_stem=chart.max_stem + 192 * copies, hurewicz=hurewicz, **records.fields())

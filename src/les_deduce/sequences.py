@@ -294,7 +294,7 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
 
     Records each hit as a p₃ fact with unknown (but nonzero) preimage and
     returns the sorted list.  The loader guarantees every in-scope element a
-    v₁ action (``chartdata._ChartRecords.add_classification``).
+    v₁ action (``chartdata._ChartRecords.add_classifications``).
     """
     module_y, les_23, torsion = ModuleId.Y, LesContext.LES_23, ClassificationKind.TORSION
     hits: List[Element] = []

@@ -437,7 +437,7 @@ class TestIngestSharesValues:
     def test_equal_classification_is_skipped_when_merging(self, chart):
         records = chartdata._ChartRecords(chart)
         present = chart.classifications[0]
-        records.add_classification(Classification(*present), "here")
+        records.add_classifications([("here", Classification(*present))])
         assert records.classifications == chart.classifications
 
     def test_clashing_classification_is_rejected_when_merging(self, chart):
@@ -445,7 +445,7 @@ class TestIngestSharesValues:
         present = chart.classifications[0]
         assert present.kind is ClassificationKind.TORSION
         with pytest.raises(ChartValidationError) as error:
-            records.add_classification(present._replace(kind=ClassificationKind.PERIODIC_NONEXCEPTIONAL), "here")
+            records.add_classifications([("here", present._replace(kind=ClassificationKind.PERIODIC_NONEXCEPTIONAL))])
         assert str(error.value) == "here: duplicate classification for M:m_{100,20} in LES-2.3"
 
 _DELETE = object()
