@@ -99,8 +99,12 @@ class Element(_ElementFields):
     __getnewargs__ = checked_newargs
 
     def check_name_convention(self) -> None:
-        """Names of the form x_{i,j} must encode stem i and filtration j."""
-        m = NAME_CONVENTION.match(self.name)
+        """Names of the form x_{i,j} must encode stem i and filtration j.  A
+        name that spells its own degree that way passes without the regex."""
+        name = self.name
+        if name == f"{name[:1]}_{{{self.stem},{self.filtration}}}":
+            return
+        m = NAME_CONVENTION.match(name)
         if m and (int(m.group(2)) != self.stem or int(m.group(3)) != self.filtration):
             raise ValueError(
                 f"element {self.key} has stem/filtration ({self.stem},{self.filtration}) "

@@ -14,6 +14,7 @@ from les_deduce.algebra import (
     DegreeMismatchError,
     Element,
     ModuleId,
+    NAME_CONVENTION,
     RingGenerator,
     UndefinedFloorError,
     Value,
@@ -313,3 +314,20 @@ class TestNameConvention:
 
     def test_free_form_names_exempt(self):
         el("Y", 50, 4, "someclass").check_name_convention()
+
+    @pytest.mark.parametrize("name, stem, filtration, consistent", [
+        ("y_{50,4}", 50, 4, True), ("y_{050,4}", 50, 4, True), ("y_{-0,4}", 0, 4, True),
+        ("y_{50,4}\n", 50, 4, True), ("y_{50,4}\n", 50, 5, False), ("Y_{50,5}", 50, 4, True),
+        ("y_{50,4}x", 50, 5, True), ("y_{51,4}", 50, 4, False), ("", 50, 4, True),
+    ])
+    def test_agrees_with_the_pattern(self, name, stem, filtration, consistent):
+        """The check passes exactly when ``NAME_CONVENTION`` does not match, or
+        its stem and filtration groups read as the element's degree."""
+        m = NAME_CONVENTION.match(name)
+        assert (not m or (int(m[2]), int(m[3])) == (stem, filtration)) is consistent
+        element = el("Y", stem, filtration, name)
+        if consistent:
+            element.check_name_convention()
+        else:
+            with pytest.raises(ValueError):
+                element.check_name_convention()
