@@ -563,7 +563,7 @@ class _ChartRecords:
             else:
                 self._clash("actions", key, present, fact, where)
 
-    def add_classifications(self, rows: Iterable[Tuple[str, Classification]]) -> None:
+    def add_classifications(self, rows: Iterable[tuple]) -> None:
         """Rows (where, classification): a torsion Y class in LES-2.3 with its
         v₁ action, an exceptional class where an exceptional listing can hold it."""
         actions, classified, classifications = self.actions.by_key, self._classified, self.classifications
@@ -594,7 +594,7 @@ class _ChartRecords:
             else:
                 self._clash("classifications", key, present, classification, where)
 
-    def add_ranks(self, rows: Iterable[Tuple[str, SesRecord]]) -> None:
+    def add_ranks(self, rows: Iterable[tuple]) -> None:
         """Rows (where, ``ranks`` record): each basis in its module and stem, the
         ranks adding up where both sides are known; in SES-2.8 and SES-2.9 each
         middle class classified torsion or exceptional, and each sphere kernel
@@ -637,7 +637,7 @@ class _ChartRecords:
             else:
                 self._clash("ranks", key, present, ses, where)
 
-    def add_axioms(self, rows: Iterable[Tuple[str, MapAxiom]]) -> None:
+    def add_axioms(self, rows: Iterable[tuple]) -> None:
         """Rows (where, axiom): its source and value classes where its map puts them."""
         axioms, present = self.axioms, self._axiom_set
         for where, axiom in rows:
@@ -657,7 +657,7 @@ class _ChartRecords:
                 present.add(axiom)
             axioms.append(axiom)
 
-    def add_overrides(self, rows: Iterable[Tuple[str, Tuple[str, str], str]]) -> None:
+    def add_overrides(self, rows: Iterable[tuple]) -> None:
         """Rows (where, (row key, column), name)."""
         overrides = self.tmf_name_overrides
         for where, cell, name in rows:
