@@ -122,14 +122,10 @@ ZERO: F2Span = frozenset()
 
 def span_of(*elements: Element) -> F2Span:
     span = frozenset(elements)
-    _check_homogeneous(span)
-    return span
-
-
-def _check_homogeneous(span: F2Span) -> None:
-    degrees = {(e.module, e.stem) for e in span}
-    if len(degrees) > 1:
+    # One class is homogeneous; more must share a (module, stem).
+    if len(elements) > 1 and len({(e.module, e.stem) for e in span}) > 1:
         raise DegreeMismatchError(f"span mixes bidegrees: {sorted(str(e) for e in span)}")
+    return span
 
 
 def span_add(a: F2Span, b: F2Span) -> F2Span:
@@ -146,6 +142,9 @@ def span_add(a: F2Span, b: F2Span) -> F2Span:
 
 def filtration_floor(span: F2Span) -> int:
     """Minimum filtration among members; undefined for the zero span."""
+    if len(span) == 1:
+        (element,) = span
+        return element.filtration
     if not span:
         raise UndefinedFloorError("zero span has no filtration floor")
     return min(e.filtration for e in span)
@@ -361,25 +360,23 @@ class ActionTable:
 
         Returns a known Value (possibly zero), nonzero-unknown when a single
         term is known only to be nonzero, or None when any term is missing.
+        On a one-class span it returns the recorded fact's ``Value`` object
+        itself, which equals what the linear extension would build.
         """
+        if len(span) == 1:
+            (element,) = span
+            fact = self.by_key.get((generator_name, element.key))
+            return None if fact is None else fact.value
         if not span:
             return Value.zero()
+        # Among several terms, a nonzero-unknown one blocks cancellation
+        # bookkeeping as a missing one does.
         total: F2Span = ZERO
-        saw_nonzero_unknown = False
         for element in sorted(span):
             fact = self.by_key.get((generator_name, element.key))
-            if fact is None:
+            if fact is None or fact.value.state is not _KNOWN:
                 return None
-            if fact.value.is_known:
-                total = span_add(total, fact.value.span)
-            else:
-                saw_nonzero_unknown = True
-        if saw_nonzero_unknown:
-            # A nonzero-unknown term blocks cancellation bookkeeping entirely
-            # unless it is the only term.
-            if len(span) == 1:
-                return Value.nonzero_unknown()
-            return None
+            total = span_add(total, fact.value.span)
         return Value.known(total)
 
 

@@ -202,10 +202,6 @@ class SesRecord(_SesRecordFields):
     def project_map(self) -> str:
         return self.maps[1].name
 
-    @property
-    def side_module(self) -> ModuleId:  # of the cokernel and the kernel
-        return self.maps[0].source
-
     def place(self, map_name: str, source: Element) -> Optional[Tuple[tuple, tuple]]:
         """Where the fact ``map_name`` on ``source`` sits in this record: the
         basis holding ``source`` and the basis the value lies in, or None."""

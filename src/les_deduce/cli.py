@@ -64,7 +64,7 @@ def _saturated(path_arg: str | None):
 def cmd_validate(args: argparse.Namespace) -> int:
     chart = _load(args.dataset)
     print(
-        f"ok: {len(chart.elements)} elements, {len(chart.actions.facts())} actions, "
+        f"ok: {len(chart.elements)} elements, {len(chart.actions.by_key)} actions, "
         f"{len(chart.ses_records)} rank records"
     )
     return EXIT_OK

@@ -12,10 +12,12 @@ value then classify into one of three family kinds:
 * ``caseII``    the lift misses the Hurewicz image entirely: a family with
   trivial Hurewicz image, one stem below the lift.
 
-The two golden sets asserted by ``emit_families`` are frozen here: the seven
-caseII base stems and the nine Hurewicz-image names whose simple 2-torsion was
-not previously recorded (prior-known ones carry a dataset flag and are
-reported but excluded from the golden list).
+The two golden sets are frozen here: the seven caseII base stems and the nine
+Hurewicz-image names whose simple 2-torsion was not previously recorded
+(prior-known ones carry a dataset flag and are reported but excluded from the
+golden list).  ``emit_families`` does not assert them:
+``FamiliesResult.golden_diff()`` compares a result against them, and
+``les-deduce families`` exits 3 when it finds a difference.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .algebra import Element, Value
+from .algebra import Element, Value, new_tuple
 from .chartdata import ChartFile
 from .sequences import FactStore, fact_key
 from .rules import fact_labels
@@ -47,9 +49,11 @@ class MissingPremiseError(ValueError):
 
 
 def _single(value: Optional[Value]) -> Optional[Element]:
-    """The element of a known value with exactly one element, else None."""
-    if value is not None and value.is_known and len(value.span) == 1:
-        return next(iter(value.span))
+    """The element of a value with exactly one element, else None; a
+    one-class span is always known."""
+    if value is not None and len(value.span) == 1:
+        (element,) = value.span
+        return element
     return None
 
 
@@ -86,8 +90,11 @@ def _minimal_lifts(store: FactStore, include_map: str) -> Dict[Element, Element]
     return lifts
 
 
-def _ordered_labels(labels: FrozenSet[str]) -> Tuple[str, ...]:
-    return tuple(sorted(label for label in labels if label in {"1", "2", "3", "4"}))
+_TECHNIQUES = frozenset({"1", "2", "3", "4"})
+
+
+def _ordered_labels(labels: Iterable[str]) -> Tuple[str, ...]:
+    return tuple(sorted(_TECHNIQUES.intersection(labels)))
 
 
 def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
@@ -109,7 +116,7 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
     rows_in = zip(store.p3_image, p2_keys, moore, p1_keys, lift_list, lift_keys)
     for y, p2_key, m, p1_key, m_lift, lift_key in rows_in:
         p2_value = store.facts.get(p2_key)
-        tech_p2 = _ordered_labels(labels.get(p2_key, frozenset()))
+        tech_p2 = _ordered_labels(labels.get(p2_key, ()))
         img_p1: Optional[Value] = None
         lift: Optional[Element] = None
         tech_p1: Tuple[str, ...] = ()
@@ -118,19 +125,17 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
         if m is not None:
             img_p1 = store.facts.get(p1_key)
             flagged = flagged or p1_key in contradicted
-            p1_labels = labels.get(p1_key, frozenset())
+            p1_labels = labels.get(p1_key, ())
             s = _single(img_p1)
             if s is not None:
                 name = chart.tmf_name(s, y.key, "imgP1")
                 tech_p1 = _ordered_labels(p1_labels)
             elif img_p1 is not None and img_p1.is_zero:
                 lift = m_lift
-                tech_p1 = _ordered_labels(p1_labels | labels.get(lift_key, frozenset()))
+                tech_p1 = _ordered_labels((*p1_labels, *labels.get(lift_key, ())))
                 if lift is not None:
                     name = chart.tmf_name(lift, y.key, "lift")
-        rows.append(
-            TableRow(y, p2_value, tech_p2, img_p1, lift, tech_p1, name, flagged)
-        )
+        rows.append(new_tuple(TableRow, (y, p2_value, tech_p2, img_p1, lift, tech_p1, name, flagged)))
     return rows
 
 
@@ -187,10 +192,13 @@ def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyRe
     a lift with no Hurewicz flag, or one flagged true in stem > 3 with no
     order, raises ``MissingPremiseError`` naming the entry.
     """
-    m = row.p2_element
+    return _classify(row, row.p2_element, row.p1_element, chart)
+
+
+def _classify(row: TableRow, m: Optional[Element], s: Optional[Element], chart: ChartFile) -> Optional[FamilyReport]:
+    """``classify_three_options`` with the row's p₂ and p₁ elements given."""
     if m is None:
         return None
-    s = row.p1_element
     if s is not None:
         return FamilyReport(
             base_stem=s.stem,
@@ -241,43 +249,44 @@ def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
     surfaced for human review instead of being merged.
     """
     result = FamiliesResult()
-    seen: Dict[Tuple[str, int], Tuple[FamilyReport, TableRow]] = {}
+    seen: Dict[Tuple[str, int], Tuple[FamilyReport, Optional[Element]]] = {}  # with the row's p₁ element
     names_by_element: Dict[str, set] = {}
     for row in rows:
         m = row.p2_element
         if m is None:
             continue
+        s, lift, img_p1 = row.p1_element, row.lift_i1, row.img_p1
         if (
-            row.img_p1 is not None
-            and row.img_p1.is_zero
-            and row.lift_i1 is not None
-            and chart.hurewicz.get(row.lift_i1.key, False)
-            and row.lift_i1.stem <= 3
+            img_p1 is not None
+            and img_p1.is_zero
+            and lift is not None
+            and chart.hurewicz.get(lift.key, False)
+            and lift.stem <= 3
         ):
             result.outside_hypotheses.append(
-                f"row {row.img_p3.key}: lift {row.lift_i1.key} in stem ≤ 3, outside the "
+                f"row {row.img_p3.key}: lift {lift.key} in stem ≤ 3, outside the "
                 f"case-I hypotheses"
             )
         try:
-            report = classify_three_options(row, chart)
+            report = _classify(row, m, s, chart)
         except MissingPremiseError as exc:
             result.undetermined.append(str(exc))
             continue
         if report is None:
             continue
-        for element in (row.p1_element, row.lift_i1):
+        for element in (s, lift):
             if element is not None and row.tmf_name:
                 names_by_element.setdefault(element.key, set()).add(row.tmf_name)
         key = (report.kind, report.base_stem % 192)
         previous = seen.get(key)
         if previous is None or report.base_stem < previous[0].base_stem:
-            seen[key] = (report, row)
-    for report, row in sorted(seen.values(), key=lambda kept: (kept[0].kind, kept[0].base_stem)):
+            seen[key] = (report, s)
+    for report, s in sorted(seen.values(), key=lambda kept: (kept[0].kind, kept[0].base_stem)):
         if report.kind == "caseI":
             result.case_i.append(report)
         elif report.kind == "caseII":
             result.case_ii.append(report)
-        elif row.p1_element.key in chart.prior_order_two:
+        elif s.key in chart.prior_order_two:
             result.suppressed_direct_p1.append(report)
         else:
             result.direct_p1.append(report)

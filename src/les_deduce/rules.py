@@ -70,6 +70,7 @@ from .algebra import (
     ModuleId,
     Value,
     filtration_floor,
+    new_tuple,
     span_of,
 )
 from .chartdata import (
@@ -100,13 +101,14 @@ from .sequences import (
 
 
 class Emission(NamedTuple):
-    """One fact a rule proposes: the arguments of ``FactStore.insert``, in order."""
+    """One fact a rule proposes: the arguments of ``FactStore.insert``, in
+    order.  The rules build it with ``new_tuple``, all five fields given."""
 
     map: str
     source: Element
     value: Value
     rule: str
-    inputs: Tuple[str, ...] = ()
+    inputs: Tuple[str, ...]
 
 
 Rule = Callable[..., List[Emission]]  # (store, chart), plus ``delta`` if it loops
@@ -136,15 +138,8 @@ def periodic_values(chart: ChartFile, bound: Optional[int] = None) -> List[Emiss
     out: List[Emission] = []
 
     def emit(map_name: str, source: Monomial, target: Monomial) -> None:
-        out.append(
-            Emission(
-                map_name,
-                source.element,
-                Value.known(span_of(target.element)),
-                RULE_PERIODIC,
-                (f"formula:{map_name}",),
-            )
-        )
+        value = Value.known(span_of(target.element))
+        out.append(new_tuple(Emission, (map_name, source.element, value, RULE_PERIODIC, (f"formula:{map_name}",))))
 
     for (n, v, eta), mon in m_index.items():
         if eta == 0 and v % 4 in (0, 1):
@@ -183,6 +178,14 @@ def rule_periodic(store: FactStore, chart: ChartFile) -> List[Emission]:
 # Exceptional classes
 # ---------------------------------------------------------------------------
 
+# Each (LES, module) route of ``EXCEPTIONAL_LISTINGS`` → the map an
+# exceptional class is nonzero under and the listing it cites (EM as E^M).
+_EXC_ROUTES = {
+    route: (exceptional_map(*route), (f"{listing[0]}^{listing[1]}",))
+    for route, (listing, _) in EXCEPTIONAL_LISTINGS.items()
+}
+
+
 def rule_exceptional(store: FactStore, chart: ChartFile) -> List[Emission]:
     """Exceptional periodic classes include to nonzero torsion.
 
@@ -194,12 +197,11 @@ def rule_exceptional(store: FactStore, chart: ChartFile) -> List[Emission]:
     the loader rejects a class it has no route for.
     """
     out: List[Emission] = []
-    for c in chart.classifications:
-        if c.kind is ClassificationKind.PERIODIC_EXCEPTIONAL:
-            listing, _ = EXCEPTIONAL_LISTINGS[(c.context, c.element.module)]
-            map_name = exceptional_map(c.context, c.element.module)
-            cited = (f"{listing[0]}^{listing[1]}",)  # EM is cited as E^M
-            out.append(Emission(map_name, c.element, Value.nonzero_unknown(), RULE_EXC, cited))
+    exceptional, nonzero = ClassificationKind.PERIODIC_EXCEPTIONAL, Value.nonzero_unknown()
+    for element, context, kind in chart.classifications:
+        if kind is exceptional:
+            map_name, cited = _EXC_ROUTES[(context, element.module)]
+            out.append(new_tuple(Emission, (map_name, element, nonzero, RULE_EXC, cited)))
     return out
 
 
@@ -209,35 +211,29 @@ def rule_exceptional(store: FactStore, chart: ChartFile) -> List[Emission]:
 
 def rule_t1(store: FactStore, chart: ChartFile) -> List[Emission]:
     out: List[Emission] = []
-    for record in chart.ses_records:
-        if record.kernel is None or record.kernel:
+    zero = Value.zero()
+    for _, _, middle, cokernel, kernel, ref, maps in chart.ses_records:
+        if kernel is None or kernel:
             continue
-        for element in record.middle:
-            out.append(Emission(record.project_map, element, Value.zero(), RULE_T1, (record.ref,)))
-        if record.cokernel is not None and len(record.cokernel) == 1 and len(record.middle) == 1:
-            out.append(
-                Emission(
-                    record.include_map,
-                    record.cokernel[0],
-                    Value.known(span_of(record.middle[0])),
-                    RULE_T1,
-                    (record.ref,),
-                )
-            )
+        project, cited = maps[1].name, (ref,)
+        for element in middle:
+            out.append(new_tuple(Emission, (project, element, zero, RULE_T1, cited)))
+        if cokernel is not None and len(cokernel) == 1 and len(middle) == 1:
+            value = Value.known(span_of(middle[0]))
+            out.append(new_tuple(Emission, (maps[0].name, cokernel[0], value, RULE_T1, cited)))
     return out
 
 
 def rule_t2(store: FactStore, chart: ChartFile) -> List[Emission]:
     out: List[Emission] = []
-    for record in chart.ses_records:
-        if record.cokernel is None or record.cokernel:
+    nonzero = Value.nonzero_unknown()
+    for _, _, middle, cokernel, kernel, ref, maps in chart.ses_records:
+        if cokernel is None or cokernel:
             continue
-        if record.kernel is not None and len(record.kernel) == 1:
-            value = Value.known(span_of(record.kernel[0]))
-        else:
-            value = Value.nonzero_unknown()
-        for element in record.middle:
-            out.append(Emission(record.project_map, element, value, RULE_T2, (record.ref,)))
+        value = Value.known(span_of(kernel[0])) if kernel is not None and len(kernel) == 1 else nonzero
+        project, cited = maps[1].name, (ref,)
+        for element in middle:
+            out.append(new_tuple(Emission, (project, element, value, RULE_T2, cited)))
     return out
 
 
@@ -250,30 +246,30 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     names are read anyway.
     """
     out: List[Emission] = []
-    for record in chart.ses_records:
-        if record.kernel is None:
+    zero = Value.zero()
+    for _, _, middle, cokernel, kernel, ref, maps in chart.ses_records:
+        if kernel is None:
             continue
-        ref = record.ref
-        include, project = record.include_map, record.project_map
+        include, project, cited = maps[0].name, maps[1].name, (ref,)
         # Any middle class strictly above everything the kernel offers must
         # project to zero, whatever the cokernel looks like.
-        if record.kernel:
-            ceiling = max(k.filtration for k in record.kernel)
-            for element in record.middle:
+        if kernel:
+            ceiling = max(k.filtration for k in kernel)
+            for element in middle:
                 if element.filtration > ceiling:
-                    out.append(Emission(project, element, Value.zero(), RULE_T3A, (ref,)))
-        if record.cokernel is None:
+                    out.append(new_tuple(Emission, (project, element, zero, RULE_T3A, cited)))
+        if cokernel is None:
             continue
-        shape = (len(record.cokernel), len(record.middle), len(record.kernel))
+        shape = (len(cokernel), len(middle), len(kernel))
         if shape == (1, 2, 1):
-            c = record.cokernel[0]
-            u, w = record.middle
-            g = record.kernel[0]
+            c = cokernel[0]
+            u, w = middle
+            g = kernel[0]
             if c.filtration > u.filtration and w.filtration >= c.filtration and g.filtration >= u.filtration:
-                out.append(Emission(project, w, Value.zero(), RULE_T3A, (ref,)))
+                out.append(new_tuple(Emission, (project, w, zero, RULE_T3A, cited)))
         elif shape == (2, 2, 0):
-            c1, c2 = record.cokernel
-            m1, m2 = record.middle
+            c1, c2 = cokernel
+            m1, m2 = middle
             if (
                 c1.filtration < c2.filtration
                 and m1.filtration < m2.filtration
@@ -281,19 +277,19 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
                 and m2.filtration >= c2.filtration
                 and m1.filtration >= c1.filtration
             ):
-                out.append(Emission(include, c2, Value.known(span_of(m2)), RULE_T3A, (ref,)))
-                out.append(Emission(include, c1, Value.known(span_of(m1)), RULE_T3A, (ref,)))
+                out.append(new_tuple(Emission, (include, c2, Value.known(span_of(m2)), RULE_T3A, cited)))
+                out.append(new_tuple(Emission, (include, c1, Value.known(span_of(m1)), RULE_T3A, cited)))
         elif shape == (0, 2, 2):
-            u, w = record.middle
-            k1, k2 = record.kernel
+            u, w = middle
+            k1, k2 = kernel
             if (
                 u.filtration < w.filtration
                 and k1.filtration == u.filtration
                 and k2.filtration > k1.filtration
                 and k2.filtration >= w.filtration
             ):
-                out.append(Emission(project, w, Value.known(span_of(k2)), RULE_T3B, (ref,)))
-                out.append(Emission(project, u, Value.known(span_of(k1)), RULE_T3B, (ref,)))
+                out.append(new_tuple(Emission, (project, w, Value.known(span_of(k2)), RULE_T3B, cited)))
+                out.append(new_tuple(Emission, (project, u, Value.known(span_of(k1)), RULE_T3B, cited)))
     return out
 
 
@@ -347,7 +343,7 @@ def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Em
                 floor = filtration_floor(parent.span) + action.generator.filtration_degree
                 if floor <= plan.kernel.filtration:
                     continue
-            out.append(Emission(project, y, zero, RULE_T4, (key, label, plan.ref)))
+            out.append(new_tuple(Emission, (project, y, zero, RULE_T4, (key, label, plan.ref))))
     return out
 
 
@@ -362,7 +358,7 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> 
     for key, map_name, value, action, new_source, label in _pushes(store, chart, delta, MAP_SPECS):
         pushed = act(action.generator.name, value.span) if value.span else zero
         if pushed is not None:
-            out.append(Emission(map_name, new_source, pushed, RULE_LIN, (key, label)))
+            out.append(new_tuple(Emission, (map_name, new_source, pushed, RULE_LIN, (key, label))))
     return out
 
 
@@ -391,14 +387,14 @@ def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List
         u_dies = fu is not None and fu.is_zero
         w_dies = fw is not None and fw.is_zero
         if w_dies:
-            out.append(Emission(project, u, plan.onto_kernel, RULE_EXACT, (key_w, ref)))
+            out.append(new_tuple(Emission, (project, u, plan.onto_kernel, RULE_EXACT, (key_w, ref))))
         elif fw is not None and fw.is_known and u.filtration < w.filtration:
-            out.append(Emission(project, u, zero, RULE_EXACT, (key_w, ref)))
+            out.append(new_tuple(Emission, (project, u, zero, RULE_EXACT, (key_w, ref))))
         if u_dies:
-            out.append(Emission(project, w, plan.onto_kernel, RULE_EXACT, (key_u, ref)))
+            out.append(new_tuple(Emission, (project, w, plan.onto_kernel, RULE_EXACT, (key_u, ref))))
         if plan.cokernel is not None and (w_dies or u_dies):
             lift, key = (plan.lift_w, key_w) if w_dies else (plan.lift_u, key_u)
-            out.append(Emission(plan.include, plan.cokernel, lift, RULE_EXACT, (key, ref)))
+            out.append(new_tuple(Emission, (plan.include, plan.cokernel, lift, RULE_EXACT, (key, ref))))
     return out
 
 

@@ -15,6 +15,7 @@ localized rows, which are not exact in general.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -270,23 +271,25 @@ def load_axioms(store: FactStore, chart: ChartFile) -> None:
     """
     module_y, module_s, module_m = ModuleId.Y, ModuleId.S, ModuleId.M
     zero, nonzero = Value.zero(), Value.nonzero_unknown()
+    insert, elements = store.insert, chart.elements
     for axiom in chart.axioms:
-        store.insert(axiom.map, axiom.source, axiom.value, AXIOM, ("dataset",))
-    for fact in chart.actions.facts():
-        if fact.generator.name == "v₁" and fact.source.module is module_y:
-            store.insert("v", fact.source, fact.value, AXIOM, ("v₁-action",))
+        insert(axiom.map, axiom.source, axiom.value, AXIOM, ("dataset",))
+    for generator, source, value in chart.actions.facts():
+        if generator.name == "v₁" and source.module is module_y:
+            insert("v", source, value, AXIOM, ("v₁-action",))
     for key, order in chart.orders.items():
-        element = chart.elements[key]
+        element = elements[key]
         if element.module is not module_s:
             continue
         if order == 2:
-            store.insert("mul2", element, zero, AXIOM, ("order",))
+            insert("mul2", element, zero, AXIOM, ("order",))
         elif order in (4, 8, "inf"):
-            store.insert("mul2", element, nonzero, AXIOM, ("order",))
-    for record in chart.ses_records:
-        if record.side_module is module_m and record.kernel:
-            for element in record.kernel:
-                store.insert("eta", element, zero, AXIOM, (f"kernel@{record.stem}",))
+            insert("mul2", element, nonzero, AXIOM, ("order",))
+    for _, stem, _, _, kernel, _, maps in chart.ses_records:
+        if kernel and maps[0].source is module_m:  # the kernel's module
+            cited = (f"kernel@{stem}",)
+            for element in kernel:
+                insert("eta", element, zero, AXIOM, cited)
 
 
 def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
@@ -297,18 +300,17 @@ def image_of_p3(store: FactStore, chart: ChartFile) -> List[Element]:
     v₁ action (``chartdata._ChartRecords.add_classifications``).
     """
     module_y, les_23, torsion = ModuleId.Y, LesContext.LES_23, ClassificationKind.TORSION
+    actions = chart.actions.by_key
     hits: List[Element] = []
-    for c in chart.classifications:
-        element = c.element
-        if c.kind is not torsion or c.context is not les_23 or element.module is not module_y:
-            continue
-        if chart.actions.get("v₁", element).value.is_zero:
-            hits.append(element)
+    for element, context, kind in chart.classifications:
+        if kind is torsion and context is les_23 and element.module is module_y:
+            if actions[("v₁", element.key)].value.is_zero:
+                hits.append(element)
     hits.sort(key=lambda e: (e.stem, e.filtration, e.name))
     store.p3_image = hits
-    nonzero = Value.nonzero_unknown()
+    insert, nonzero = store.insert, Value.nonzero_unknown()
     for element in hits:
-        store.insert("p3hit", element, nonzero, RULE_P3, ("v₁·y=0",))
+        insert("p3hit", element, nonzero, RULE_P3, ("v₁·y=0",))
     return hits
 
 
@@ -352,18 +354,19 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
             group.sort(key=itemgetter(0))
     out: List[JunctionVerdict] = []
     for seq in SEQUENCES.values():
-        # Each junction's label prefix, its maps and their stem shifts, their
-        # candidates and the stems of the three modules it visits.
-        junctions = [
-            (f"{map1.name}->{map2.name}@", map1, map2, map1.stem_shift, map2.stem_shift,
-             candidates.get((map1.name, map1.source), {}),
-             stems_of.get(map1.source, ()), stems_of.get(map1.target, ()), stems_of.get(map2.target, ()))
-            for map1, map2 in zip(seq.maps, seq.maps[1:] + seq.maps[:1])
-        ]
-        seq_id = seq.id
-        for stem in stems:
-            source_stem = stem
-            for prefix, map1, map2, shift1, shift2, by_stem, source_stems, middle_stems, target_stems in junctions:
+        # One column of verdicts per junction, over every anchor stem, then
+        # the rows: a junction's source stem is the anchor stem shifted by the
+        # junctions before it.
+        seq_id, columns, offset = seq.id, [], 0
+        for map1, map2 in zip(seq.maps, seq.maps[1:] + seq.maps[:1]):
+            prefix, shift1, shift2 = f"{map1.name}->{map2.name}@", map1.stem_shift, map2.stem_shift
+            by_stem = candidates.get((map1.name, map1.source), {})
+            source_stems, middle_stems, target_stems = (
+                stems_of.get(map1.source, ()), stems_of.get(map1.target, ()), stems_of.get(map2.target, ())
+            )
+            column = []
+            for stem in stems:
+                source_stem = stem + offset
                 junction_stem = source_stem + shift1
                 if source_stem in source_stems:
                     detail = ""
@@ -376,9 +379,10 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
                     verdict, detail = "undetermined", ""
                 else:
                     verdict, detail = "exact", "zero modules"
-                label = f"{prefix}{junction_stem}"
-                out.append(new_tuple(JunctionVerdict, (seq_id, stem, label, verdict, detail)))
-                source_stem = junction_stem
+                column.append(new_tuple(JunctionVerdict, (seq_id, stem, f"{prefix}{junction_stem}", verdict, detail)))
+            columns.append(column)
+            offset += shift1
+        out.extend(chain.from_iterable(zip(*columns)))
     return out
 
 

@@ -24,6 +24,7 @@ from les_deduce.algebra import (
     span_of,
     values_equal_mod_higher,
 )
+from les_deduce.families import _single
 
 
 def el(module, stem, filt, name):
@@ -331,3 +332,64 @@ class TestNameConvention:
         else:
             with pytest.raises(ValueError):
                 element.check_name_convention()
+
+
+def act_by_definition(table, generator_name, span):
+    """``ActionTable.act`` as its docstring defines it, with no fast path: the
+    sum of the terms' recorded values; None when a term is missing, or
+    nonzero-unknown among several; nonzero-unknown as the only term."""
+    facts = [table.by_key.get((generator_name, element.key)) for element in span]
+    if None in facts:
+        return None
+    if any(not fact.value.is_known for fact in facts):
+        return Value.nonzero_unknown() if len(facts) == 1 else None
+    total = ZERO
+    for fact in facts:
+        total = span_add(total, fact.value.span)
+    return Value.known(total)
+
+
+class TestOneClassFastPaths:
+    """The one-class paths of ``act``, ``filtration_floor``, ``span_of`` and
+    ``families._single`` agree with the general definitions."""
+
+    V1 = RingGenerator("v₁", 2, 0)
+    TARGETS = [el("Y", 52, f, f"y_{{52,{f}}}") for f in (11, 12, 14, 16)]  # above every source
+    RECORDED = {
+        "class": st.sampled_from(TARGETS).map(lambda t: Value.known(span_of(t))),
+        "zero": st.just(Value.zero()),
+        "nonzero": st.just(Value.nonzero_unknown()),
+        "missing": st.none(),
+    }
+
+    @given(st.lists(st.one_of(*RECORDED.values()), min_size=len(POOL), max_size=len(POOL)), st.data())
+    def test_act(self, recorded, data):
+        """g·x recorded as a known class, a known zero, a bare nonzero mark,
+        or not at all, for each x of ``POOL``; then ``act`` on one class and
+        on a random span."""
+        table = ActionTable(
+            ActionFact(self.V1, source, value) for source, value in zip(POOL, recorded) if value is not None
+        )
+        for source, value in zip(POOL, recorded):
+            got = table.act("v₁", frozenset({source}))
+            assert got == act_by_definition(table, "v₁", frozenset({source}))
+            assert got is value  # the recorded Value itself, or None
+        span = data.draw(spans)
+        assert table.act("v₁", span) == act_by_definition(table, "v₁", span)
+
+    @given(st.sampled_from([*POOL, M6_2, M48_6, S24_0]))
+    def test_filtration_floor_and_span_of(self, element):
+        span = span_of(element)
+        assert span == frozenset({element})
+        assert filtration_floor(span) == min(e.filtration for e in span) == element.filtration
+
+    @given(st.one_of(
+        st.none(), st.just(Value.zero()), st.just(Value.nonzero_unknown()),
+        st.sets(st.sampled_from(POOL), min_size=1, max_size=2).map(lambda s: Value.known(frozenset(s))),
+    ))
+    def test_single(self, value):
+        """``_single`` on no value, zero, nonzero-unknown, one class and two."""
+        by_definition = None
+        if value is not None and value.is_known and len(value.span) == 1:
+            by_definition = next(iter(value.span))
+        assert _single(value) == by_definition

@@ -1,4 +1,4 @@
-"""Byte snapshots of the shipped chart's reports, and their Δ⁸×2 shifts.
+"""Byte snapshots of the shipped chart's reports, and their Δ⁸×2 and ×4 shifts.
 
 Each snapshot under ``tests/golden/`` is regenerated here and compared byte
 for byte.  A snapshot changes only together with a CHANGES.md entry that says
@@ -91,28 +91,30 @@ def shifted_value(value, copies):
     return "+".join(sorted(shifted(value, copies).split("+")))
 
 
-def test_delta8x2_is_three_shifted_copies(chart):
-    """Δ⁸×2 is three disjoint copies of the shipped problem, so its store is
-    the shipped snapshot plus the snapshot's +192 and +384 shifts."""
+@pytest.mark.parametrize("copies", [2, 4])
+def test_delta8_store_is_shifted_copies(chart, copies):
+    """Δ⁸×k is k + 1 disjoint copies of the shipped problem, so its store is
+    the shipped snapshot plus the snapshot's shifts by 192, ..., 192k."""
     lines = (GOLDEN / "serialize.txt").read_text(encoding="utf-8").splitlines()
     facts = [line for line in lines if " = " in line]
     (p3_line,) = [line for line in lines if line.startswith("p3image: ")]
     contradictions = [line for line in lines if line.startswith("contradiction: ")]
     assert len(facts) + 1 + len(contradictions) == len(lines)
 
-    got = saturate(delta8_extend(chart, 2)).serialize().splitlines()
+    got = saturate(delta8_extend(chart, copies)).serialize().splitlines()
+    shifts = range(copies + 1)
     expected_facts = []
-    for k in range(3):
+    for k in shifts:
         for line in facts:
             key, _, value = line.partition(" = ")
             expected_facts.append(f"{shifted(key, k)} = {shifted_value(value, k)}")
     expected_facts.sort(key=lambda line: line.partition(" = ")[0])
     assert [line for line in got if " = " in line] == expected_facts
     image = p3_line.removeprefix("p3image: ")
-    expected_p3 = "p3image: " + ",".join(shifted(image, k) for k in range(3))
+    expected_p3 = "p3image: " + ",".join(shifted(image, k) for k in shifts)
     assert [line for line in got if line.startswith("p3image: ")] == [expected_p3]
     assert [line for line in got if line.startswith("contradiction: ")] == sorted(
-        shifted(line, k) for k in range(3) for line in contradictions
+        shifted(line, k) for k in shifts for line in contradictions
     )
 
 
