@@ -339,9 +339,6 @@ class ActionTable:
         self.by_key[key] = fact
         self._sorted = None
 
-    def get(self, generator_name: str, source: Element) -> Optional[ActionFact]:
-        return self.by_key.get((generator_name, source.key))
-
     def copy(self) -> "ActionTable":
         """A table holding the same facts, which ``add`` can extend apart."""
         table = ActionTable()

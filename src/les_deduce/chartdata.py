@@ -58,7 +58,7 @@ from .algebra import (
     new_tuple,
     span_of,
 )
-from .sequences import MAP_SPECS, SEQUENCES, RankOnePlan, fact_key
+from .sequences import MAP_SPECS, SEQUENCES, FactKey, RankOnePlan
 
 SCHEMA_VERSION = "1"
 
@@ -255,10 +255,10 @@ class ChartFile:
     periodic_presentations: Dict[str, dict]
 
     @cached_property
-    def rank_one_records(self) -> Dict[str, List[RankOnePlan]]:
-        """Projection fact key p|x → the plan of each record with kernel rank 1
+    def rank_one_records(self) -> Dict[FactKey, List[RankOnePlan]]:
+        """Projection fact key (p, x) → the plan of each record with kernel rank 1
         and middle rank 2 that has x in its middle, in ``ses_records`` order."""
-        index: Dict[str, List[RankOnePlan]] = {}
+        index: Dict[FactKey, List[RankOnePlan]] = {}
         for record in self.ses_records:
             if record.kernel is not None and len(record.kernel) == 1 and len(record.middle) == 2:
                 plan = RankOnePlan.of(record)
@@ -267,8 +267,8 @@ class ChartFile:
         return index
 
     @cached_property
-    def push_plan(self) -> Dict[str, Tuple[str, Tuple[Push, ...]]]:
-        """Fact key f|x → (f, the pushes on x), for each source x with an
+    def push_plan(self) -> Dict[FactKey, Tuple[Push, ...]]:
+        """Fact key (f, x) → the pushes on x, for each source x with an
         action whose value is one element and each map f out of its module.
         A source's pushes go by generator name, as ``actions.facts()`` lists
         them: that order fixes the order of LIN's emissions."""
@@ -278,11 +278,11 @@ class ChartFile:
                 (target,) = fact.value.span
                 source = fact.source
                 by_source.setdefault(source, []).append((fact, target, f"{fact.generator.name}·{source.key}"))
-        plan: Dict[str, Tuple[str, Tuple[Push, ...]]] = {}
+        plan: Dict[FactKey, Tuple[Push, ...]] = {}
         for source, pushes in by_source.items():
             pushes = tuple(pushes)
             for name in _MAPS_OUT_OF[source.module]:
-                plan[fact_key(name, source)] = (name, pushes)
+                plan[(name, source)] = pushes
         return plan
 
     def tmf_name(self, element: Element, row_key: str, column: str) -> Optional[str]:

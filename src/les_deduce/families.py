@@ -79,12 +79,10 @@ class TableRow(NamedTuple):
 def _minimal_lifts(store: FactStore, include_map: str) -> Dict[Element, Element]:
     """Target → least source among the ``include_map`` facts valued exactly that target."""
     lifts: Dict[Element, Element] = {}
-    for key, value in store.facts.items():
-        name, _, _ = key.partition("|")
+    for (name, source), value in store.facts.items():
         target = _single(value) if name == include_map else None
         if target is None:
             continue
-        source = store.sources[key]
         if target not in lifts or source < lifts[target]:
             lifts[target] = source
     return lifts

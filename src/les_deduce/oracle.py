@@ -32,7 +32,7 @@ from .algebra import (
     Value,
 )
 from .chartdata import SES_CONTEXTS, ChartFile, MapAxiom, SesRecord
-from .sequences import SEQUENCES, FactStore
+from .sequences import SEQUENCES, FactStore, key_text
 from .rules import saturate
 
 
@@ -270,12 +270,11 @@ def check_soundness(chart: ChartFile, store: FactStore, fillings: Sequence[Filli
         if any(d.rule != "axiom" for d in store.derivations.get(key, ()))
     ]
     for key, value in derived:
-        source = store.sources[key]
-        map_name, _, _ = key.partition("|")
+        map_name, source = key
         for filling in fillings:
             ok = fact_holds(chart, filling, map_name, source, value)
             if ok is False:
-                violations.append(f"{key} = {value.serialize()} fails in a filling")
+                violations.append(f"{key_text(key)} = {value.serialize()} fails in a filling")
                 break
     return violations
 
@@ -384,7 +383,7 @@ def run_soundness_trial(seed: int) -> Tuple[int, List[str]]:
     every brute-force filling; returns (facts checked, violations)."""
     rng = random.Random(seed)
     chart = random_instance(rng)
-    store = saturate(chart, with_periodic=False)
+    store = saturate(chart)
     fillings = enumerate_fillings(chart)
     violations = check_soundness(chart, store, fillings)
     return len(store.facts), violations

@@ -16,8 +16,9 @@ fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 once per chart: the push plan ``ChartFile.push_plan`` (by fact key, the
 target and provenance label of each single-valued action on the source) and
 the ``RankOnePlan`` of each rank-1 record in ``ChartFile.rank_one_records``.
-A visit only reads them.  A shuffled schedule permutes the rules within each
-stratum.
+A visit only reads them.  A fact key (``sequences.FactKey``) is the pair (map,
+source element), and an emission cites a parent fact by it.  A shuffled
+schedule permutes the rules within each stratum.
 
 The rules read a record's geometry off the ``SesRecord``, which derives it
 from its LES in ``SEQUENCES``: the inclusion and projection maps, the bases
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import random
 from operator import itemgetter
-from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import (
     ActionFact,
@@ -94,7 +95,7 @@ from .sequences import (
     RULE_T3A,
     RULE_T3B,
     RULE_T4,
-    fact_key,
+    FactKey,
     image_of_p3,
     load_axioms,
 )
@@ -108,7 +109,7 @@ class Emission(NamedTuple):
     source: Element
     value: Value
     rule: str
-    inputs: Tuple[str, ...]
+    inputs: Tuple[Union[str, FactKey], ...]
 
 
 Rule = Callable[..., List[Emission]]  # (store, chart), plus ``delta`` if it loops
@@ -293,36 +294,35 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
-# The projection map of every SES context, the only maps T4 pushes through.
+# The projection map of every SES context: T4 pushes only through these, and rank-1 plans key on them.
 _PROJECT_MAPS = frozenset(SEQUENCES[les.value].maps[1].name for les, _ in SES_CONTEXTS.values())
 
 
 def _pushes(
-    store: FactStore, chart: ChartFile, delta: Iterable[str], maps: Container[str]
-) -> Iterator[Tuple[str, str, Value, ActionFact, Element, str]]:
+    store: FactStore, chart: ChartFile, delta: Iterable[FactKey], maps: Container[str]
+) -> Iterator[Tuple[FactKey, str, Value, ActionFact, Element, str]]:
     """Walk ``delta`` through the push plan: for each known fact f(x) on one
     of ``maps`` and each single-valued action g·x = t on its source, yield
     (key, f, f(x), g·x, t, "g·x").  Facts on periodic-part monomials are not
     pushed.  The plan is keyed by fact key (``ChartFile.push_plan``), so a
     key with no push costs one lookup.
     """
-    plan = chart.push_plan
-    facts, sources = store.facts, store.sources
+    plan, facts = chart.push_plan, store.facts
     for key in delta:
-        entry = plan.get(key)
-        if entry is None:
-            continue
-        map_name, pushes = entry
+        map_name, source = key
         if map_name not in maps:
             continue
+        pushes = plan.get(key)
+        if pushes is None:
+            continue
         value = facts[key]
-        if not value.is_known or sources[key].periodic:
+        if not value.is_known or source.periodic:
             continue
         for action, target, label in pushes:
             yield key, map_name, value, action, target, label
 
 
-def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
+def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[FactKey]) -> List[Emission]:
     """Extended linearity: LIN's push of p(y′) onto the middle class y = g·y′
     of a rank-1 record, bounded by filtration.
 
@@ -336,7 +336,7 @@ def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Em
     out: List[Emission] = []
     rank_one, act, zero = chart.rank_one_records, chart.actions.act, Value.zero()
     for key, project, parent, action, y, label in _pushes(store, chart, delta, _PROJECT_MAPS):
-        for plan in rank_one.get(fact_key(project, y), ()):
+        for plan in rank_one.get((project, y), ()):
             if not parent.is_zero:
                 if act(action.generator.name, parent.span) is not None:
                     continue
@@ -347,7 +347,7 @@ def rule_t4(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Em
     return out
 
 
-def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
+def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[FactKey]) -> List[Emission]:
     """Module linearity p(t·x) = t·p(x) over recorded generator actions.
 
     A fact's emissions depend only on its own value and the single-valued
@@ -362,7 +362,7 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> 
     return out
 
 
-def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List[Emission]:
+def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[FactKey]) -> List[Emission]:
     """Rank-1 completion at a recorded junction, the only rule that completes
     a rank-1 record.
 
@@ -380,7 +380,7 @@ def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[str]) -> List
     out: List[Emission] = []
     facts, rank_one, zero = store.facts, chart.rank_one_records, Value.zero()
     # Each record once, in first-visit order; a record has one shared plan.
-    plans = {id(plan): plan for key in delta for plan in rank_one.get(key, ())}
+    plans = {id(plan): plan for key in delta if key[0] in _PROJECT_MAPS for plan in rank_one.get(key, ())}
     for plan in plans.values():
         project, u, w, key_u, key_w, ref = plan.project, plan.u, plan.w, plan.key_u, plan.key_w, plan.ref
         fu, fw = facts.get(key_u), facts.get(key_w)
@@ -499,7 +499,7 @@ _BASE_LABELS = {
 _CHASE_PARENTS = {RULE_LIN, RULE_EXACT}
 
 
-def fact_labels(store: FactStore, keys: Iterable[str]) -> Dict[str, FrozenSet[str]]:
+def fact_labels(store: FactStore, keys: Iterable[FactKey]) -> Dict[FactKey, FrozenSet[str]]:
     """Technique labels of each of ``keys`` that the store has derived: the
     base rule ids of every derivation reachable from the fact through the
     parents of its linearity and exactness completions.  One walk per key
@@ -507,7 +507,7 @@ def fact_labels(store: FactStore, keys: Iterable[str]) -> Dict[str, FrozenSet[st
     steps close by re-deriving their own parents.
     """
     derivations = store.derivations
-    labels: Dict[str, FrozenSet[str]] = {}
+    labels: Dict[FactKey, FrozenSet[str]] = {}
     for key in derivations.keys() & keys:
         found: set = set()
         reached, stack = {key}, [key]

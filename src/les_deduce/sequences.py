@@ -6,18 +6,21 @@ including alternatives for already-known facts.  Conflicting known values
 that do not agree modulo higher filtration become contradictions; they are
 reported, never silently resolved, and never abort saturation.
 
+A fact's key, and a derivation's citation of it, is its ``FactKey`` (map name,
+source element); its text form ``map|MODULE:name`` (``key_text``) is output
+only: ``serialize``, the derivation log, contradiction and violation lines.
+
 ``check_all`` is the exactness report: it walks each LES's three junctions
 once per anchor stem and tests the composites of consecutive known facts on
-the chart's elements.  Periodic-part monomials are never chart elements, so
-the checker never reads the facts on them: they are bookkeeping for the
-localized rows, which are not exact in general.
+the chart's elements.  It skips the facts on periodic-part monomials: they
+are bookkeeping for the localized rows, which are not exact in general.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import (
     ClassificationKind,
@@ -96,14 +99,22 @@ RULE_EXACT = "EXACT"
 RULE_P3 = "P3IMG"
 
 
+FactKey = Tuple[str, Element]  # (map name, source element)
+
+
+def key_text(key: FactKey) -> str:
+    """The text form ``map|MODULE:name`` of a fact key, for the output only."""
+    return f"{key[0]}|{key[1].key}"
+
+
 class Derivation(NamedTuple):
     rule: str
-    inputs: Tuple[str, ...]
+    inputs: Tuple[Union[str, FactKey], ...]  # a cited parent fact by its key
     value: Value
 
 
 class Contradiction(NamedTuple):
-    fact: str
+    fact: FactKey
     existing: Value
     incoming: Value
     existing_rule: str
@@ -111,16 +122,14 @@ class Contradiction(NamedTuple):
 
     def describe(self) -> str:
         return (
-            f"{self.fact}: {self.existing.serialize()} [{self.existing_rule}] vs "
+            f"{key_text(self.fact)}: {self.existing.serialize()} [{self.existing_rule}] vs "
             f"{self.incoming.serialize()} [{self.incoming_rule}]"
         )
 
 
-def fact_key(map_name: str, source: Element) -> str:
-    """The store's key of the fact ``map_name`` on ``source``.
-
-    ``FactStore.insert`` and ``FactStore.get`` write the same format inline."""
-    return f"{map_name}|{source.key}"
+def fact_key(map_name: str, source: Element) -> FactKey:
+    """The store's key of the fact ``map_name`` on ``source``."""
+    return (map_name, source)
 
 
 class RankOnePlan(NamedTuple):
@@ -133,8 +142,8 @@ class RankOnePlan(NamedTuple):
     include: str
     u: Element
     w: Element
-    key_u: str  # the projection fact keys p|u and p|w
-    key_w: str
+    key_u: FactKey  # the projection fact keys (p, u) and (p, w)
+    key_w: FactKey
     ref: str
     kernel: Element  # g
     onto_kernel: Value  # g as a known value
@@ -146,25 +155,24 @@ class RankOnePlan(NamedTuple):
     def of(cls, record: SesRecord) -> "RankOnePlan":
         (u, w), (g,), project, cokernel = record.middle, record.kernel, record.project_map, record.cokernel
         return new_tuple(cls, (
-            project, record.include_map, u, w, fact_key(project, u), fact_key(project, w), record.ref, g,
+            project, record.include_map, u, w, (project, u), (project, w), record.ref, g,
             Value.known(frozenset((g,))), Value.known(frozenset((u,))), Value.known(frozenset((w,))),
             cokernel[0] if cokernel is not None and len(cokernel) == 1 else None,
         ))
 
 
 class FactStore:
-    """Monotone store of map facts keyed by (map, source element)."""
+    """Monotone store of map facts keyed by ``FactKey``, (map name, source element)."""
 
     def __init__(self) -> None:
-        self.facts: Dict[str, Value] = {}
-        self.sources: Dict[str, Element] = {}
-        self.derivations: Dict[str, List[Derivation]] = {}
+        self.facts: Dict[FactKey, Value] = {}
+        self.derivations: Dict[FactKey, List[Derivation]] = {}
         self.contradictions: List[Contradiction] = []
         self.p3_image: List[Element] = []
-        self.log: List[Tuple[str, Derivation]] = []
+        self.log: List[Tuple[FactKey, Derivation]] = []
 
     def get(self, map_name: str, source: Element) -> Optional[Value]:
-        return self.facts.get(f"{map_name}|{source.key}")  # fact_key, inline
+        return self.facts.get((map_name, source))
 
     def insert(
         self,
@@ -172,7 +180,7 @@ class FactStore:
         source: Element,
         value: Value,
         rule: str,
-        inputs: Iterable[str] = (),
+        inputs: Iterable[Union[str, FactKey]] = (),
     ) -> bool:
         """Record a fact; returns True when knowledge or the log grew.
 
@@ -181,7 +189,7 @@ class FactStore:
         contradictions against the incoming derivation and otherwise ignored.
         Each distinct contradiction is recorded once, however often it recurs.
         """
-        key = f"{map_name}|{source.key}"  # fact_key, inline
+        key = (map_name, source)
         known, span = value.state is _KNOWN, value.span
         if known and span and filtration_floor(span) < source.filtration:
             self._record(Contradiction(key, value, value, rule, f"{rule} (filtration law)"))
@@ -189,10 +197,9 @@ class FactStore:
         if type(inputs) is not tuple:
             inputs = tuple(inputs)
         existing = self.facts.get(key)
-        if existing is None:  # a new fact: four writes, nothing to compare
+        if existing is None:  # a new fact: three writes, nothing to compare
             derivation = new_tuple(Derivation, (rule, inputs, value))
             self.facts[key] = value
-            self.sources[key] = source
             self.derivations[key] = [derivation]
             self.log.append((key, derivation))
             return True
@@ -229,7 +236,7 @@ class FactStore:
             grew = True
         return grew
 
-    def _contradict(self, key: str, existing: Value, incoming: Value, rule: str) -> None:
+    def _contradict(self, key: FactKey, existing: Value, incoming: Value, rule: str) -> None:
         existing_rule = self.derivations[key][0].rule
         self._record(Contradiction(key, existing, incoming, existing_rule, rule))
 
@@ -240,22 +247,25 @@ class FactStore:
     def serialize(self) -> str:
         """Canonical byte representation of the saturated knowledge.
 
-        Covers facts, the p3 image, and contradictions; the derivation log is
-        replay metadata and is excluded (its order varies with the schedule).
+        Covers facts (in the order of their keys' text), the p3 image, and
+        contradictions; the derivation log is replay metadata and is excluded
+        (its order varies with the schedule).
         """
-        lines = [f"{key} = {self.facts[key].serialize()}" for key in sorted(self.facts)]
+        texts = sorted(((key_text(key), value) for key, value in self.facts.items()), key=itemgetter(0))
+        lines = [f"{text} = {value.serialize()}" for text, value in texts]
         lines.append("p3image: " + ",".join(e.key for e in self.p3_image))
         for c in sorted(self.contradictions, key=lambda c: c.describe()):
             lines.append("contradiction: " + c.describe())
         return "\n".join(lines) + "\n"
 
     def log_document(self) -> List[dict]:
+        """The derivation log, with fact keys and cited parent facts as text."""
         return [
             {
-                "fact": key,
+                "fact": key_text(key),
                 "value": derivation.value.serialize(),
                 "rule": derivation.rule,
-                "inputs": list(derivation.inputs),
+                "inputs": [key_text(i) if type(i) is tuple else i for i in derivation.inputs],
             }
             for key, derivation in self.log
         ]
@@ -334,21 +344,17 @@ def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
     chart elements at all is trivially exact.
     """
     stems_of: Dict[ModuleId, set] = {}  # module → the stems of its chart elements
-    elements = chart.elements
-    for element in elements.values():
+    for element in chart.elements.values():
         stems_of.setdefault(element.module, set()).add(element.stem)
     stems = sorted(set().union(*stems_of.values()))
     # Only a known nonzero value on a chart element can give a violation:
     # (map, source module) → source stem → those elements, each with its
     # value, in sorted order, since the first that gives one wins.
     candidates: Dict[Tuple[str, ModuleId], Dict[int, List[Tuple[Element, Value]]]] = {}
-    for key, value in store.facts.items():
-        if value.state is _KNOWN and value.span:
-            map_name, _, source_key = key.partition("|")
-            element = elements.get(source_key)
-            if element is not None:
-                by_stem = candidates.setdefault((map_name, element.module), {})
-                by_stem.setdefault(element.stem, []).append((element, value))
+    for (map_name, element), value in store.facts.items():
+        if value.state is _KNOWN and value.span and not element.periodic:
+            by_stem = candidates.setdefault((map_name, element.module), {})
+            by_stem.setdefault(element.stem, []).append((element, value))
     for by_stem in candidates.values():
         for group in by_stem.values():
             group.sort(key=itemgetter(0))

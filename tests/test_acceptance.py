@@ -212,18 +212,18 @@ def test_criterion_8_delta8_equivariance(chart):
     store = saturate(extended)
     # Periodic values are not in the store (criterion 4 covers them), so
     # every fact sits on a chart element.
-    assert not any(source.periodic for source in store.sources.values())
+    assert not any(source.periodic for _, source in store.facts)
     missing = []
-    for key, value in store.facts.items():
-        source = store.sources[key]
+    for key in store.facts:
+        map_name, source = key
         if source.stem > chart.max_stem:
             continue
         m = _SHIFT.match(source.name)
         if m is None:
             continue
         shifted_name = f"{m.group(1)}_{{{int(m.group(2)) + 192},{m.group(3)}}}"
-        shifted_key = f"{key.split('|')[0]}|{source.module.value}:{shifted_name}"
-        if shifted_key not in store.facts:
+        shifted = extended.elements.get(f"{source.module.value}:{shifted_name}")
+        if shifted is None or fact_key(map_name, shifted) not in store.facts:
             missing.append(key)
     rows = build_table(store, extended)
     result = emit_families(rows, extended)

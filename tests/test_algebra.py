@@ -280,7 +280,7 @@ class TestRecordTuples:
         from les_deduce.chartdata import MapAxiom, expand_periodic
         from les_deduce.families import build_table, emit_families
         from les_deduce.oracle import enumerate_fillings, random_instance
-        from les_deduce.sequences import SEQUENCES, Contradiction
+        from les_deduce.sequences import SEQUENCES, Contradiction, fact_key
 
         rows = build_table(store, chart)
         les = next(iter(SEQUENCES.values()))
@@ -288,7 +288,7 @@ class TestRecordTuples:
             Y50_4, RingGenerator("κ̄", 20, 4), Value.known(span_of(Y50_4)), chart.actions.facts()[0],
             chart.ses_records[0], MapAxiom("p2", Y50_4, Value.zero()),
             expand_periodic(ModuleId.Y, 48)[0], les, les.maps[0],
-            Contradiction("p2|Y:y_{50,4}", Value.zero(), Value.nonzero_unknown(), "T1", "T2"),
+            Contradiction(fact_key("p2", Y50_4), Value.zero(), Value.nonzero_unknown(), "T1", "T2"),
             rows[0], emit_families(rows, chart).case_ii[0],
             next(iter(enumerate_fillings(random_instance(random.Random(0)))[0].values())),
         ]

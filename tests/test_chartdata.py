@@ -758,7 +758,7 @@ class TestMalformedDocuments:
             chart = chartdata.from_document(doc)
         except ChartValidationError:
             return
-        saturate(chart, with_periodic=False)
+        saturate(chart)
 
     def test_single_mutation_outcomes_are_pinned(self):
         """A fixed slice of the single mutations, and what the loader makes of

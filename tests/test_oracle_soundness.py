@@ -58,7 +58,7 @@ class TestEnumeration:
         g = Element(ModuleId.M, 8, 1, "g")
         record = SesRecord("SES-2.8", 10, (u, w), (c,), (g,))
         chart = mini_chart([record], [c, u, w, g])
-        store = saturate(chart, with_periodic=False)
+        store = saturate(chart)
         assert store.get("p2", u) is None
         assert store.get("p2", w) is None
 
@@ -170,7 +170,7 @@ class TestSoundness:
         counts = Counter()
         for seed in range(400):
             chart = random_instance(random.Random(seed))
-            store = saturate(chart, with_periodic=False)
+            store = saturate(chart)
             for derivations in store.derivations.values():
                 for d in derivations:
                     counts[d.rule] += 1

@@ -48,6 +48,7 @@ from les_deduce.sequences import (
     check_all,
     fact_key,
     image_of_p3,
+    key_text,
     load_axioms,
 )
 
@@ -56,13 +57,18 @@ from conftest import DATA
 _SHIFT = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
 
-def known(store, map_name, key):
+def fact_at(chart, map_name, key):
+    """The fact key of ``map_name`` on the chart element with key ``key``."""
+    return fact_key(map_name, chart.elements[key])
+
+
+def known(store, chart, map_name, key):
     """Value of a fact looked up by element key string."""
-    return store.facts.get(f"{map_name}|{key}")
+    return store.facts.get(fact_at(chart, map_name, key))
 
 
-def rules_for(store, map_name, key):
-    return {d.rule for d in store.derivations.get(f"{map_name}|{key}", [])}
+def rules_for(store, chart, map_name, key):
+    return {d.rule for d in store.derivations.get(fact_at(chart, map_name, key), [])}
 
 
 @pytest.fixture(scope="module")
@@ -155,22 +161,23 @@ class TestPeriodicValuesOutOfTheStore:
 
     def test_default_store_has_no_periodic_fact(self, with_and_without_periodic):
         _, default, _, _ = with_and_without_periodic
-        assert not any(source.periodic for source in default.sources.values())
+        assert not any(source.periodic for _, source in default.facts)
 
     def test_serialize_drops_exactly_the_periodic_lines(self, with_and_without_periodic):
         _, default, full, periodic_count = with_and_without_periodic
-        periodic = {key for key, source in full.sources.items() if source.periodic}
+        periodic = {key for key in full.facts if key[1].periodic}
         assert len(periodic) == periodic_count
+        texts = {key_text(key) for key in periodic}
         kept = [
             line for line in full.serialize().splitlines(keepends=True)
-            if line.partition(" = ")[0] not in periodic
+            if line.partition(" = ")[0] not in texts
         ]
         assert "".join(kept) == default.serialize()
 
     def test_stored_periodic_facts_are_the_periodic_values(self, with_and_without_periodic):
         target, _, full, _ = with_and_without_periodic
         values = {fact_key(e.map, e.source): e.value for e in periodic_values(target)}
-        stored = {key: full.facts[key] for key, s in full.sources.items() if s.periodic}
+        stored = {key: value for key, value in full.facts.items() if key[1].periodic}
         assert stored == values
 
     def test_with_periodic_store_has_no_contradiction(self, with_and_without_periodic):
@@ -182,7 +189,7 @@ class TestPeriodicValuesOutOfTheStore:
         target, default, full, _ = with_and_without_periodic
         full_labels = {
             key: labels for key, labels in fact_labels(full, full.derivations).items()
-            if not full.sources[key].periodic
+            if not key[1].periodic
         }
         assert full_labels == fact_labels(default, default.derivations)
         rows = build_table(default, target)
@@ -192,17 +199,17 @@ class TestPeriodicValuesOutOfTheStore:
 
 
 class TestExceptionalRule:
-    def test_exceptional_inclusion_upgraded_to_torsion_value(self, store):
+    def test_exceptional_inclusion_upgraded_to_torsion_value(self, chart, store):
         # i₂ of the degree-50 exceptional class ends up on the surviving
         # torsion generator, upgraded from mere nonzeroness.
-        value = known(store, "i2", "M:m_{50,6}")
+        value = known(store, chart, "i2", "M:m_{50,6}")
         assert value is not None and {e.name for e in value.span} == {"y_{50,6}"}
-        assert "EXC" in rules_for(store, "i2", "M:m_{50,6}")
+        assert "EXC" in rules_for(store, chart, "i2", "M:m_{50,6}")
 
-    def test_sphere_level_exceptional(self, store):
-        value = known(store, "i1", "S:s_{24,0}")
+    def test_sphere_level_exceptional(self, chart, store):
+        value = known(store, chart, "i1", "S:s_{24,0}")
         assert {e.name for e in value.span} == {"m_{24,6}"}
-        assert "EXC" in rules_for(store, "i1", "S:s_{24,0}")
+        assert "EXC" in rules_for(store, chart, "i1", "S:s_{24,0}")
 
     def test_routes(self):
         # EXC's map is the map of the class's LES out of its module other
@@ -222,28 +229,28 @@ class TestExceptionalRule:
 
 
 class TestT1:
-    def test_vanishing_kernel_zeroes(self, store):
-        assert known(store, "p2", "Y:y_{3,1}").is_zero
-        assert known(store, "p2", "Y:y_{161,7}").is_zero
-        assert "T1" in rules_for(store, "p2", "Y:y_{3,1}")
+    def test_vanishing_kernel_zeroes(self, chart, store):
+        assert known(store, chart, "p2", "Y:y_{3,1}").is_zero
+        assert known(store, chart, "p2", "Y:y_{161,7}").is_zero
+        assert "T1" in rules_for(store, chart, "p2", "Y:y_{3,1}")
 
-    def test_guard_kernel_rank_one(self, store):
-        assert "T1" not in rules_for(store, "p2", "Y:y_{45,3}")
+    def test_guard_kernel_rank_one(self, chart, store):
+        assert "T1" not in rules_for(store, chart, "p2", "Y:y_{45,3}")
 
-    def test_lift_identification(self, store):
-        value = known(store, "i1", "S:s_{24,0}")
+    def test_lift_identification(self, chart, store):
+        value = known(store, chart, "i1", "S:s_{24,0}")
         assert {e.name for e in value.span} == {"m_{24,6}"}
-        assert "T1" in rules_for(store, "i1", "S:s_{24,0}")
+        assert "T1" in rules_for(store, chart, "i1", "S:s_{24,0}")
 
 
 class TestT2:
-    def test_unique_generator(self, store):
-        assert {e.name for e in known(store, "p2", "Y:y_{8,2}").span} == {"m_{6,2}"}
-        assert {e.name for e in known(store, "p2", "Y:y_{167,3}").span} == {"m_{165,3}"}
-        assert "T2" in rules_for(store, "p2", "Y:y_{8,2}")
+    def test_unique_generator(self, chart, store):
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{8,2}").span} == {"m_{6,2}"}
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{167,3}").span} == {"m_{165,3}"}
+        assert "T2" in rules_for(store, chart, "p2", "Y:y_{8,2}")
 
-    def test_guard_nonzero_cokernel(self, store):
-        assert "T2" not in rules_for(store, "p2", "Y:y_{45,3}")
+    def test_guard_nonzero_cokernel(self, chart, store):
+        assert "T2" not in rules_for(store, chart, "p2", "Y:y_{45,3}")
 
     def test_rank_two_kernel_gives_only_nonzeroness(self):
         mid = [Element(ModuleId.Y, 10, 1, "u"), Element(ModuleId.Y, 10, 3, "w")]
@@ -253,32 +260,32 @@ class TestT2:
         store = FactStore()
         for em in rule_t2(store, chart):
             store.insert(em.map, em.source, em.value, em.rule, em.inputs)
-        assert known(store, "p2", "Y:u") == Value.nonzero_unknown()
+        assert known(store, chart, "p2", "Y:u") == Value.nonzero_unknown()
 
 
 class TestT3:
-    def test_degree_45_shape(self, store):
+    def test_degree_45_shape(self, chart, store):
         # T3a kills the higher middle class; EXACT completes the record, and
         # the completion carries T3a's label.
-        assert {e.name for e in known(store, "p2", "Y:y_{45,3}").span} == {"m_{43,9}"}
-        assert known(store, "p2", "Y:y_{45,9}").is_zero
-        assert {e.name for e in known(store, "i2", "M:m_{45,5}").span} == {"y_{45,9}"}
-        assert "T3a" in rules_for(store, "p2", "Y:y_{45,9}")
-        assert "3" in fact_labels(store, store.derivations)["p2|Y:y_{45,3}"]
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{45,3}").span} == {"m_{43,9}"}
+        assert known(store, chart, "p2", "Y:y_{45,9}").is_zero
+        assert {e.name for e in known(store, chart, "i2", "M:m_{45,5}").span} == {"y_{45,9}"}
+        assert "T3a" in rules_for(store, chart, "p2", "Y:y_{45,9}")
+        assert "3" in fact_labels(store, store.derivations)[fact_at(chart, "p2", "Y:y_{45,3}")]
 
-    def test_degree_107_basis_matching(self, store):
-        assert {e.name for e in known(store, "p2", "Y:y_{107,11}").span} == {"m_{105,17}"}
-        assert {e.name for e in known(store, "p2", "Y:y_{107,3}").span} == {"m_{105,3}"}
-        assert "T3b" in rules_for(store, "p2", "Y:y_{107,11}")
+    def test_degree_107_basis_matching(self, chart, store):
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{107,11}").span} == {"m_{105,17}"}
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{107,3}").span} == {"m_{105,3}"}
+        assert "T3b" in rules_for(store, chart, "p2", "Y:y_{107,11}")
 
-    def test_iso_shape_identifies_both_lifts(self, store):
-        assert {e.name for e in known(store, "i1", "S:s_{105,17}").span} == {"m_{105,17}"}
-        assert {e.name for e in known(store, "i1", "S:s_{105,3}").span} == {"m_{105,3}"}
-        assert "T3a" in rules_for(store, "i1", "S:s_{105,3}")
+    def test_iso_shape_identifies_both_lifts(self, chart, store):
+        assert {e.name for e in known(store, chart, "i1", "S:s_{105,17}").span} == {"m_{105,17}"}
+        assert {e.name for e in known(store, chart, "i1", "S:s_{105,3}").span} == {"m_{105,3}"}
+        assert "T3a" in rules_for(store, chart, "i1", "S:s_{105,3}")
 
-    def test_high_class_above_kernel_dies(self, store):
-        assert known(store, "p2", "Y:y_{57,11}").is_zero
-        assert "T3a" in rules_for(store, "p2", "Y:y_{57,11}")
+    def test_high_class_above_kernel_dies(self, chart, store):
+        assert known(store, chart, "p2", "Y:y_{57,11}").is_zero
+        assert "T3a" in rules_for(store, chart, "p2", "Y:y_{57,11}")
 
     def test_guard_silent_when_filtrations_reversed(self):
         # Cokernel filtration below both middle classes: no exclusion possible
@@ -292,14 +299,14 @@ class TestT3:
 
 
 class TestLinearity:
-    def test_kappabar_pushforward(self, store):
-        assert {e.name for e in known(store, "p2", "Y:y_{82,6}").span} == {"m_{80,16}"}
-        assert "LIN" in rules_for(store, "p2", "Y:y_{82,6}")
-        assert {e.name for e in known(store, "p2", "Y:y_{133,11}").span} == {"m_{131,17}"}
+    def test_kappabar_pushforward(self, chart, store):
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{82,6}").span} == {"m_{80,16}"}
+        assert "LIN" in rules_for(store, chart, "p2", "Y:y_{82,6}")
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{133,11}").span} == {"m_{131,17}"}
 
-    def test_zero_action_on_value_kills_image(self, store):
+    def test_zero_action_on_value_kills_image(self, chart, store):
         # κ̄·m_{126,20} = 0 forces the next projection in the chain to vanish.
-        assert known(store, "p2", "Y:y_{148,18}").is_zero
+        assert known(store, chart, "p2", "Y:y_{148,18}").is_zero
 
     def test_guard_unknown_action(self):
         kbar = RingGenerator("κ̄", 20, 4)
@@ -325,8 +332,9 @@ class TestPushPlan:
             ActionFact(self.KBAR, a, Value.known(span_of(ka))),
             ActionFact(self.V1, a, Value.known(span_of(va))),
         ])
-        pushes = ((chart.actions.get("v₁", a), va, "v₁·Y:a"), (chart.actions.get("κ̄", a), ka, "κ̄·Y:a"))
-        assert chart.push_plan == {fact_key(name, a): (name, pushes) for name in self.OUT_OF_Y}
+        by_key = chart.actions.by_key
+        pushes = ((by_key[("v₁", "Y:a")], va, "v₁·Y:a"), (by_key[("κ̄", "Y:a")], ka, "κ̄·Y:a"))
+        assert chart.push_plan == {fact_key(name, a): pushes for name in self.OUT_OF_Y}
 
     def test_skips_sums_nonzero_marks_and_zeros(self):
         a, c, d, z = (Element(ModuleId.Y, 62, f, name) for f, name in ((2, "a"), (1, "c"), (0, "d"), (3, "z")))
@@ -337,36 +345,36 @@ class TestPushPlan:
             ActionFact(self.KBAR, d, Value.nonzero_unknown()),
             ActionFact(self.KBAR, z, Value.zero()),
         ])
-        pushes = ((chart.actions.get("κ̄", a), ka, "κ̄·Y:a"),)
-        assert chart.push_plan == {fact_key(name, a): (name, pushes) for name in self.OUT_OF_Y}
+        pushes = ((chart.actions.by_key[("κ̄", "Y:a")], ka, "κ̄·Y:a"),)
+        assert chart.push_plan == {fact_key(name, a): pushes for name in self.OUT_OF_Y}
 
 
 class TestT4:
     # T4 derives the zero; EXACT completes the record from it, and the
     # completion carries T4's label.
-    def test_degree_50(self, store):
-        assert known(store, "p2", "Y:y_{50,6}").is_zero
-        assert {e.name for e in known(store, "p2", "Y:y_{50,4}").span} == {"m_{48,6}"}
-        assert "T4" in rules_for(store, "p2", "Y:y_{50,6}")
-        assert "4" in fact_labels(store, store.derivations)["p2|Y:y_{50,4}"]
+    def test_degree_50(self, chart, store):
+        assert known(store, chart, "p2", "Y:y_{50,6}").is_zero
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{50,4}").span} == {"m_{48,6}"}
+        assert "T4" in rules_for(store, chart, "p2", "Y:y_{50,6}")
+        assert "4" in fact_labels(store, store.derivations)[fact_at(chart, "p2", "Y:y_{50,4}")]
 
-    def test_degree_70(self, store):
-        assert known(store, "p2", "Y:y_{70,10}").is_zero
-        assert {e.name for e in known(store, "p2", "Y:y_{70,8}").span} == {"m_{68,10}"}
-        assert "T4" in rules_for(store, "p2", "Y:y_{70,10}")
-        assert "4" in fact_labels(store, store.derivations)["p2|Y:y_{70,8}"]
+    def test_degree_70(self, chart, store):
+        assert known(store, chart, "p2", "Y:y_{70,10}").is_zero
+        assert {e.name for e in known(store, chart, "p2", "Y:y_{70,8}").span} == {"m_{68,10}"}
+        assert "T4" in rules_for(store, chart, "p2", "Y:y_{70,10}")
+        assert "4" in fact_labels(store, store.derivations)[fact_at(chart, "p2", "Y:y_{70,8}")]
 
-    def test_fires_exactly_at_the_two_recorded_degrees(self, store):
+    def test_fires_exactly_at_the_two_recorded_degrees(self, chart, store):
         # Extra firings would be review events; the shipped dataset has none.
         t4_facts = {
             key
             for key, derivations in store.derivations.items()
             if any(d.rule == "T4" for d in derivations)
         }
-        assert t4_facts == {"p2|Y:y_{50,6}", "p2|Y:y_{70,10}"}
+        assert t4_facts == {fact_at(chart, "p2", "Y:y_{50,6}"), fact_at(chart, "p2", "Y:y_{70,10}")}
         labels = fact_labels(store, store.derivations)
-        rows = ["p2|Y:y_{50,4}", "p2|Y:y_{50,6}", "p2|Y:y_{70,8}", "p2|Y:y_{70,10}"]
-        assert all("4" in labels[key] for key in rows)
+        rows = ["Y:y_{50,4}", "Y:y_{50,6}", "Y:y_{70,8}", "Y:y_{70,10}"]
+        assert all("4" in labels[fact_at(chart, "p2", key)] for key in rows)
 
     def test_derives_only_what_lin_pushes(self, store, store_x2):
         # From a zero parent T4 stores LIN's own zero on the same push; only
@@ -396,14 +404,14 @@ class TestT4:
             actions=[ActionFact(kbar, yp, Value.known(span_of(y)))],
         )
         store = saturate(chart)
-        assert known(store, "p2", "Y:yp") == Value.known(span_of(m))
-        assert known(store, "p2", "Y:y").is_zero
-        assert rules_for(store, "p2", "Y:y") == {"T4"}
-        assert store.derivations["p2|Y:y"][0].inputs[0] == "p2|Y:yp"
-        assert known(store, "p2", "Y:other") == Value.known(span_of(g))
-        assert "EXACT" in rules_for(store, "p2", "Y:other")
-        assert known(store, "i2", "M:c") == Value.known(span_of(y))
-        assert "EXACT" in rules_for(store, "i2", "M:c")
+        assert known(store, chart, "p2", "Y:yp") == Value.known(span_of(m))
+        assert known(store, chart, "p2", "Y:y").is_zero
+        assert rules_for(store, chart, "p2", "Y:y") == {"T4"}
+        assert store.derivations[fact_key("p2", y)][0].inputs[0] == fact_key("p2", yp)
+        assert known(store, chart, "p2", "Y:other") == Value.known(span_of(g))
+        assert "EXACT" in rules_for(store, chart, "p2", "Y:other")
+        assert known(store, chart, "i2", "M:c") == Value.known(span_of(y))
+        assert "EXACT" in rules_for(store, chart, "i2", "M:c")
         fillings = enumerate_fillings(chart)
         assert len(fillings) == 1
         assert check_soundness(chart, store, fillings) == []
@@ -425,16 +433,16 @@ class TestT4:
 
 
 class TestExactCompletion:
-    def test_degree_54_axiom_resolution(self, store):
+    def test_degree_54_axiom_resolution(self, chart, store):
         # The shipped projection on the higher Moore class forces the lower
         # one to vanish and pins its inclusion lift.
-        assert known(store, "p1", "M:m_{54,2}").is_zero
-        assert {e.name for e in known(store, "i1", "S:s_{54,2}").span} == {"m_{54,2}"}
-        assert "EXACT" in rules_for(store, "p1", "M:m_{54,2}")
+        assert known(store, chart, "p1", "M:m_{54,2}").is_zero
+        assert {e.name for e in known(store, chart, "i1", "S:s_{54,2}").span} == {"m_{54,2}"}
+        assert "EXACT" in rules_for(store, chart, "p1", "M:m_{54,2}")
 
-    def test_degree_153_basis_adjustment(self, store):
-        assert known(store, "p2", "Y:y_{153,11}").is_zero
-        assert "EXACT" in rules_for(store, "p2", "Y:y_{153,11}")
+    def test_degree_153_basis_adjustment(self, chart, store):
+        assert known(store, chart, "p2", "Y:y_{153,11}").is_zero
+        assert "EXACT" in rules_for(store, chart, "p2", "Y:y_{153,11}")
 
     def test_degree_102_rederivation_carries_filtration_label(self, store):
         labels = fact_labels(store, store.derivations)
@@ -457,29 +465,30 @@ class TestExactCompletion:
         lifts = {
             key: [d for d in derivations if d.rule == "EXACT"]
             for key, derivations in store.derivations.items()
-            if key.partition("|")[0] in includes
+            if key[0] in includes
         }
         lifts = {key: derivations for key, derivations in lifts.items() if derivations}
         assert len(lifts) == 15
         for key, derivations in lifts.items():
             assert len(derivations) == 1, key
-            (parent,) = [k for k in derivations[0].inputs if "|" in k]
+            (parent,) = [k for k in derivations[0].inputs if type(k) is tuple]
             assert store.facts[parent].is_zero, key
 
     def test_rejected_zero_lifts_nothing(self):
         # Oracle seed 220: EXACT adjusts u by w to p₁(u) = 0, which the store
         # rejects against the axiom p₁(u) = g, so no inclusion lift rests on it.
-        store = saturate(random_instance(random.Random(220)))
+        instance = random_instance(random.Random(220))
+        store = saturate(instance)
         assert [c.describe() for c in store.contradictions] == [
             "p1|M:x1s22f3: S:x3s21f9 [axiom] vs 0 [EXACT]"
         ]
-        assert "i1|S:x2s22f0" not in store.facts
+        assert fact_at(instance, "i1", "S:x2s22f0") not in store.facts
 
 
 class TestSaturation:
     def test_empty_chart_empty_store(self):
         chart = mini_chart([], [])
-        store = saturate(chart, with_periodic=False)
+        store = saturate(chart)
         assert store.facts == {}
 
     def test_idempotent(self, chart, store):
@@ -547,15 +556,16 @@ class TestSaturation:
         assert saturate(chart, store=checked).serialize() == store.serialize()
 
     @pytest.mark.parametrize(
-        "rule, key",
+        "rule, source",
         [
-            (rule_t4, "p2|Y:y_{30,2}"),
-            (rule_linearity, "p2|Y:y_{65,13}"),
-            (rule_exact, "p2|Y:y_{57,11}"),
+            (rule_t4, "Y:y_{30,2}"),
+            (rule_linearity, "Y:y_{65,13}"),
+            (rule_exact, "Y:y_{57,11}"),
         ],
         ids=["T4", "LIN", "EXACT"],
     )
-    def test_delta_restricts_the_visit(self, chart, store, rule, key):
+    def test_delta_restricts_the_visit(self, chart, store, rule, source):
+        key = fact_at(chart, "p2", source)
         full = rule(store, chart, store.facts)
         assert rule(store, chart, []) == []
         visited = rule(store, chart, [key])
@@ -635,7 +645,7 @@ def fixpoint_labels(store):
                 add = set(_BASE_LABELS.get(derivation.rule, frozenset()))
                 if derivation.rule in _CHASE_PARENTS:
                     for parent in derivation.inputs:
-                        if "|" in parent and parent in labels:
+                        if parent in labels:
                             add |= labels[parent]
                 if not add <= current:
                     current |= add
@@ -647,7 +657,7 @@ class TestFactLabelsMatchFixpoint:
     def assert_same(self, store):
         reference = fixpoint_labels(store)
         assert fact_labels(store, store.derivations) == reference
-        keys = [*sorted(reference)[::3], "p2|Y:not_stored", "dataset"]
+        keys = [*sorted(reference)[::3], fact_key("p2", Element(ModuleId.Y, 0, 0, "not_stored")), "dataset"]
         assert fact_labels(store, keys) == {key: reference[key] for key in keys if key in reference}
 
     @pytest.mark.parametrize("extended", [False, True], ids=["shipped", "delta8x2"])
@@ -664,10 +674,11 @@ class TestFactLabelsMatchFixpoint:
         a, b, c = (Element(ModuleId.M, 8, 1, name) for name in ("a", "b", "c"))
         store = FactStore()
         store.insert("p1", c, Value.nonzero_unknown(), "T2")
-        store.insert("p1", a, Value.nonzero_unknown(), "LIN", ("p1|M:b",))
-        store.insert("p1", a, Value.nonzero_unknown(), "LIN", ("p1|M:c",))
-        store.insert("p1", b, Value.nonzero_unknown(), "LIN", ("p1|M:a",))
-        assert fact_labels(store, ["p1|M:a", "p1|M:b"]) == {"p1|M:a": {"2"}, "p1|M:b": {"2"}}
+        key_a, key_b, key_c = (fact_key("p1", element) for element in (a, b, c))
+        store.insert("p1", a, Value.nonzero_unknown(), "LIN", (key_b,))
+        store.insert("p1", a, Value.nonzero_unknown(), "LIN", (key_c,))
+        store.insert("p1", b, Value.nonzero_unknown(), "LIN", (key_a,))
+        assert fact_labels(store, [key_a, key_b]) == {key_a: {"2"}, key_b: {"2"}}
         assert fact_labels(store, store.derivations) == fixpoint_labels(store)
 
 
@@ -677,11 +688,11 @@ def off_spec(store):
     target module, at the source stem plus the map's stem shift."""
     checked, bad = 0, []
     for key, value in store.facts.items():
-        spec = MAP_SPECS.get(key.partition("|")[0])
+        map_name, source = key
+        spec = MAP_SPECS.get(map_name)
         if spec is None:
             continue
         checked += 1
-        source = store.sources[key]
         where = (spec.target, source.stem + spec.stem_shift)
         if source.module is not spec.source or any((e.module, e.stem) != where for e in value.span):
             bad.append(key)
@@ -710,8 +721,8 @@ class TestDelta8Equivariance:
         extended = delta8_extend(chart, 3)
         store = saturate(extended)
         base = [
-            (key.partition("|")[0], source, m)
-            for key, source in store.sources.items()
+            (map_name, source, m)
+            for map_name, source in store.facts
             if source.stem <= chart.max_stem
             and (m := _SHIFT.match(source.name)) is not None
         ]
@@ -720,7 +731,8 @@ class TestDelta8Equivariance:
         for map_name, source, m in base:
             for k in (1, 2, 3):
                 shifted = f"{m.group(1)}_{{{source.stem + 192 * k},{m.group(3)}}}"
-                if f"{map_name}|{source.module.value}:{shifted}" not in store.facts:
+                element = extended.elements.get(f"{source.module.value}:{shifted}")
+                if element is None or fact_key(map_name, element) not in store.facts:
                     missing.append((map_name, source.key, k))
         assert missing == []
         assert emit_families(build_table(store, extended), extended).golden_diff() == []

@@ -131,7 +131,7 @@ class TestCanonicalRepresentative:
             assert len(store.derivations[key]) == len(expected)
 
 
-_KEY = "p2|Y:y_{8,2}"
+_KEY = fact_key("p2", _Y)
 _M = Value.known(span_of(_FLOOR))
 _M_HI = Value.known(span_of(_FLOOR, _HIGHER[2]))  # m_{6,2} + m_{6,9}
 _LOW = Value.known(span_of(Element(ModuleId.M, 6, 1, "m_{6,1}")))
@@ -152,7 +152,7 @@ class TestInsertBranches:
     @staticmethod
     def assert_store(store, value, derivations, contradictions=()):
         assert store.facts == ({_KEY: value} if value is not None else {})
-        assert list(store.sources) == list(store.facts)
+        assert all(source is _Y for _, source in store.facts)
         assert store.derivations == ({_KEY: derivations} if derivations else {})
         assert store.log == [(_KEY, d) for d in derivations]
         assert store.contradictions == list(contradictions)
@@ -161,7 +161,8 @@ class TestInsertBranches:
         store, returned = self.run((_M, "T2", ("SES-2.8@8",)))
         assert returned == [True]
         self.assert_store(store, _M, [Derivation("T2", ("SES-2.8@8",), _M)])
-        assert store.sources[_KEY] is _Y
+        ((_, source),) = store.facts
+        assert source is _Y
 
     def test_equal_known_value(self):
         store, returned = self.run((_M, "T2", ()), (Value.known(span_of(_FLOOR)), "LIN", ("x",)))
@@ -229,6 +230,32 @@ class TestInsertBranches:
         assert type(store.derivations[_KEY][0].inputs) is tuple
 
 
+class TestKeyText:
+    """Facts are keyed by (map, element); the text form ``map|MODULE:name``
+    appears only in the output, which lists facts in text order."""
+
+    # Element order puts stem 28 first; text order puts "y_{100" first.
+    LOW, HIGH = Element(ModuleId.Y, 28, 2, "y_{28,2}"), Element(ModuleId.Y, 100, 2, "y_{100,2}")
+
+    def store(self):
+        store = FactStore()
+        store.insert("p2", self.LOW, _NONZERO, "LIN", (fact_key("p2", self.HIGH), "κ̄·Y:y_{100,2}"))
+        store.insert("p2", self.HIGH, _NONZERO, "T2", ("SES-2.8@100",))
+        return store
+
+    def test_serialize_sorts_by_text_key(self):
+        store = self.store()
+        assert sorted(store.facts) == [fact_key("p2", self.LOW), fact_key("p2", self.HIGH)]
+        assert store.serialize() == "p2|Y:y_{100,2} = nonzero\np2|Y:y_{28,2} = nonzero\np3image: \n"
+
+    def test_log_renders_key_valued_inputs(self):
+        assert self.store().log_document() == [
+            {"fact": "p2|Y:y_{28,2}", "value": "nonzero", "rule": "LIN",
+             "inputs": ["p2|Y:y_{100,2}", "κ̄·Y:y_{100,2}"]},
+            {"fact": "p2|Y:y_{100,2}", "value": "nonzero", "rule": "T2", "inputs": ["SES-2.8@100"]},
+        ]
+
+
 def ses_record(chart, context, stem):
     (record,) = [r for r in chart.ses_records if (r.context, r.stem) == (context, stem)]
     return record
@@ -256,7 +283,7 @@ class TestDerivedSES:
         )
         ses = ses_record(chart, "SES-2.7", 10)
         assert [e.name for e in ses.kernel] == ["m_{8,2}"]
-        store = saturate(chart, with_periodic=False)
+        store = saturate(chart)
         value = store.get("p2", chart.elements["Y:y_{10,2}"])
         assert value is not None and {e.name for e in value.span} == {"m_{8,2}"}
         # Every LES-2.3 kernel lies in ker η, whichever context records it.
@@ -338,7 +365,7 @@ class TestExactness:
         poisoned = chartdata.from_document(doc)
         store = saturate(poisoned)
         assert store.contradictions
-        assert any("p2|Y:y_{8,2}" in c.fact for c in store.contradictions)
+        assert any(c.fact == fact_key("p2", poisoned.elements["Y:y_{8,2}"]) for c in store.contradictions)
 
     def test_poisoned_contradictions_recorded_once(self, chart_document):
         import json
