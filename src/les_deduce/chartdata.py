@@ -212,11 +212,6 @@ class SesRecord(_SesRecordFields):
         return None
 
 
-# Each module → the names of the maps out of it, in ``MAP_SPECS`` order.
-_MAPS_OUT_OF = {
-    module: tuple(name for name, spec in MAP_SPECS.items() if spec.source is module) for module in ModuleId
-}
-
 # One entry of the push plan: an action g·x = t with one-element value, its
 # target t and the label "g·x" that provenance cites it by.
 Push = Tuple[ActionFact, Element, str]
@@ -267,23 +262,18 @@ class ChartFile:
         return index
 
     @cached_property
-    def push_plan(self) -> Dict[FactKey, Tuple[Push, ...]]:
-        """Fact key (f, x) → the pushes on x, for each source x with an
-        action whose value is one element and each map f out of its module.
-        A source's pushes go by generator name, as ``actions.facts()`` lists
+    def push_plan(self) -> Dict[Element, Tuple[Push, ...]]:
+        """Source element x → the pushes on x, for each x with an action whose
+        value is one element; every map out of x's module pushes them.  A
+        source's pushes go by generator name, as ``actions.facts()`` lists
         them: that order fixes the order of LIN's emissions."""
-        by_source: Dict[Element, List[Push]] = {}
+        plan: Dict[Element, List[Push]] = {}
         for fact in self.actions.facts():
             if len(fact.value.span) == 1:
                 (target,) = fact.value.span
                 source = fact.source
-                by_source.setdefault(source, []).append((fact, target, f"{fact.generator.name}·{source.key}"))
-        plan: Dict[FactKey, Tuple[Push, ...]] = {}
-        for source, pushes in by_source.items():
-            pushes = tuple(pushes)
-            for name in _MAPS_OUT_OF[source.module]:
-                plan[(name, source)] = pushes
-        return plan
+                plan.setdefault(source, []).append((fact, target, f"{fact.generator.name}·{source.key}"))
+        return {source: tuple(pushes) for source, pushes in plan.items()}
 
     def tmf_name(self, element: Element, row_key: str, column: str) -> Optional[str]:
         return self.tmf_name_overrides.get((row_key, column)) or self.tmf_names.get(element.key)

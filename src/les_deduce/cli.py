@@ -4,7 +4,8 @@ Subcommands: ``validate``, ``deduce``, ``table``, ``families``, ``check``.
 Exit codes: 0 success, 1 unreadable or invalid dataset, 2 contradictions in
 the saturated store, 3 acceptance mismatch against the frozen family sets,
 4 (``families``) a family verdict left undetermined because the dataset
-lacks an entry it reads: a lift's Hurewicz flag, or its order.
+lacks an entry it reads: a lift's Hurewicz flag, or its order, or the lift
+itself.
 The dataset path may be omitted when LES_DEDUCE_DATA is set.
 """
 
@@ -21,6 +22,7 @@ from . import chartdata
 from .chartdata import ChartValidationError
 from .families import (
     FamiliesResult,
+    IncompleteRowError,
     build_table,
     emit_families,
     render_table_csv,
@@ -120,7 +122,11 @@ def _print_families(result: FamiliesResult) -> None:
 def cmd_families(args: argparse.Namespace) -> int:
     chart, store = _saturated(args.dataset)
     rows = build_table(store, chart)
-    result = emit_families(rows, chart)
+    try:
+        result = emit_families(rows, chart)
+    except IncompleteRowError as exc:
+        print(f"undetermined: {exc}")
+        return EXIT_CONTRADICTION if store.contradictions else EXIT_UNDETERMINED
     _print_families(result)
     if store.contradictions:
         return EXIT_CONTRADICTION

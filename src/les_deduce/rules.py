@@ -12,13 +12,15 @@ store with a contradiction can depend on the schedule (ROADMAP item 12).
 chart, so they fire once.  T4, LIN and EXACT read the store and loop to the
 fixpoint semi-naively (Bancilhon & Ramakrishnan, 1986): each also takes
 ``delta``, the fact keys that may have changed, visits only those facts
-(pass ``store.facts`` to visit all) and reaches the rest through plans built
-once per chart: the push plan ``ChartFile.push_plan`` (by fact key, the
-target and provenance label of each single-valued action on the source) and
-the ``RankOnePlan`` of each rank-1 record in ``ChartFile.rank_one_records``.
-A visit only reads them.  A fact key (``sequences.FactKey``) is the pair (map,
-source element), and an emission cites a parent fact by it.  A shuffled
-schedule permutes the rules within each stratum.
+(pass ``store.facts`` to visit all; a rule's first call in ``saturate`` gets
+``store.facts`` itself) and reaches the rest through plans built once per
+chart: the push plan ``ChartFile.push_plan`` (by source element, the target
+and provenance label of each single-valued action on it) and the
+``RankOnePlan`` of each rank-1 record in ``ChartFile.rank_one_records``.  A
+visit only reads them.  A fact key (``sequences.FactKey``) is the pair (map,
+source element), and an emission cites a parent fact by it; EXACT emits a
+completion only when its cited parent is in ``delta``.  A shuffled schedule
+permutes the rules within each stratum.
 
 The rules read a record's geometry off the ``SesRecord``, which derives it
 from its LES in ``SEQUENCES``: the inclusion and projection maps, the bases
@@ -61,8 +63,7 @@ Rule inventory, matching the techniques used to fill the summary table:
 from __future__ import annotations
 
 import random
-from operator import itemgetter
-from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .algebra import (
     ActionFact,
@@ -294,25 +295,31 @@ def rule_t3(store: FactStore, chart: ChartFile) -> List[Emission]:
     return out
 
 
-# The projection map of every SES context: T4 pushes only through these, and rank-1 plans key on them.
-_PROJECT_MAPS = frozenset(SEQUENCES[les.value].maps[1].name for les, _ in SES_CONTEXTS.values())
+# Each map → its source module: every map of the three LES (LIN pushes
+# through all of them), and the projection map of every SES context (T4
+# pushes only through these, and rank-1 plans key on them).
+_MAP_SOURCES = {name: spec.source for name, spec in MAP_SPECS.items()}
+_PROJECT_MAPS = {
+    spec.name: spec.source for spec in (SEQUENCES[les.value].maps[1] for les, _ in SES_CONTEXTS.values())
+}
 
 
 def _pushes(
-    store: FactStore, chart: ChartFile, delta: Iterable[FactKey], maps: Container[str]
+    store: FactStore, chart: ChartFile, delta: Iterable[FactKey], maps: Dict[str, ModuleId]
 ) -> Iterator[Tuple[FactKey, str, Value, ActionFact, Element, str]]:
-    """Walk ``delta`` through the push plan: for each known fact f(x) on one
-    of ``maps`` and each single-valued action g·x = t on its source, yield
-    (key, f, f(x), g·x, t, "g·x").  Facts on periodic-part monomials are not
-    pushed.  The plan is keyed by fact key (``ChartFile.push_plan``), so a
-    key with no push costs one lookup.
+    """Walk ``delta`` through the push plan: for each known fact f(x) with f
+    one of ``maps`` (map → source module) and x in f's source module, and
+    each single-valued action g·x = t, yield (key, f, f(x), g·x, t, "g·x").
+    Facts on periodic-part monomials are not pushed.  The plan is keyed by
+    source element (``ChartFile.push_plan``), so a key with no push costs one
+    lookup.
     """
     plan, facts = chart.push_plan, store.facts
     for key in delta:
         map_name, source = key
-        if map_name not in maps:
+        if maps.get(map_name) is not source.module:
             continue
-        pushes = plan.get(key)
+        pushes = plan.get(source)
         if pushes is None:
             continue
         value = facts[key]
@@ -355,14 +362,14 @@ def rule_linearity(store: FactStore, chart: ChartFile, delta: Iterable[FactKey])
     """
     out: List[Emission] = []
     act, zero = chart.actions.act, Value.zero()
-    for key, map_name, value, action, new_source, label in _pushes(store, chart, delta, MAP_SPECS):
+    for key, map_name, value, action, new_source, label in _pushes(store, chart, delta, _MAP_SOURCES):
         pushed = act(action.generator.name, value.span) if value.span else zero
         if pushed is not None:
             out.append(new_tuple(Emission, (map_name, new_source, pushed, RULE_LIN, (key, label))))
     return out
 
 
-def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[FactKey]) -> List[Emission]:
+def rule_exact(store: FactStore, chart: ChartFile, delta: Collection[FactKey]) -> List[Emission]:
     """Rank-1 completion at a recorded junction, the only rule that completes
     a rank-1 record.
 
@@ -376,6 +383,12 @@ def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[FactKey]) -> 
     lifts nothing, and the zero of a basis adjustment lifts on the next call.
     A record is revisited when either of its two projection facts is visited;
     everything but the two stored values comes from its ``RankOnePlan``.
+
+    A completion is emitted only when the parent fact it cites is in
+    ``delta``.  A completion reads only its parent's value (the lift also
+    reads that p(w) is not zero, and a zero never reverts), and every change
+    of a value puts its key in the next ``delta``, so a revisit through the
+    other projection fact would only repeat what the store already holds.
     """
     out: List[Emission] = []
     facts, rank_one, zero = store.facts, chart.rank_one_records, Value.zero()
@@ -386,15 +399,17 @@ def rule_exact(store: FactStore, chart: ChartFile, delta: Iterable[FactKey]) -> 
         fu, fw = facts.get(key_u), facts.get(key_w)
         u_dies = fu is not None and fu.is_zero
         w_dies = fw is not None and fw.is_zero
-        if w_dies:
-            out.append(new_tuple(Emission, (project, u, plan.onto_kernel, RULE_EXACT, (key_w, ref))))
-        elif fw is not None and fw.is_known and u.filtration < w.filtration:
-            out.append(new_tuple(Emission, (project, u, zero, RULE_EXACT, (key_w, ref))))
-        if u_dies:
+        if key_w in delta:
+            if w_dies:
+                out.append(new_tuple(Emission, (project, u, plan.onto_kernel, RULE_EXACT, (key_w, ref))))
+            elif fw is not None and fw.is_known and u.filtration < w.filtration:
+                out.append(new_tuple(Emission, (project, u, zero, RULE_EXACT, (key_w, ref))))
+        if u_dies and key_u in delta:
             out.append(new_tuple(Emission, (project, w, plan.onto_kernel, RULE_EXACT, (key_u, ref))))
         if plan.cokernel is not None and (w_dies or u_dies):
             lift, key = (plan.lift_w, key_w) if w_dies else (plan.lift_u, key_u)
-            out.append(new_tuple(Emission, (plan.include, plan.cokernel, lift, RULE_EXACT, (key, ref))))
+            if key in delta:
+                out.append(new_tuple(Emission, (plan.include, plan.cokernel, lift, RULE_EXACT, (key, ref))))
     return out
 
 
@@ -431,9 +446,13 @@ def saturate(
     Saturation runs in two strata.  The chart-only rules (``CHART_ONLY``)
     fire once, since firing them again would emit the same facts.  T4, LIN
     and EXACT read the store and loop until a pass adds nothing; each call
-    visits only the keys logged since the rule's own previous call (the
-    whole log on its first call), because every value change appends to
-    ``store.log`` and every key enters the log as it enters ``store.facts``.
+    visits only the keys logged since the rule's own previous call, because
+    every value change appends to ``store.log``.  The first call visits
+    ``store.facts`` itself: every key enters the log as it enters
+    ``store.facts``, so the log's keys in order of first appearance are the
+    store's keys in order.  EXACT emits a completion only on the call that
+    visits the parent it cites, so it does not repeat one whose parent did
+    not change.
 
     PERIODIC fires only with ``with_periodic=True``: the store then also
     holds the ``periodic_values`` of the chart, and every other fact is the
@@ -461,7 +480,8 @@ def saturate(
         if rng is not None:
             rng.shuffle(looping)
         for name, rule in looping:
-            delta = dict.fromkeys(map(itemgetter(0), store.log[seen.get(name, 0):]))
+            start = seen.get(name)
+            delta = store.facts if start is None else dict.fromkeys(store.log[start:])
             seen[name] = len(store.log)
             if _insert_all(store, rule(store, chart, delta)):
                 changed = True

@@ -162,14 +162,20 @@ class RankOnePlan(NamedTuple):
 
 
 class FactStore:
-    """Monotone store of map facts keyed by ``FactKey``, (map name, source element)."""
+    """Monotone store of map facts keyed by ``FactKey``, (map name, source element).
+
+    Each derivation is held once, in ``derivations[key]``.  ``log`` lists the
+    key of every stored derivation in the order they were stored, so a key's
+    n-th log entry is ``derivations[key][n]``, and the keys in order of first
+    appearance in the log are the keys of ``facts`` in order.
+    """
 
     def __init__(self) -> None:
         self.facts: Dict[FactKey, Value] = {}
         self.derivations: Dict[FactKey, List[Derivation]] = {}
         self.contradictions: List[Contradiction] = []
         self.p3_image: List[Element] = []
-        self.log: List[Tuple[FactKey, Derivation]] = []
+        self.log: List[FactKey] = []  # the key of each stored derivation, in order
 
     def get(self, map_name: str, source: Element) -> Optional[Value]:
         return self.facts.get((map_name, source))
@@ -198,10 +204,9 @@ class FactStore:
             inputs = tuple(inputs)
         existing = self.facts.get(key)
         if existing is None:  # a new fact: three writes, nothing to compare
-            derivation = new_tuple(Derivation, (rule, inputs, value))
             self.facts[key] = value
-            self.derivations[key] = [derivation]
-            self.log.append((key, derivation))
+            self.derivations[key] = [new_tuple(Derivation, (rule, inputs, value))]
+            self.log.append(key)
             return True
 
         grew = False
@@ -232,7 +237,7 @@ class FactStore:
         seen = self.derivations[key]
         if derivation not in seen:
             seen.append(derivation)
-            self.log.append((key, derivation))
+            self.log.append(key)
             grew = True
         return grew
 
@@ -259,16 +264,19 @@ class FactStore:
         return "\n".join(lines) + "\n"
 
     def log_document(self) -> List[dict]:
-        """The derivation log, with fact keys and cited parent facts as text."""
-        return [
-            {
+        """The derivation log, each key's n-th log entry paired with its n-th
+        derivation, with fact keys and cited parent facts as text."""
+        derivations = {key: iter(found) for key, found in self.derivations.items()}
+        document = []
+        for key in self.log:
+            derivation = next(derivations[key])
+            document.append({
                 "fact": key_text(key),
                 "value": derivation.value.serialize(),
                 "rule": derivation.rule,
                 "inputs": [key_text(i) if type(i) is tuple else i for i in derivation.inputs],
-            }
-            for key, derivation in self.log
-        ]
+            })
+        return document
 
 
 def load_axioms(store: FactStore, chart: ChartFile) -> None:

@@ -125,6 +125,19 @@ class TestFamilies:
         assert out.count("caseII:") == 7 and "caseII: stems 5 " not in out
         assert err == ""
 
+    def test_missing_lift_is_undetermined(self, tmp_path, chart_document, capsys):
+        # Without ranks[80] the chart still validates, but y_{82,6}'s p₁
+        # image vanishes with no i₁-lift recorded: no verdict, no traceback.
+        doc = json.loads(json.dumps(chart_document))
+        del doc["ranks"][80]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert run(capsys, "validate", str(broken))[0] == 0
+        code, out, err = run(capsys, "families", str(broken))
+        assert code == 4
+        assert out == "undetermined: row Y:y_{82,6}: p1 image vanishes but no i1-lift of M:m_{80,16} is recorded\n"
+        assert err == ""
+
 
 class TestCheck:
     def test_clean(self, capsys):

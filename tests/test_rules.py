@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -27,9 +28,12 @@ from les_deduce.chartdata import (
 )
 from les_deduce.families import build_table, emit_families
 from les_deduce.oracle import check_soundness, enumerate_fillings, random_instance
+from les_deduce import rules
 from les_deduce.rules import (
     _BASE_LABELS,
     _CHASE_PARENTS,
+    _MAP_SOURCES,
+    _pushes,
     ALL_RULES,
     CHART_ONLY,
     fact_labels,
@@ -320,9 +324,9 @@ class TestLinearity:
 
 
 class TestPushPlan:
-    # Every map out of the source's module gets the source's pushes.
+    # The plan is keyed by source element; every map out of its module pushes it.
     KBAR, V1 = RingGenerator("κ̄", 20, 4), RingGenerator("v₁", 2, 0)
-    OUT_OF_Y = [spec.name for spec in MAP_SPECS.values() if spec.source is ModuleId.Y]
+    OUT_OF_Y = {spec.name for spec in MAP_SPECS.values() if spec.source is ModuleId.Y}
 
     def test_pushes_by_generator_name_with_labels(self):
         # v₁ sorts before κ̄, and each push is labelled g·x.
@@ -334,7 +338,15 @@ class TestPushPlan:
         ])
         by_key = chart.actions.by_key
         pushes = ((by_key[("v₁", "Y:a")], va, "v₁·Y:a"), (by_key[("κ̄", "Y:a")], ka, "κ̄·Y:a"))
-        assert chart.push_plan == {fact_key(name, a): pushes for name in self.OUT_OF_Y}
+        assert chart.push_plan == {a: pushes}
+        # A fact on a under any map: only the maps out of Y push it.
+        store = FactStore()
+        for name in MAP_SPECS:
+            store.insert(name, a, Value.zero(), "axiom")
+        walked = [(map_name, action, target) for _, map_name, _, action, target, _ in
+                  _pushes(store, chart, store.facts, _MAP_SOURCES)]
+        assert walked == [(name, action, target) for name in MAP_SPECS if name in self.OUT_OF_Y
+                          for action, target, _ in pushes]
 
     def test_skips_sums_nonzero_marks_and_zeros(self):
         a, c, d, z = (Element(ModuleId.Y, 62, f, name) for f, name in ((2, "a"), (1, "c"), (0, "d"), (3, "z")))
@@ -346,7 +358,7 @@ class TestPushPlan:
             ActionFact(self.KBAR, z, Value.zero()),
         ])
         pushes = ((chart.actions.by_key[("κ̄", "Y:a")], ka, "κ̄·Y:a"),)
-        assert chart.push_plan == {fact_key(name, a): pushes for name in self.OUT_OF_Y}
+        assert chart.push_plan == {a: pushes}
 
 
 class TestT4:
@@ -547,7 +559,7 @@ class TestSaturation:
                 before, logged = self.facts.get(key), len(self.log)
                 grew = super().insert(map_name, source, value, rule, inputs)
                 if self.facts.get(key) != before:
-                    assert self.log[logged:] and self.log[-1][0] == key
+                    assert self.log[logged:] and self.log[-1] == key
                 return grew
 
         checked = CheckedStore()
@@ -629,6 +641,48 @@ class TestSemiNaiveMatchesNaive:
             if rule_t4(semi_naive, instance, semi_naive.facts):
                 t4_seeds.append(seed)
         assert {9298, 10783, 27349, 54073} <= set(t4_seeds)
+
+
+def shipped_x2_and_oracle_instances(chart, chart_x2):
+    """The shipped chart, its Δ⁸×2 extension and oracle seeds 0–199, each
+    with the default and a shuffled schedule."""
+    targets = [("shipped", chart), ("delta8x2", chart_x2)]
+    targets += [(f"seed {seed}", random_instance(random.Random(seed))) for seed in range(200)]
+    for name, target in targets:
+        for rng in (None, random.Random(5)):
+            yield f"{name}, {'shuffled' if rng else 'default'}", target, rng
+
+
+class TestLogAgreesWithStore:
+    def test_charts_and_oracle_instances(self, chart, chart_x2):
+        # The first call of each looping rule visits ``store.facts`` in place
+        # of the whole log: both must hold the same keys in the same order,
+        # and log_document pairs each log entry with one stored derivation.
+        for case, target, rng in shipped_x2_and_oracle_instances(chart, chart_x2):
+            store = saturate(target, rng=rng)
+            assert list(dict.fromkeys(store.log)) == list(store.facts), case
+            assert Counter(store.log) == {key: len(found) for key, found in store.derivations.items()}, case
+
+
+class TestExactFiresOnItsParent:
+    def test_charts_and_oracle_instances(self, chart, chart_x2, monkeypatch):
+        # Each EXACT emission cites the parent fact it is read off, and is
+        # made only in a call whose delta holds that parent.
+        emitted = []
+
+        def checked(store, chart, delta):
+            emissions = rule_exact(store, chart, delta)
+            for emission in emissions:
+                assert emission.inputs[0] in delta, (case, emission)
+            emitted.extend(emissions)
+            return emissions
+
+        monkeypatch.setattr(rules, "ALL_RULES", tuple(
+            (name, checked if name == "EXACT" else rule) for name, rule in ALL_RULES
+        ))
+        for case, target, rng in shipped_x2_and_oracle_instances(chart, chart_x2):
+            saturate(target, rng=rng)
+        assert emitted
 
 
 def fixpoint_labels(store):
