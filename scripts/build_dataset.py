@@ -19,6 +19,9 @@ derivations consume:
 
 Companion classes and their filtrations are constrained, not copied: each is
 pinned by the shape guards of the technique that must fire at its degree.
+The ring generators' degrees and the periodic-part presentations are facts
+about tmf, not chart data, so the engine holds them and nothing here states
+them.
 """
 
 from __future__ import annotations
@@ -32,12 +35,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from golden_table import ROWS  # noqa: E402
 from les_deduce import chartdata  # noqa: E402
-from les_deduce.algebra import GENERATOR_STEMS  # noqa: E402
 
 OUT = REPO / "data" / "tmf_chart.json"
-
-# Adams–Novikov filtration of each generator in ``GENERATOR_STEMS``.
-GENERATOR_FILTRATIONS = {"η": 1, "ν": 1, "κ": 2, "κ̄": 4, "c₄": 0, "c₆": 0, "Δ": 0, "Δ⁸": 0, "v₁": 0, "2": 0}
 
 # Companion classes not visible in the table: second torsion generators of
 # middles, cokernel generators, and the sphere-level 2-torsion classes that
@@ -342,10 +341,6 @@ def main() -> None:
     doc = {
         "schemaVersion": chartdata.SCHEMA_VERSION,
         "maxStem": 176,
-        "generators": [
-            {"name": name, "stem": stem, "filtration": GENERATOR_FILTRATIONS[name]}
-            for name, stem in GENERATOR_STEMS.items()
-        ],
         "elements": element_records,
         "actions": actions,
         "classifications": classifications,
@@ -358,14 +353,6 @@ def main() -> None:
         "tmfNameOverrides": [
             {"row": "Y:y_{119,3}", "column": "imgP1", "name": "2Δ⁴·2κ̄"},
         ],
-        "periodicPresentations": {
-            "Y": {"pattern": "F₂[v₁,Δ⁸]", "minV1ByDeltaMod8": list(chartdata.Y_MIN_V1)},
-            "M": {
-                "pattern": "lightning flash on Δⁿv₁⁴ᵏ, k ≥ 1",
-                "k0Positions": {str(n): list(pos) for n, pos in chartdata.M_K0_POSITIONS.items()},
-            },
-            "S": {"pattern": "Δⁿc₄ᵏη^δ and 2Δⁿc₄ᵏ⁻¹c₆"},
-        },
     }
 
     chart = chartdata.from_document(doc)

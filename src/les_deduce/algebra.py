@@ -10,11 +10,13 @@ encoding of a value the chart gives, whether a generator product
 unknown.  Elements are representatives up to strictly higher
 filtration in the same bidegree, so span equality has a "modulo higher
 filtration" refinement used when merging independently derived values.
+The ring generators that act, with their degrees, are ``GENERATORS``: facts
+about tmf that no dataset restates.
 
 Every immutable record of the package is a ``typing.NamedTuple``, so its
 hash, equality and order are the tuple's own.  A record whose constructor
-checks or derives fields (``Element``, ``RingGenerator``, ``ActionFact``
-here, ``chartdata.SesRecord``) is a subclass of its fields' named tuple with
+checks or derives fields (``Element`` and ``ActionFact`` here,
+``chartdata.SesRecord``) is a subclass of its fields' named tuple with
 a ``__new__`` that checks, then builds the tuple; derived fields come last,
 and ``_replace`` goes through that constructor too (``checked_replace``).
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from operator import itemgetter
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional
 
 
 class ModuleId(str, Enum):
@@ -155,51 +157,33 @@ def span_key(span: F2Span) -> str:
     return "+".join(sorted(e.key for e in span)) if span else "0"
 
 
-GENERATOR_STEMS = {
-    "η": 1,
-    "ν": 3,
-    "κ": 14,
-    "κ̄": 20,
-    "c₄": 8,
-    "c₆": 12,
-    "Δ": 24,
-    "Δ⁸": 192,
-    "v₁": 2,
-    "2": 0,
-}
+class RingGenerator(NamedTuple):
+    """A tmf ring generator acting on the charts, with its stem and
+    Adams–Novikov filtration degrees."""
 
-KAPPA_BAR = "κ̄"
-
-
-class _RingGeneratorFields(NamedTuple):
     name: str
     stem_degree: int
     filtration_degree: int
 
 
-class RingGenerator(_RingGeneratorFields):
-    """A tmf ring generator acting on the charts.
-
-    Stem degrees are fixed; filtration degrees ship with the dataset except
-    for κ̄, whose filtration degree is pinned to 4.
-    """
-
-    __slots__ = ()
-    _takes = 3
-
-    def __new__(cls, name: str, stem_degree: int, filtration_degree: int) -> "RingGenerator":
-        if name not in GENERATOR_STEMS:
-            raise ValueError(f"unknown ring generator {name!r}")
-        if stem_degree != GENERATOR_STEMS[name]:
-            raise ValueError(
-                f"generator {name} must have stem degree {GENERATOR_STEMS[name]}, "
-                f"got {stem_degree}"
-            )
-        if name == KAPPA_BAR and filtration_degree != 4:
-            raise ValueError("κ̄ must have filtration degree 4")
-        return new_tuple(cls, (name, stem_degree, filtration_degree))
-
-    _replace = __replace__ = checked_replace
+# The generators the charts' actions name, with their degrees (Bauer,
+# "Computation of the homotopy of the spectrum tmf").  Δ⁸ has filtration 0,
+# which makes the charts 192-periodic.
+GENERATORS: Dict[str, RingGenerator] = {
+    g.name: g
+    for g in (
+        RingGenerator("η", 1, 1),
+        RingGenerator("ν", 3, 1),
+        RingGenerator("κ", 14, 2),
+        RingGenerator("κ̄", 20, 4),
+        RingGenerator("c₄", 8, 0),
+        RingGenerator("c₆", 12, 0),
+        RingGenerator("Δ", 24, 0),
+        RingGenerator("Δ⁸", 192, 0),
+        RingGenerator("v₁", 2, 0),
+        RingGenerator("2", 0, 0),
+    )
+}
 
 
 class ValueState(str, Enum):

@@ -1,14 +1,13 @@
 """Chart dataset format: load/validate/save, periodic-part expansion, Δ⁸ extension.
 
 The dataset is a single JSON document (UTF-8, schemaVersion "1") with top-level
-keys {schemaVersion, maxStem, hurewiczFlags, periodicPresentations} plus the
-record lists of ``SCHEMA``, which states each record field's JSON kind and
-default once.  Element references everywhere use the key format
-"MODULE:name".  Unknown top-level or record fields are rejected so golden
-files stay byte-stable.  ``_records`` reads, inline, a value of its field's
-exact JSON type, a known enum value or element key, and a list of known,
-distinct element keys; ``_read`` takes nulls, the order's two types and
-defects.  An action or axiom value with an empty span is the shared
+keys {schemaVersion, maxStem, hurewiczFlags} plus the record lists of
+``SCHEMA``, which states each record field's JSON kind and default once.
+Element references everywhere use the key format "MODULE:name".  Unknown
+top-level or record fields are rejected so golden files stay byte-stable.
+``_records`` reads, inline, a value of its field's exact JSON type, a known
+enum value or element key, and a list of known, distinct element keys;
+``_read`` takes nulls, the order's two types and defects.  An action or axiom value with an empty span is the shared
 ``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are too.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
@@ -16,20 +15,23 @@ A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
 modules of its bases and its kernel stem off ``sequences.SEQUENCES``, and the
 loader checks every basis against them.  Axioms are checked against
 ``MAP_SPECS`` the same way (source module, value module and stem), and a class
-classified exceptional needs a route in ``EXCEPTIONAL_LISTINGS``.
+classified exceptional needs a route in ``EXCEPTIONAL_LISTINGS``.  An action
+names one of ``algebra.GENERATORS``.  The document states chart data only:
+the generators' degrees, the exceptional listings and the periodic-part
+presentations are facts about tmf that the engine holds.
 
-Periodic parts are not stored element-by-element.  Each module carries a small
-presentation (a monomial pattern) that ``expand_periodic`` unfolds up to a stem
-bound; the per-part formulas of the deduction rules act on those monomials.
-A presentation takes only the keys ``expand_periodic`` reads, and ``pattern``,
-a description (``_PRESENTATION_KEYS``).
+Periodic parts are not stored element-by-element.  Each module has a small
+presentation (a monomial pattern, with ``Y_MIN_V1`` and ``M_K0_POSITIONS``)
+that ``expand_periodic`` unfolds up to a stem bound; the per-part formulas of
+the deduction rules act on those monomials.
 
-``delta8_extend`` shifts the loaded chart's objects: each copy of an element
-moves 192 stems and the filtration degree of Δ⁸ up, and the copies of the
-other records refer to the shifted elements.  Every record check runs once,
-as the record enters, in the one ``_ChartRecords`` method that adds its
-record list: the loader and each Δ⁸ copy feed it a whole list.  A check
-builds its message only when it fails; the tests pin every message in full.
+``delta8_extend`` shifts the loaded chart's objects: Δ⁸ has stem 192 and
+filtration 0, so each copy of an element moves 192 stems up and keeps its
+filtration, and the copies of the other records refer to the shifted
+elements.  Every record check runs once, as the record enters, in the one
+``_ChartRecords`` method that adds its record list: the loader and each Δ⁸
+copy feed it a whole list.  A check builds its message only when it fails;
+the tests pin every message in full.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ from .algebra import (
     ClassificationKind,
     DegreeMismatchError,
     Element,
+    GENERATORS,
     NAME_CONVENTION,
     LesContext,
     ModuleId,
-    RingGenerator,
     Value,
     checked_newargs,
     checked_replace,
@@ -233,9 +235,7 @@ class ChartFile:
     its life.
     """
 
-    schema_version: str
     max_stem: int
-    generators: Dict[str, RingGenerator]
     elements: Dict[str, Element]
     actions: ActionTable
     classifications: List[Classification]
@@ -247,7 +247,6 @@ class ChartFile:
     prior_order_two: frozenset[str]
     ses_records: List[SesRecord]
     axioms: List[MapAxiom]
-    periodic_presentations: Dict[str, dict]
 
     @cached_property
     def rank_one_records(self) -> Dict[FactKey, List[RankOnePlan]]:
@@ -300,14 +299,13 @@ def _enum(members) -> dict:
 
 _VALUE_FIELDS = {"value": (ELEMENTS, ABSENT), "nonzero": (bool, False)}
 SCHEMA: Dict[str, Dict[str, tuple]] = {
-    "generators": {"name": (str, REQUIRED), "stem": (int, REQUIRED), "filtration": (int, REQUIRED)},
     "elements": {
         "module": (_enum(ModuleId), REQUIRED), "name": (str, REQUIRED),
         "stem": (int, REQUIRED), "filtration": (int, REQUIRED),
         "order": ((int, str), None),  # one of ALLOWED_ORDERS or "inf"
         "tmfName": (str, None), "nuMultiple": (bool, False), "priorOrderTwo": (bool, False),
     },
-    "actions": {"generator": (str, REQUIRED), "source": (ELEMENT, REQUIRED), **_VALUE_FIELDS},
+    "actions": {"generator": (GENERATORS, REQUIRED), "source": (ELEMENT, REQUIRED), **_VALUE_FIELDS},
     "classifications": {
         "element": (ELEMENT, REQUIRED), "context": (_enum(LesContext), REQUIRED),
         "kind": (_enum(ClassificationKind), REQUIRED),
@@ -659,6 +657,8 @@ def loads(text: str) -> ChartFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChartValidationError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ChartValidationError("malformed JSON: nested too deeply") from exc
     return from_document(doc)
 
 
@@ -673,7 +673,7 @@ def load(path: str | Path) -> ChartFile:
 def from_document(doc: dict) -> ChartFile:
     if type(doc) is not dict:
         raise ChartValidationError("top level: must be an object")
-    top_level = {"schemaVersion", "maxStem", "hurewiczFlags", "periodicPresentations"}
+    top_level = {"schemaVersion", "maxStem", "hurewiczFlags"}
     _require_keys(doc, top_level | SCHEMA.keys(), "top level")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise ChartValidationError(f"unsupported schemaVersion {doc.get('schemaVersion')!r}, want {SCHEMA_VERSION!r}")
@@ -683,24 +683,13 @@ def from_document(doc: dict) -> ChartFile:
 
     records = _ChartRecords()
     elements = records.elements
-    generators: Dict[str, RingGenerator] = {}
-    for where, fields in _records(doc, "generators", elements):
-        try:
-            gen = RingGenerator(fields["name"], fields["stem"], fields["filtration"])
-        except ValueError as exc:
-            raise ChartValidationError(f"{where}: generator {fields['name']!r}: {exc}") from exc
-        if gen.name in generators:
-            raise ChartValidationError(f"{where}: duplicate generator {gen.name}")
-        generators[gen.name] = gen
-
     records.add_elements(
         (where, Element(f["module"], f["stem"], f["filtration"], f["name"]),
          f["order"], f["tmfName"], f["nuMultiple"], f["priorOrderTwo"])
         for where, f in _records(doc, "elements", elements)
     )
     records.add_actions(
-        (where, generators.get(f["generator"]) or _read(f["generator"], "generator", generators, where),
-         f["source"], _value(f, where, "action {generator}·{source.key}"))
+        (where, f["generator"], f["source"], _value(f, where, "action {generator.name}·{source.key}"))
         for where, f in _records(doc, "actions", elements)
     )
     records.add_classifications(
@@ -731,47 +720,7 @@ def from_document(doc: dict) -> ChartFile:
         (where, (f["row"].key, f["column"]), f["name"]) for where, f in _records(doc, "tmfNameOverrides", elements)
     )
 
-    presentations = _field(doc, "periodicPresentations", dict, "top level", {})
-    _check_presentations(presentations)
-
-    return ChartFile(
-        schema_version=doc["schemaVersion"],
-        max_stem=max_stem,
-        generators=generators,
-        hurewicz=hurewicz,
-        periodic_presentations=presentations,
-        **records.fields(),
-    )
-
-
-# The keys of each periodicPresentations module: those ``expand_periodic``
-# reads, and ``pattern``, a description that nothing reads.
-_PRESENTATION_KEYS = {"Y": {"minV1ByDeltaMod8", "pattern"}, "M": {"k0Positions", "pattern"}, "S": {"pattern"}}
-
-
-def _check_presentations(presentations: dict) -> None:
-    """The pattern data ``expand_periodic`` reads: eight minimal v₁-powers
-    for Y and, for M, the k = 0 flash positions of each Δ-power mod 8.  An
-    absent value leaves the module's default."""
-    where = "periodicPresentations"
-    _require_keys(presentations, _PRESENTATION_KEYS, where)
-    for module in presentations:
-        body = _field(presentations, module, dict, where)
-        _require_keys(body, _PRESENTATION_KEYS[module], f"{where}.{module}")
-        _field(body, "pattern", str, f"{where}.{module}", None)
-    y_min = _field(presentations.get("Y", {}), "minV1ByDeltaMod8", list, f"{where}.Y", None)
-    if y_min is not None and (len(y_min) != 8 or any(type(v) is not int or v < 0 for v in y_min)):
-        raise ChartValidationError(f"{where}.Y needs eight minimal v₁-powers, got {y_min!r}")
-    k0 = _field(presentations.get("M", {}), "k0Positions", dict, f"{where}.M", None)
-    if k0 is None:
-        return
-    if sorted(map(str, k0)) != [str(n) for n in range(8)]:
-        raise ChartValidationError(f"{where}.M.k0Positions needs keys 0-7")
-    for key, positions in k0.items():
-        if type(positions) is not list or any(
-            type(pos) is not int or not 0 <= pos < len(FLASH_POSITIONS) for pos in positions
-        ):
-            raise ChartValidationError(f"{where}.M.k0Positions[{key!r}]: bad flash positions")
+    return ChartFile(max_stem=max_stem, hurewicz=hurewicz, **records.fields())
 
 
 def to_document(chart: ChartFile) -> dict:
@@ -804,12 +753,8 @@ def to_document(chart: ChartFile) -> dict:
     ]
     axioms = [{"map": axiom.map, "source": axiom.source.key, **_value_fields(axiom.value)} for axiom in chart.axioms]
     return {
-        "schemaVersion": chart.schema_version,
+        "schemaVersion": SCHEMA_VERSION,
         "maxStem": chart.max_stem,
-        "generators": [
-            {"name": g.name, "stem": g.stem_degree, "filtration": g.filtration_degree}
-            for g in sorted(chart.generators.values(), key=lambda g: g.name)
-        ],
         "elements": elements,
         "actions": actions,
         "classifications": [
@@ -823,7 +768,6 @@ def to_document(chart: ChartFile) -> dict:
             {"row": row, "column": column, "name": name}
             for (row, column), name in sorted(chart.tmf_name_overrides.items())
         ],
-        "periodicPresentations": chart.periodic_presentations,
     }
 
 
@@ -837,34 +781,25 @@ def save(chart: ChartFile, path: str | Path) -> None:
 
 # --- Periodic-part expansion ---
 
-def expand_periodic(module: ModuleId, stem_bound: int, presentations: Optional[dict] = None) -> List[Monomial]:
+def expand_periodic(module: ModuleId, stem_bound: int) -> List[Monomial]:
     """All periodic-part monomials of one module with stem ≤ stem_bound.
 
-    ``presentations`` is the dataset's periodicPresentations section, as the
-    loader checked it; it may override the minimal v₁-powers of the Y pattern
-    and, for the Moore module, must be consulted for the per-element k = 0
-    flash fraction (no closed formula covers it).  Without a presentation the
-    module defaults apply.
+    Y's monomials start at the minimal v₁-powers ``Y_MIN_V1``; the Moore
+    module's carry the full lightning flash for k ≥ 1 and, for k = 0, the
+    per-element fraction ``M_K0_POSITIONS`` (no closed formula covers it).
     """
     if stem_bound < 0:
         raise ValueError("stem bound must be ≥ 0")
-    presentations = presentations or {}
-    y_min = tuple(presentations.get("Y", {}).get("minV1ByDeltaMod8", Y_MIN_V1))
-    k0_doc = presentations.get("M", {}).get("k0Positions")
-    if k0_doc is None:
-        k0_positions = M_K0_POSITIONS
-    else:
-        k0_positions = {int(key): tuple(value) for key, value in k0_doc.items()}
     out: List[Monomial] = []
     if module is ModuleId.Y:
         for n in range(stem_bound // 24 + 1):
-            for v in range(y_min[n % 8], (stem_bound - 24 * n) // 2 + 1):
+            for v in range(Y_MIN_V1[n % 8], (stem_bound - 24 * n) // 2 + 1):
                 element = Element(ModuleId.Y, 24 * n + 2 * v, 0, monomial_name_y(n, v), periodic=True)
                 out.append(Monomial(element, n, v, 0))
     elif module is ModuleId.M:
         for n in range(stem_bound // 24 + 1):
             for k in range((stem_bound - 24 * n) // 8 + 1):
-                positions = range(6) if k >= 1 else k0_positions[n % 8]
+                positions = range(6) if k >= 1 else M_K0_POSITIONS[n % 8]
                 for pos in positions:
                     extra_v, eta = FLASH_POSITIONS[pos]
                     v = 4 * k + extra_v
@@ -900,13 +835,13 @@ def _name_letter(element: Element) -> Optional[str]:
     return m.group(1) if m else None
 
 
-def _shifted(element: Element, letter: Optional[str], k: int, filt_shift: int) -> Element:
+def _shifted(element: Element, letter: Optional[str], k: int) -> Element:
     """The k-th Δ⁸ copy of ``element``, whose ``_name_letter`` is ``letter``:
-    192k stems and k·``filt_shift`` filtrations up, with an x_{i,j} name
-    re-encoding the new degree and any other name suffixed ·Δ⁸ k times."""
-    stem, filtration = element.stem + 192 * k, element.filtration + filt_shift * k
-    name = f"{letter}_{{{stem},{filtration}}}" if letter else element.name + "·Δ⁸" * k
-    return Element(element.module, stem, filtration, name)
+    192k stems up in the same filtration, with an x_{i,j} name re-encoding
+    the new stem and any other name suffixed ·Δ⁸ k times."""
+    stem = element.stem + 192 * k
+    name = f"{letter}_{{{stem},{element.filtration}}}" if letter else element.name + "·Δ⁸" * k
+    return Element(element.module, stem, element.filtration, name)
 
 
 def _shifted_value(value: Value, shifted: Dict[Element, Element]) -> Value:
@@ -920,9 +855,10 @@ def _shifted_value(value: Value, shifted: Dict[Element, Element]) -> Value:
 def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     """``chart`` with a Δ⁸-shifted copy of every record for each k ≤ copies.
 
-    The k-th copy of an element is ``_shifted``.  It keeps the original's
-    order and prior-order-2 mark and prefixes its tmf name with Δ⁸· k times;
-    copies of ν-multiples are not marked as such and have Hurewicz flag false,
+    The k-th copy of an element is ``_shifted``: Δ⁸ has filtration 0, so the
+    copy keeps the original's filtration, and also its order and
+    prior-order-2 mark, and prefixes its tmf name with Δ⁸· k times; copies
+    of ν-multiples are not marked as such and have Hurewicz flag false,
     unless a flag is already present.  The copies of the other records
     (``ranks`` records at stem + 192k) refer to the shifted elements.  Each
     copy of a record list goes through the ``_ChartRecords`` method the loader
@@ -937,8 +873,6 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     if copies == 0:
         return chart
 
-    delta8 = chart.generators.get("Δ⁸")
-    filt_shift = delta8.filtration_degree if delta8 else 0
     records = _ChartRecords(chart)
     hurewicz = dict(chart.hurewicz)
     facts = chart.actions.facts()
@@ -952,7 +886,7 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     ]
     for k in range(1, copies + 1):
         where, prefix = f"Δ⁸ copy {k}", "Δ⁸·" * k
-        shifted = {element: _shifted(element, letter, k, filt_shift) for element, letter, _, _, _ in kept}
+        shifted = {element: _shifted(element, letter, k) for element, letter, _, _, _ in kept}
         shift = shifted.__getitem__
         records.add_elements(
             (where, shifted[element], order, tmf_name and prefix + tmf_name, False, prior)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``deduce``, ``table``, ``families``, ``check``.
-Exit codes: 0 success, 1 unreadable or invalid dataset, 2 contradictions in
-the saturated store, 3 acceptance mismatch against the frozen family sets,
-4 (``families``) a family verdict left undetermined because the dataset
+Exit codes: 0 success, 1 unreadable or invalid dataset, or (``deduce
+--log``) a log path that cannot be written, 2 contradictions in the
+saturated store, 3 acceptance mismatch against the frozen family sets, 4
+(``families``) a family verdict left undetermined because the dataset
 lacks an entry it reads: a lift's Hurewicz flag, or its order, or the lift
 itself.
 The dataset path may be omitted when LES_DEDUCE_DATA is set.
@@ -76,10 +77,12 @@ def cmd_deduce(args: argparse.Namespace) -> int:
     chart, store = _saturated(args.dataset)
     print(f"saturated: {len(store.facts)} facts, {len(store.log)} derivations")
     if args.log:
-        Path(args.log).write_text(
-            json.dumps(store.log_document(), ensure_ascii=False, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(store.log_document(), ensure_ascii=False, indent=1) + "\n"
+        try:
+            Path(args.log).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.log}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"derivation log written to {args.log}")
     if store.contradictions:
         for c in store.contradictions:

@@ -27,8 +27,8 @@ from .algebra import (
     ActionFact,
     ActionTable,
     Element,
+    GENERATORS,
     ModuleId,
-    RingGenerator,
     Value,
 )
 from .chartdata import SES_CONTEXTS, ChartFile, MapAxiom, SesRecord
@@ -283,7 +283,7 @@ def check_soundness(chart: ChartFile, store: FactStore, fillings: Sequence[Filli
 # Synthetic instance generation
 # ---------------------------------------------------------------------------
 
-_GENERATOR = RingGenerator("κ̄", 20, 4)
+_GENERATOR = GENERATORS["κ̄"]
 
 
 def random_instance(rng: random.Random) -> ChartFile:
@@ -345,9 +345,7 @@ def random_instance(rng: random.Random) -> ChartFile:
                 actions.append(ActionFact(_GENERATOR, src, Value.zero()))
 
     chart = ChartFile(
-        schema_version="1",
         max_stem=stem + 200,
-        generators={_GENERATOR.name: _GENERATOR},
         elements=elements,
         actions=ActionTable(actions),
         classifications=[],
@@ -359,7 +357,6 @@ def random_instance(rng: random.Random) -> ChartFile:
         prior_order_two=frozenset(),
         ses_records=records,
         axioms=[],
-        periodic_presentations={},
     )
 
     fillings = enumerate_fillings(chart)

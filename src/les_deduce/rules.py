@@ -129,12 +129,9 @@ def periodic_values(chart: ChartFile, bound: Optional[int] = None) -> List[Emiss
     exact, so these facts are values only, never exactness constraints.
     """
     bound = chart.max_stem if bound is None else bound
-    presentations = chart.periodic_presentations
-    y_index = {(m.delta, m.v1): m for m in expand_periodic(ModuleId.Y, bound, presentations)}
-    m_index = {
-        (m.delta, m.v1, m.eta): m for m in expand_periodic(ModuleId.M, bound, presentations)
-    }
-    s_mons = expand_periodic(ModuleId.S, bound, presentations)
+    y_index = {(m.delta, m.v1): m for m in expand_periodic(ModuleId.Y, bound)}
+    m_index = {(m.delta, m.v1, m.eta): m for m in expand_periodic(ModuleId.M, bound)}
+    s_mons = expand_periodic(ModuleId.S, bound)
     s_index = {(m.delta, m.v1, m.eta, m.c6): m for m in s_mons}
 
     out: List[Emission] = []
@@ -310,9 +307,10 @@ def _pushes(
     """Walk ``delta`` through the push plan: for each known fact f(x) with f
     one of ``maps`` (map → source module) and x in f's source module, and
     each single-valued action g·x = t, yield (key, f, f(x), g·x, t, "g·x").
-    Facts on periodic-part monomials are not pushed.  The plan is keyed by
-    source element (``ChartFile.push_plan``), so a key with no push costs one
-    lookup.
+    The plan is keyed by source element (``ChartFile.push_plan``), so a key
+    with no push costs one lookup, and a periodic-part monomial has no
+    push-plan entry: ``Element`` equality includes ``periodic``, and no
+    action's source is a monomial.
     """
     plan, facts = chart.push_plan, store.facts
     for key in delta:
@@ -323,7 +321,7 @@ def _pushes(
         if pushes is None:
             continue
         value = facts[key]
-        if not value.is_known or source.periodic:
+        if not value.is_known:
             continue
         for action, target, label in pushes:
             yield key, map_name, value, action, target, label

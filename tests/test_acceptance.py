@@ -120,10 +120,9 @@ def test_criterion_3_families(rows, chart):
 
 def test_criterion_4_periodic_formula_suite(chart):
     bound = 260
-    p = chart.periodic_presentations
-    y_index = {(m.delta, m.v1): m for m in expand_periodic(ModuleId.Y, bound, p)}
-    m_index = {(m.delta, m.v1, m.eta): m for m in expand_periodic(ModuleId.M, bound, p)}
-    s_index = {(m.delta, m.v1, m.eta, m.c6): m for m in expand_periodic(ModuleId.S, bound, p)}
+    y_index = {(m.delta, m.v1): m for m in expand_periodic(ModuleId.Y, bound)}
+    m_index = {(m.delta, m.v1, m.eta): m for m in expand_periodic(ModuleId.M, bound)}
+    s_index = {(m.delta, m.v1, m.eta, m.c6): m for m in expand_periodic(ModuleId.S, bound)}
     emitted = {}
     for em in periodic_values(chart, bound=bound):
         emitted[(em.map, em.source.key)] = em.value

@@ -13,9 +13,9 @@ from les_deduce.algebra import (
     ActionTable,
     DegreeMismatchError,
     Element,
+    GENERATORS,
     ModuleId,
     NAME_CONVENTION,
-    RingGenerator,
     UndefinedFloorError,
     Value,
     ZERO,
@@ -81,24 +81,9 @@ class TestFiltrationFloor:
             filtration_floor(ZERO)
 
 
-class TestRingGenerator:
-    def test_fixed_stem_degrees(self):
-        assert RingGenerator("κ̄", 20, 4).stem_degree == 20
-        with pytest.raises(ValueError):
-            RingGenerator("κ̄", 21, 4)
-
-    def test_kappabar_filtration_pinned(self):
-        with pytest.raises(ValueError):
-            RingGenerator("κ̄", 20, 3)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            RingGenerator("λ", 2, 0)
-
-
 class TestActionFact:
     def test_stem_law(self):
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         src = el("Y", 62, 2, "y_{62,2}")
         good = el("Y", 82, 6, "y_{82,6}")
         ActionFact(kbar, src, Value.known(span_of(good)))
@@ -106,29 +91,29 @@ class TestActionFact:
             ActionFact(kbar, src, Value.known(span_of(el("Y", 80, 6, "y_{80,6}"))))
 
     def test_filtration_law(self):
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         src = el("Y", 62, 2, "y_{62,2}")
         with pytest.raises(ValueError):
             ActionFact(kbar, src, Value.known(span_of(el("Y", 82, 5, "y_{82,5}"))))
 
     def test_value_is_required(self):
         with pytest.raises(TypeError):
-            ActionFact(RingGenerator("v₁", 2, 0), Y50_4)
+            ActionFact(GENERATORS["v₁"], Y50_4)
 
     def test_zero_and_nonzero_unknown_accepted(self):
-        v1 = RingGenerator("v₁", 2, 0)
+        v1 = GENERATORS["v₁"]
         assert ActionFact(v1, Y50_4, Value.nonzero_unknown()).value == Value.nonzero_unknown()
         assert ActionFact(v1, Y50_4, Value.zero()).value == Value.zero()
 
     def test_nonzero_unknown_skips_degree_checks(self):
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         src = el("Y", 62, 2, "y_{62,2}")
         assert not ActionFact(kbar, src, Value.nonzero_unknown()).value.is_known
 
 
 class TestAct:
     def setup_method(self):
-        self.kbar = RingGenerator("κ̄", 20, 4)
+        self.kbar = GENERATORS["κ̄"]
         self.a = el("Y", 62, 2, "a")
         self.b = el("Y", 62, 5, "b")
         self.ka = el("Y", 82, 6, "ka")
@@ -157,7 +142,7 @@ class TestAct:
         assert len(self.table.facts()) == 2
         self.table.add(ActionFact(self.kbar, c, Value.known(span_of(self.ka))))
         vc = el("Y", 64, 1, "vc")
-        self.table.add(ActionFact(RingGenerator("v₁", 2, 0), c, Value.known(span_of(vc))))
+        self.table.add(ActionFact(GENERATORS["v₁"], c, Value.known(span_of(vc))))
         assert self.table.act("κ̄", span_of(c)) == Value.known(span_of(self.ka))
         assert [(f.generator.name, f.source) for f in self.table.facts()] == [
             ("v₁", c), ("κ̄", self.a), ("κ̄", self.b), ("κ̄", c),
@@ -174,7 +159,7 @@ class TestAct:
     def test_act_is_linear(self, ia, ib):
         sources = [el("Y", 62, i, f"src{i}") for i in range(4)]
         targets = [el("Y", 82, i + 4, f"tgt{i}") for i in range(4)]
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         table = ActionTable(
             ActionFact(kbar, s, Value.known(span_of(t))) for s, t in zip(sources, targets)
         )
@@ -238,7 +223,7 @@ class TestRecordTuples:
         monomials = [
             m.element
             for module in (ModuleId.Y, ModuleId.M, ModuleId.S)
-            for m in expand_periodic(module, extended.max_stem, extended.periodic_presentations)
+            for m in expand_periodic(module, extended.max_stem)
         ]
         elements = [*extended.elements.values(), *monomials]
         by_fields = sorted(elements, key=attrgetter("module", "stem", "filtration", "name", "periodic"))
@@ -270,8 +255,6 @@ class TestRecordTuples:
         fact = chart.actions.facts()[0]
         with pytest.raises(DegreeMismatchError):
             fact._replace(value=Value.known(span_of(M6_2)))
-        with pytest.raises(ValueError):
-            fact.generator._replace(stem_degree=fact.generator.stem_degree + 1)
         record = chart.ses_records[0]
         for original in (Y50_4, fact, fact.generator, record):
             assert copy.copy(original) == original == pickle.loads(pickle.dumps(original))
@@ -285,7 +268,7 @@ class TestRecordTuples:
         rows = build_table(store, chart)
         les = next(iter(SEQUENCES.values()))
         records = [
-            Y50_4, RingGenerator("κ̄", 20, 4), Value.known(span_of(Y50_4)), chart.actions.facts()[0],
+            Y50_4, GENERATORS["κ̄"], Value.known(span_of(Y50_4)), chart.actions.facts()[0],
             chart.ses_records[0], MapAxiom("p2", Y50_4, Value.zero()),
             expand_periodic(ModuleId.Y, 48)[0], les, les.maps[0],
             Contradiction(fact_key("p2", Y50_4), Value.zero(), Value.nonzero_unknown(), "T1", "T2"),
@@ -353,7 +336,7 @@ class TestOneClassFastPaths:
     """The one-class paths of ``act``, ``filtration_floor``, ``span_of`` and
     ``families._single`` agree with the general definitions."""
 
-    V1 = RingGenerator("v₁", 2, 0)
+    V1 = GENERATORS["v₁"]
     TARGETS = [el("Y", 52, f, f"y_{{52,{f}}}") for f in (11, 12, 14, 16)]  # above every source
     RECORDED = {
         "class": st.sampled_from(TARGETS).map(lambda t: Value.known(span_of(t))),

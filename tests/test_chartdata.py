@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from les_deduce import chartdata
-from les_deduce.algebra import Classification, ClassificationKind, LesContext, ModuleId, Value
+from les_deduce.algebra import GENERATORS, Classification, ClassificationKind, LesContext, ModuleId, Value
 from les_deduce.chartdata import (
     ChartValidationError,
     SesRecord,
@@ -27,7 +27,6 @@ from golden_table import ROWS
 MINIMAL = {
     "schemaVersion": "1",
     "maxStem": 10,
-    "generators": [{"name": "η", "stem": 1, "filtration": 1}],
     "elements": [],
     "actions": [],
     "classifications": [],
@@ -35,7 +34,6 @@ MINIMAL = {
     "ranks": [],
     "axioms": [],
     "tmfNameOverrides": [],
-    "periodicPresentations": {},
 }
 
 
@@ -81,7 +79,6 @@ class TestLoad:
 
     def test_rank_dimensions_checked(self):
         doc = dict(MINIMAL)
-        doc["generators"] = MINIMAL["generators"] + [{"name": "v₁", "stem": 2, "filtration": 0}]
         doc["elements"] = [
             {"module": "Y", "name": "y_{8,2}", "stem": 8, "filtration": 2},
             {"module": "M", "name": "m_{6,2}", "stem": 6, "filtration": 2},
@@ -171,22 +168,12 @@ class TestExpandPeriodic:
             if n >= 8:
                 assert (n - 8, v) in index
 
-    def test_exceptional_monomials_exist_in_m_expansion(self, chart):
+    def test_exceptional_monomials_exist_in_m_expansion(self):
         # Each stem of the E^M and F^M listings holds a Moore monomial.
-        stems = {m.stem for m in expand_periodic(ModuleId.M, 176, chart.periodic_presentations)}
+        stems = {m.stem for m in expand_periodic(ModuleId.M, 176)}
         for context in (LesContext.LES_23, LesContext.LES_24):
             listing, listing_stems = chartdata.EXCEPTIONAL_LISTINGS[(context, ModuleId.M)]
             assert listing_stems <= stems, listing
-
-    def test_m_k0_fraction_is_dataset_driven(self, chart):
-        # The shipped presentation matches the default fraction; emptying it
-        # must remove the k = 0 lifts from the expansion.
-        default = expand_periodic(ModuleId.M, 60, chart.periodic_presentations)
-        bare = expand_periodic(
-            ModuleId.M, 60, {"M": {"k0Positions": {str(i): [] for i in range(8)}}}
-        )
-        assert {m.element.name for m in bare} < {m.element.name for m in default}
-        assert all(m.v1 >= 4 for m in bare)
 
 
 def _shifted_key(key, k):
@@ -345,14 +332,6 @@ class TestDelta8Extend:
         chart = chartdata.from_document(doc)
         with pytest.raises(ChartValidationError, match="Y:blob·Δ⁸"):
             delta8_extend(chart, 1)
-
-    def test_name_encodes_the_shifted_filtration(self):
-        doc = dict(MINIMAL, elements=[{"module": "Y", "name": "y_{3,1}", "stem": 3, "filtration": 1}])
-        doc["generators"] = MINIMAL["generators"] + [{"name": "Δ⁸", "stem": 192, "filtration": 1}]
-        ext = delta8_extend(chartdata.from_document(doc), 2)
-        assert [(e.name, e.stem, e.filtration) for e in ext.elements.values()] == [
-            ("y_{3,1}", 3, 1), ("y_{195,2}", 195, 2), ("y_{387,3}", 387, 3),
-        ]
 
     @pytest.mark.parametrize("kind", sorted(CLASHES))
     def test_equal_copy_is_skipped(self, kind):
@@ -513,6 +492,16 @@ def _repeat_basis(doc):
     record["cokernel"] = ["S:s_{6,2}", "S:s_{6,2}"]
 
 
+def _restate_engine_data(doc):
+    """The generators and periodic presentations, as the earlier format stated them."""
+    doc["generators"] = [{"name": g.name, "stem": g.stem_degree, "filtration": g.filtration_degree}
+                         for g in GENERATORS.values()]
+    doc["periodicPresentations"] = {
+        "Y": {"pattern": "F₂[v₁,Δ⁸]", "minV1ByDeltaMod8": list(chartdata.Y_MIN_V1)},
+        "M": {"k0Positions": {str(n): list(pos) for n, pos in chartdata.M_K0_POSITIONS.items()}},
+    }
+
+
 # (mutation of the shipped document, the whole message of the error it raises)
 MALFORMED = {
     "element-without-module": (_set(("elements", 0, "module"), _DELETE), "elements[0]: missing field 'module'"),
@@ -532,30 +521,6 @@ MALFORMED = {
         "hurewiczFlags['S:s_{100,20}']: must be a boolean, got 'no'",
     ),
     "negative-max-stem": (_set(("maxStem",), -1), "top level: maxStem must be ≥ 0, got -1"),
-    "flash-positions-not-a-list": (
-        _set(("periodicPresentations", "M", "k0Positions", "3"), 5),
-        "periodicPresentations.M.k0Positions['3']: bad flash positions",
-    ),
-    "min-v1-not-an-integer": (
-        _set(("periodicPresentations", "Y", "minV1ByDeltaMod8", 0), "0"),
-        "periodicPresentations.Y needs eight minimal v₁-powers, got ['0', 1, 2, 3, 1, 2, 3, 4]",
-    ),
-    "min-v1-typo": (
-        _set(("periodicPresentations", "Y"), {"minV1ByDeltaMod9": [0, 1, 2, 3, 1, 2, 3, 4]}),
-        "periodicPresentations.Y: unknown fields ['minV1ByDeltaMod9']",
-    ),
-    "flash-positions-typo": (
-        _set(("periodicPresentations", "M"), {"k0positions": SHIPPED["periodicPresentations"]["M"]["k0Positions"]}),
-        "periodicPresentations.M: unknown fields ['k0positions']",
-    ),
-    "sphere-presentation-unknown-field": (
-        _set(("periodicPresentations", "S", "anything"), 1),
-        "periodicPresentations.S: unknown fields ['anything']",
-    ),
-    "pattern-not-a-string": (
-        _set(("periodicPresentations", "Y", "pattern"), 7),
-        "periodicPresentations.Y: pattern must be a string, got 7",
-    ),
     # The exceptional listings live in ``EXCEPTIONAL_LISTINGS`` alone.
     "exceptional-sets-restated": (
         _set(("exceptionalSets",), {
@@ -566,6 +531,18 @@ MALFORMED = {
         }),
         "top level: unknown fields ['exceptionalSets']",
     ),
+    # So do the ring generators (``algebra.GENERATORS``) and the periodic
+    # presentations: a document that restates either, as the earlier format
+    # did, is rejected.
+    "generators-restated": (
+        _set(("generators",), [{"name": "Δ⁸", "stem": 192, "filtration": 1}]),
+        "top level: unknown fields ['generators']",
+    ),
+    "earlier-format": (
+        _restate_engine_data,
+        "top level: unknown fields ['generators', 'periodicPresentations']",
+    ),
+    "unknown-generator": (_set(("actions", 0, "generator"), "λ"), "actions[0]: unknown generator 'λ'"),
     "torsion-y-without-v1-action": (
         _set(V1_ON_Y44, _DELETE),
         "classifications[220]: torsion class Y:y_{44,8} in LES-2.3 has no v₁ action",
@@ -603,10 +580,6 @@ MALFORMED = {
     "duplicate-element": (
         _append(("elements",), SHIPPED["elements"][0]),
         "elements[207]: duplicate element M:m_{6,2}",
-    ),
-    "duplicate-generator": (
-        _append(("generators",), SHIPPED["generators"][0]),
-        "generators[10]: duplicate generator 2",
     ),
     "duplicate-classification": (
         _append(("classifications",), SHIPPED["classifications"][0]),

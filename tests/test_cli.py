@@ -44,6 +44,17 @@ class TestValidate:
         with pytest.raises(chartdata.ChartValidationError, match="not UTF-8"):
             chartdata.load(bad)
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000, encoding="utf-8")
+        with pytest.raises(chartdata.ChartValidationError) as error:
+            chartdata.load(deep)
+        assert str(error.value) == "malformed JSON: nested too deeply"
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "validate", str(deep))
+        assert err.value.code == 1
+        assert capsys.readouterr().err == "validation error: malformed JSON: nested too deeply\n"
+
     def test_directory(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "validate", str(tmp_path))
@@ -84,6 +95,14 @@ class TestDeduce:
         entries = json.loads(log.read_text(encoding="utf-8"))
         assert any(e["rule"] == "T4" for e in entries)
         assert all({"fact", "value", "rule", "inputs"} <= set(e) for e in entries)
+
+    def test_unwritable_log(self, tmp_path, capsys):
+        log = tmp_path / "missing" / "log.json"
+        code, out, err = run(capsys, "deduce", str(DATA), "--log", str(log))
+        assert code == 1
+        assert out.startswith("saturated: ") and "written" not in out
+        assert err == f"error: cannot write {log}: No such file or directory\n"
+        assert not log.parent.exists()
 
     def test_contradiction_exit_code(self, tmp_path, chart_document, capsys):
         doc = json.loads(json.dumps(chart_document))

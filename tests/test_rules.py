@@ -12,8 +12,8 @@ from les_deduce.algebra import (
     ClassificationKind,
     Element,
     LesContext,
+    GENERATORS,
     ModuleId,
-    RingGenerator,
     Value,
     span_of,
 )
@@ -107,9 +107,7 @@ def t4_parents(store):
 
 def mini_chart(records, elements, actions=(), axioms=()):
     return ChartFile(
-        schema_version="1",
         max_stem=300,
-        generators={"κ̄": RingGenerator("κ̄", 20, 4)},
         elements={e.key: e for e in elements},
         actions=ActionTable(actions),
         classifications=[],
@@ -121,7 +119,6 @@ def mini_chart(records, elements, actions=(), axioms=()):
         prior_order_two=frozenset(),
         ses_records=list(records),
         axioms=list(axioms),
-        periodic_presentations={},
     )
 
 
@@ -313,7 +310,7 @@ class TestLinearity:
         assert known(store, chart, "p2", "Y:y_{148,18}").is_zero
 
     def test_guard_unknown_action(self):
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         y = Element(ModuleId.Y, 10, 2, "y")
         ky = Element(ModuleId.Y, 30, 6, "ky")
         m = Element(ModuleId.M, 8, 2, "m")
@@ -325,7 +322,7 @@ class TestLinearity:
 
 class TestPushPlan:
     # The plan is keyed by source element; every map out of its module pushes it.
-    KBAR, V1 = RingGenerator("κ̄", 20, 4), RingGenerator("v₁", 2, 0)
+    KBAR, V1 = GENERATORS["κ̄"], GENERATORS["v₁"]
     OUT_OF_Y = {spec.name for spec in MAP_SPECS.values() if spec.source is ModuleId.Y}
 
     def test_pushes_by_generator_name_with_labels(self):
@@ -401,7 +398,7 @@ class TestT4:
         # is uncharted, yet κ̄·m would sit at filtration ≥ 2 + 4, above the
         # whole upper kernel (filtration 5), so p(y) = 0.  LIN cannot derive
         # this; the brute-force oracle confirms it and EXACT's completion.
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         yp = Element(ModuleId.Y, 10, 1, "yp")
         m = Element(ModuleId.M, 8, 2, "m")
         other = Element(ModuleId.Y, 30, 3, "other")
@@ -429,7 +426,7 @@ class TestT4:
         assert check_soundness(chart, store, fillings) == []
 
     def test_guard_floor_within_kernel_range(self):
-        kbar = RingGenerator("κ̄", 20, 4)
+        kbar = GENERATORS["κ̄"]
         yp = Element(ModuleId.Y, 10, 2, "yp")
         y = Element(ModuleId.Y, 30, 6, "y")
         other = Element(ModuleId.Y, 30, 3, "other")

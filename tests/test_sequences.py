@@ -51,7 +51,6 @@ class TestImageOfP3:
             {
                 "schemaVersion": "1",
                 "maxStem": 0,
-                "generators": [],
                 "elements": [],
                 "actions": [],
                 "classifications": [],
@@ -59,7 +58,6 @@ class TestImageOfP3:
                 "ranks": [],
                 "axioms": [],
                 "tmfNameOverrides": [],
-                "periodicPresentations": {},
             }
         )
         assert image_of_p3(FactStore(), empty) == []
@@ -296,7 +294,6 @@ def ses27_document(elements, record, axioms=()):
     return {
         "schemaVersion": "1",
         "maxStem": 20,
-        "generators": [],
         "elements": [
             {"module": module, "name": name, "stem": stem, "filtration": filtration}
             for module, name, stem, filtration in elements
@@ -309,7 +306,6 @@ def ses27_document(elements, record, axioms=()):
         ],
         "axioms": list(axioms),
         "tmfNameOverrides": [],
-        "periodicPresentations": {},
     }
 
 
