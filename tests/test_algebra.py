@@ -81,6 +81,27 @@ class TestFiltrationFloor:
             filtration_floor(ZERO)
 
 
+class TestRingGenerator:
+    # ``GENERATORS`` is the one home of the generators' degrees.
+    def test_fixed_stem_degrees(self):
+        assert {name: g.stem_degree for name, g in GENERATORS.items()} == {
+            "η": 1, "ν": 3, "κ": 14, "κ̄": 20, "c₄": 8, "c₆": 12, "Δ": 24, "Δ⁸": 192, "v₁": 2, "2": 0,
+        }
+        assert all(g.name == name for name, g in GENERATORS.items())
+
+    def test_kappabar_filtration_pinned(self):
+        assert GENERATORS["κ̄"].filtration_degree == 4
+        assert {name for name, g in GENERATORS.items() if g.filtration_degree} == {"η", "ν", "κ", "κ̄"}
+
+    def test_delta8_has_filtration_zero(self):
+        # The families are 192-periodic because Δ⁸ acts in filtration 0.
+        assert GENERATORS["Δ⁸"] == ("Δ⁸", 192, 0)
+
+    def test_unknown_name(self):
+        assert "λ" not in GENERATORS
+        assert ActionTable().act("λ", span_of(Y50_4)) is None
+
+
 class TestActionFact:
     def test_stem_law(self):
         kbar = GENERATORS["κ̄"]

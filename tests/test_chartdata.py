@@ -175,6 +175,18 @@ class TestExpandPeriodic:
             listing, listing_stems = chartdata.EXCEPTIONAL_LISTINGS[(context, ModuleId.M)]
             assert listing_stems <= stems, listing
 
+    def test_m_k0_lifts_follow_the_flash_positions(self):
+        # The k = 0 lifts on Δⁿ (v₁-power below 4) are exactly the positions
+        # ``M_K0_POSITIONS[n mod 8]`` of the lightning flash.
+        bound = 250
+        lifts = {}
+        for m in expand_periodic(ModuleId.M, bound):
+            if m.v1 < 4:
+                lifts.setdefault(m.delta, set()).add((m.v1, m.eta))
+        for n in range((bound - 4) // 24 + 1):
+            wanted = {chartdata.FLASH_POSITIONS[pos] for pos in chartdata.M_K0_POSITIONS[n % 8]}
+            assert lifts.get(n, set()) == wanted, n
+
 
 def _shifted_key(key, k):
     """The key of the k-th Δ⁸ copy of a shipped element (all are named x_{i,j})."""
@@ -332,6 +344,14 @@ class TestDelta8Extend:
         chart = chartdata.from_document(doc)
         with pytest.raises(ChartValidationError, match="Y:blob·Δ⁸"):
             delta8_extend(chart, 1)
+
+    def test_copy_keeps_its_filtration(self):
+        # Δ⁸ has filtration 0, so each copy sits at the original's filtration.
+        doc = dict(MINIMAL, elements=[{"module": "Y", "name": "y_{3,1}", "stem": 3, "filtration": 1}])
+        ext = delta8_extend(chartdata.from_document(doc), 2)
+        assert [(e.name, e.stem, e.filtration) for e in ext.elements.values()] == [
+            ("y_{3,1}", 3, 1), ("y_{195,1}", 195, 1), ("y_{387,1}", 387, 1),
+        ]
 
     @pytest.mark.parametrize("kind", sorted(CLASHES))
     def test_equal_copy_is_skipped(self, kind):
@@ -542,7 +562,13 @@ MALFORMED = {
         _restate_engine_data,
         "top level: unknown fields ['generators', 'periodicPresentations']",
     ),
+    "presentations-restated": (
+        _set(("periodicPresentations",), {"Y": {"minV1ByDeltaMod8": [0, 1, 2, 3, 1, 2, 3, 4]}}),
+        "top level: unknown fields ['periodicPresentations']",
+    ),
     "unknown-generator": (_set(("actions", 0, "generator"), "λ"), "actions[0]: unknown generator 'λ'"),
+    "generator-not-a-string": (_set(("actions", 0, "generator"), 7), "actions[0]: generator must be a string, got 7"),
+    "empty-generator": (_set(("actions", 0, "generator"), ""), "actions[0]: generator must not be empty"),
     "torsion-y-without-v1-action": (
         _set(V1_ON_Y44, _DELETE),
         "classifications[220]: torsion class Y:y_{44,8} in LES-2.3 has no v₁ action",
