@@ -42,6 +42,8 @@ def test_serialize(store):
     "snapshot, argv",
     [
         ("table.json", ("table", "--format", "json")),
+        ("table.md", ("table", "--format", "md")),
+        ("table.csv", ("table", "--format", "csv")),
         ("families.txt", ("families",)),
         ("check.json", ("check", "--json")),
     ],
