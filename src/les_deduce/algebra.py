@@ -19,12 +19,25 @@ checks or derives fields (``Element`` and ``ActionFact`` here,
 ``chartdata.SesRecord``) is a subclass of its fields' named tuple with
 a ``__new__`` that checks, then builds the tuple; derived fields come last,
 and ``_replace`` goes through that constructor too (``checked_replace``).
+
+The records, and the dicts and lists that hold them, never refer back to
+their owners, so the engine builds no reference cycles and reference
+counting alone frees what it allocates.  ``acyclic`` runs a function with
+CPython's cyclic garbage collector paused, which then spends no time
+scanning the engine's data for cycles that are not there; the six stages
+of a report (``chartdata.loads``, ``chartdata.delta8_extend``,
+``rules.saturate``, ``sequences.check_all``, ``families.build_table`` and
+``families.emit_families``) carry it.  A call made while the collector is
+already off leaves it off.  ``tests/test_algebra.py::TestAcyclic`` checks
+that each stage leaves no cyclic garbage behind.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from enum import Enum
+from functools import wraps
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional
 
@@ -50,6 +63,23 @@ class UndefinedFloorError(ValueError):
 NAME_CONVENTION = re.compile(r"^([a-z])_\{(-?\d+),(-?\d+)\}$")
 
 new_tuple = tuple.__new__  # builds a named tuple without its constructor
+
+
+def acyclic(fn):
+    """``fn`` run with the cyclic garbage collector paused, and restored to
+    its previous state on return or raise; ``fn`` must build no cycles."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def checked_replace(self, **changes):

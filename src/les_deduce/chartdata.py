@@ -55,6 +55,7 @@ from .algebra import (
     LesContext,
     ModuleId,
     Value,
+    acyclic,
     checked_newargs,
     checked_replace,
     new_tuple,
@@ -652,6 +653,7 @@ class _ChartRecords:
                 self._clash("tmfNameOverrides", cell, present, name, where)
 
 
+@acyclic
 def loads(text: str) -> ChartFile:
     try:
         doc = json.loads(text)
@@ -852,6 +854,7 @@ def _shifted_value(value: Value, shifted: Dict[Element, Element]) -> Value:
     return Value.known(span_of(*(shifted[e] for e in value.span)))
 
 
+@acyclic
 def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     """``chart`` with a Δ⁸-shifted copy of every record for each k ≤ copies.
 

@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 unreadable or invalid dataset, or (``deduce
 saturated store, 3 acceptance mismatch against the frozen family sets, 4
 (``families``) a family verdict left undetermined because the dataset
 lacks an entry it reads: a lift's Hurewicz flag, or its order, or the lift
-itself.
+itself; (``table``) a row whose p₁ image vanishes with no i₁-lift
+recorded, printed as "?" in the markdown and CSV lift cell.
 The dataset path may be omitted when LES_DEDUCE_DATA is set.
 """
 
@@ -26,6 +27,7 @@ from .families import (
     IncompleteRowError,
     build_table,
     emit_families,
+    missing_lift,
     render_table_csv,
     render_table_json,
     render_table_markdown,
@@ -100,8 +102,13 @@ def cmd_table(args: argparse.Namespace) -> int:
         sys.stdout.write(render_table_csv(rows))
     else:
         sys.stdout.write(render_table_json(rows))
+    missing = [note for note in map(missing_lift, rows) if note]
+    for note in missing:
+        print(f"undetermined: {note}", file=sys.stderr)
     if store.contradictions:
         return EXIT_CONTRADICTION
+    if missing:
+        return EXIT_UNDETERMINED
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .algebra import Element, Value, new_tuple
+from .algebra import Element, Value, acyclic, new_tuple
 from .chartdata import ChartFile
 from .sequences import FactStore, fact_key
 from .rules import fact_labels
@@ -95,6 +95,7 @@ def _ordered_labels(labels: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(_TECHNIQUES.intersection(labels)))
 
 
+@acyclic
 def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
     """One row per image-of-p₃ class, sorted by (stem, filtration).
 
@@ -193,6 +194,14 @@ def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyRe
     return _classify(row, row.p2_element, row.p1_element, chart)
 
 
+def missing_lift(row: TableRow) -> Optional[str]:
+    """Why ``row`` is incomplete when its p₁ image vanishes but no i₁-lift is
+    recorded (exactness says one exists, so the dataset lacks it); else None."""
+    if row.lift_i1 is None and row.img_p1 is not None and row.img_p1.is_zero:
+        return f"row {row.img_p3.key}: p1 image vanishes but no i1-lift of {row.p2_element.key} is recorded"
+    return None
+
+
 def _classify(row: TableRow, m: Optional[Element], s: Optional[Element], chart: ChartFile) -> Optional[FamilyReport]:
     """``classify_three_options`` with the row's p₂ and p₁ elements given."""
     if m is None:
@@ -209,9 +218,7 @@ def _classify(row: TableRow, m: Optional[Element], s: Optional[Element], chart: 
         return None
     lift = row.lift_i1
     if lift is None:
-        raise IncompleteRowError(
-            f"row {row.img_p3.key}: p1 image vanishes but no i1-lift of {m.key} is recorded"
-        )
+        raise IncompleteRowError(missing_lift(row))
     in_hurewicz = chart.hurewicz.get(lift.key)
     if in_hurewicz is None:
         raise MissingPremiseError(f"no Hurewicz flag for {lift.key} (hurewiczFlags), witness {row.img_p3.key}")
@@ -237,6 +244,7 @@ def _classify(row: TableRow, m: Optional[Element], s: Optional[Element], chart: 
     return None
 
 
+@acyclic
 def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
     """All family reports, deduplicated modulo the 192-periodicity, and a
     line for each row whose verdict misses a premise (``undetermined``).
@@ -311,6 +319,13 @@ def _cell(value: Optional[Value]) -> str:
     return ", ".join(sorted(e.name for e in value.span))
 
 
+def _lift_cell(row: TableRow) -> str:
+    """The lift's name; "?" when the row needs a lift and none is recorded."""
+    if row.lift_i1 is not None:
+        return row.lift_i1.name
+    return "?" if missing_lift(row) else ""
+
+
 def render_table_markdown(rows: List[TableRow]) -> str:
     header = "| img(p₃) | img(p₂) | (T) | img(p₁) | i₁⁻¹(−) | (T) | name in tmf₊ |"
     sep = "|---|---|---|---|---|---|---|"
@@ -322,7 +337,7 @@ def render_table_markdown(rows: List[TableRow]) -> str:
             p1 = lift = t1 = name = ""
         else:
             p1 = _cell(row.img_p1)
-            lift = row.lift_i1.name if row.lift_i1 is not None else ""
+            lift = _lift_cell(row)
             t1 = ",".join(row.tech_p1)
             name = row.tmf_name or ""
         mark = " ⚠" if row.flagged else ""
@@ -343,7 +358,7 @@ def render_table_csv(rows: List[TableRow]) -> str:
                 _cell(row.img_p2),
                 ",".join(row.tech_p2),
                 _cell(row.img_p1) if row.p2_element is not None else "",
-                row.lift_i1.name if row.lift_i1 is not None else "",
+                _lift_cell(row),
                 ",".join(row.tech_p1),
                 row.tmf_name or "",
                 "1" if row.flagged else "",

@@ -71,6 +71,7 @@ from .algebra import (
     Element,
     ModuleId,
     Value,
+    acyclic,
     filtration_floor,
     new_tuple,
     span_of,
@@ -432,6 +433,7 @@ ALL_RULES: Tuple[Tuple[str, Rule], ...] = (
 CHART_ONLY = frozenset({"PERIODIC", "EXC", "T1", "T2", "T3"})
 
 
+@acyclic
 def saturate(
     chart: ChartFile,
     store: Optional[FactStore] = None,

@@ -31,6 +31,7 @@ from .algebra import (
     Value,
     ZERO,
     _KNOWN,
+    acyclic,
     filtration_floor,
     new_tuple,
     span_add,
@@ -340,6 +341,7 @@ class JunctionVerdict(NamedTuple):
     detail: str = ""
 
 
+@acyclic
 def check_all(store: FactStore, chart: ChartFile) -> List[JunctionVerdict]:
     """Junction-local exactness report: each LES's three junctions at every
     anchor stem, the stems of the chart's elements.

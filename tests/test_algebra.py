@@ -1,6 +1,8 @@
-"""Span arithmetic, knowledge states, generator actions, and the record tuples."""
+"""Span arithmetic, knowledge states, generator actions, the record tuples,
+and the report stages' pause of the cyclic garbage collector."""
 
 import copy
+import gc
 import pickle
 import random
 from operator import attrgetter
@@ -19,12 +21,16 @@ from les_deduce.algebra import (
     UndefinedFloorError,
     Value,
     ZERO,
+    acyclic,
     filtration_floor,
     span_add,
     span_of,
     values_equal_mod_higher,
 )
+from les_deduce import chartdata, families, rules, sequences
+from les_deduce.chartdata import ChartValidationError
 from les_deduce.families import _single
+from les_deduce.oracle import run_soundness_trial
 
 
 def el(module, stem, filt, name):
@@ -397,3 +403,123 @@ class TestOneClassFastPaths:
         if value is not None and value.is_known and len(value.span) == 1:
             by_definition = next(iter(value.span))
         assert _single(value) == by_definition
+
+
+# The six stages of a report, each run on the output of the ones before it.
+STAGES = {
+    "loads": (chartdata.loads, lambda s: (s["text"],)),
+    "delta8_extend": (chartdata.delta8_extend, lambda s: (s["chart"], 2)),
+    "saturate": (rules.saturate, lambda s: (s["chart"],)),
+    "check_all": (sequences.check_all, lambda s: (s["store"], s["chart"])),
+    "build_table": (families.build_table, lambda s: (s["store"], s["chart"])),
+    "emit_families": (families.emit_families, lambda s: (s["rows"], s["chart"])),
+}
+
+
+@pytest.fixture
+def collector_restored():
+    """Re-enable the collector after the test, whatever the test left."""
+    yield
+    gc.enable()
+
+
+def cyclic_garbage(run) -> int:
+    """Objects in reference cycles that ``run()`` leaves once its result is
+    dropped: what ``gc.collect()`` finds with the collector off throughout."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture(scope="module", params=[0, 2], ids=["shipped", "delta8x2"])
+def scale(request, chart):
+    """Each stage's inputs on the shipped chart or its Δ⁸×2 extension."""
+    extended = chartdata.delta8_extend(chart, request.param)
+    store = rules.saturate(extended)
+    return {
+        "text": chartdata.dumps(extended),
+        "chart": extended,
+        "store": store,
+        "rows": families.build_table(store, extended),
+    }
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestAcyclic:
+    """``acyclic`` pauses the cyclic collector in the report stages, which is
+    sound only while the stages build no reference cycles: these tests keep
+    both true."""
+
+    @pytest.mark.parametrize("name", STAGES)
+    def test_stage_carries_the_decorator(self, name):
+        stage = STAGES[name][0]
+        assert stage.__wrapped__.__name__ == name
+        assert stage.__code__ is acyclic(len).__code__
+
+    @pytest.mark.parametrize("name", STAGES)
+    def test_stage_builds_no_cycles(self, scale, name):
+        stage, args = STAGES[name]
+        assert cyclic_garbage(lambda: stage(*args(scale))) == 0
+
+    def test_load_builds_no_cycles(self):
+        from conftest import DATA
+
+        assert cyclic_garbage(lambda: chartdata.load(DATA)) == 0
+
+    def test_oracle_trials_build_no_cycles(self):
+        assert cyclic_garbage(lambda: [run_soundness_trial(seed) for seed in range(200)]) == 0
+
+    def test_loader_failure_builds_no_cycles(self):
+        raised = []
+
+        def run():
+            try:
+                chartdata.loads('{"schemaVersion": "1", "surprise": true}')
+            except ChartValidationError as exc:
+                raised.append(str(exc))
+
+        assert cyclic_garbage(run) == 0
+        assert raised == ["top level: unknown fields ['surprise']"]
+
+    def test_pauses_and_restores(self):
+        seen = []
+
+        @acyclic
+        def probe():
+            seen.append(gc.isenabled())
+            return "done"
+
+        gc.enable()
+        assert probe() == "done" and gc.isenabled()
+        assert seen == [False]
+
+    def test_restores_after_a_raise(self):
+        @acyclic
+        def fails():
+            assert not gc.isenabled()
+            raise KeyError("boom")
+
+        gc.enable()
+        with pytest.raises(KeyError):
+            fails()
+        assert gc.isenabled()
+
+    def test_leaves_a_paused_collector_paused(self):
+        @acyclic
+        def inner():
+            return gc.isenabled()
+
+        @acyclic
+        def outer():
+            return inner(), gc.isenabled()
+
+        gc.disable()
+        assert inner() is False and not gc.isenabled()
+        gc.enable()
+        assert outer() == (False, False) and gc.isenabled()

@@ -86,6 +86,43 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0].startswith("imgP3,")
 
+    def test_missing_lift_is_undetermined(self, tmp_path, chart_document, capsys):
+        # Without ranks[80], the p₁ images of y_{82,6} and y_{102,10} vanish
+        # with no i₁-lift recorded: "?" in the lift cell, where a row that
+        # needs no lift has an empty one, a line per row, and exit 4.
+        doc = json.loads(json.dumps(chart_document))
+        del doc["ranks"][80]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        notes = (
+            "undetermined: row Y:y_{82,6}: p1 image vanishes but no i1-lift of M:m_{80,16} is recorded\n"
+            "undetermined: row Y:y_{102,10}: p1 image vanishes but no i1-lift of M:m_{100,20} is recorded\n"
+        )
+        code, out, err = run(capsys, "table", str(broken), "--format", "md")
+        assert (code, err) == (4, notes)
+        assert "\n| y_{82,6} | m_{80,16} | 2 | 0 | ? | 3 |  |\n" in out
+        assert "\n| y_{26,4} | m_{24,6} | 2 | 0 | s_{24,0} | 1 | 8Δ |\n" in out
+        code, out, err = run(capsys, "table", str(broken), "--format", "csv")
+        assert (code, err) == (4, notes)
+        assert '\n"y_{82,6}","m_{80,16}",2,0,?,3,,\n' in out
+        code, out, err = run(capsys, "table", str(broken), "--format", "json")
+        assert (code, err) == (4, notes)
+        (row,) = [row for row in json.loads(out) if row["imgP3"] == "Y:y_{82,6}"]
+        assert row["imgP1"] == "0" and row["liftI1"] is None
+
+    def test_missing_lift_with_contradiction(self, tmp_path, chart_document, capsys):
+        # A contradiction in the store outranks the missing lift, as in ``families``.
+        doc = json.loads(json.dumps(chart_document))
+        del doc["ranks"][80]
+        doc["axioms"].append({"map": "p2", "source": "Y:y_{8,2}", "value": []})
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run(capsys, "table", str(broken), "--format", "md")
+        assert code == 2
+        assert "\n| y_{82,6} | m_{80,16} | 2 | 0 | ? | 3 |  |\n" in out
+        assert err.startswith("undetermined: row Y:y_{82,6}: ")
+        assert run(capsys, "families", str(broken))[0] == 2
+
 
 class TestDeduce:
     def test_log_written(self, tmp_path, capsys):
