@@ -9,7 +9,7 @@ tests/golden/log.json``.  The Δ⁸×2 reports are too large to commit, so
 ``delta8x2.sha256`` pins their SHA-256 digests, and that of the ``deduce
 --log`` derivation log, in ``sha256sum`` format; to refresh it, write each
 report of the dumped Δ⁸×2 chart to the file it names and run ``sha256sum
-check.json table.json families.txt log.json``.
+check.json table.json table.md table.csv families.txt log.json``.
 """
 
 import hashlib
@@ -62,6 +62,8 @@ def test_derivation_log(capsys, tmp_path):
 DELTA8X2_REPORTS = {
     "check.json": ("check", "--json"),
     "table.json": ("table", "--format", "json"),
+    "table.md": ("table", "--format", "md"),
+    "table.csv": ("table", "--format", "csv"),
     "families.txt": ("families",),
 }
 
