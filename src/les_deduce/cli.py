@@ -2,12 +2,14 @@
 
 Subcommands: ``validate``, ``deduce``, ``table``, ``families``, ``check``.
 Exit codes: 0 success, 1 unreadable or invalid dataset, or (``deduce
---log``) a log path that cannot be written, 2 contradictions in the
-saturated store, 3 acceptance mismatch against the frozen family sets, 4
-(``families``) a family verdict left undetermined because the dataset
-lacks an entry it reads: a lift's Hurewicz flag, or its order, or the lift
-itself; (``table``) a row whose p₁ image vanishes with no i₁-lift
-recorded, printed as "?" in the markdown and CSV lift cell.
+--log``) a log path that cannot be written, or standard output closed
+early, 2 contradictions in the saturated store, 3 acceptance mismatch
+against the frozen family sets, 4 (``families``) a family verdict left
+undetermined because the dataset lacks an entry it reads: the lift itself,
+or its Hurewicz flag, or its order; ``families`` names every such row and
+still prints every family it can decide; (``table``) a row whose p₁ image
+vanishes with no i₁-lift recorded, printed as "?" in the markdown and CSV
+lift cell.
 The dataset path may be omitted when LES_DEDUCE_DATA is set.
 """
 
@@ -24,7 +26,6 @@ from . import chartdata
 from .chartdata import ChartValidationError
 from .families import (
     FamiliesResult,
-    IncompleteRowError,
     build_table,
     emit_families,
     missing_lift,
@@ -131,12 +132,7 @@ def _print_families(result: FamiliesResult) -> None:
 
 def cmd_families(args: argparse.Namespace) -> int:
     chart, store = _saturated(args.dataset)
-    rows = build_table(store, chart)
-    try:
-        result = emit_families(rows, chart)
-    except IncompleteRowError as exc:
-        print(f"undetermined: {exc}")
-        return EXIT_CONTRADICTION if store.contradictions else EXIT_UNDETERMINED
+    result = emit_families(build_table(store, chart), chart)
     _print_families(result)
     if store.contradictions:
         return EXIT_CONTRADICTION
@@ -207,7 +203,17 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away; as the ``signal`` docs advise, point standard
+        # output at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

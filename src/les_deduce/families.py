@@ -12,6 +12,13 @@ value then classify into one of three family kinds:
 * ``caseII``    the lift misses the Hurewicz image entirely: a family with
   trivial Hurewicz image, one stem below the lift.
 
+A verdict never reads an absent dataset entry as a value.  A row whose
+verdict reads the i₁-lift, the lift's Hurewicz flag or its order, where the
+chart leaves that entry out, raises ``MissingPremiseError`` in
+``classify_three_options``; ``emit_families`` turns each such row into an
+``undetermined`` line naming the entry and still reports every family it
+can decide.
+
 The two golden sets are frozen here: the seven caseII base stems and the nine
 Hurewicz-image names whose simple 2-torsion was not previously recorded
 (prior-known ones carry a dataset flag and are reported but excluded from the
@@ -33,6 +40,8 @@ from .chartdata import ChartFile
 from .sequences import FactStore, fact_key
 from .rules import fact_labels
 
+PERIOD = 192  # every family repeats with the Δ⁸-periodicity
+
 TRIVIAL_HUREWICZ_BASE_STEMS = frozenset({23, 47, 71, 74, 95, 119, 167})
 
 NEW_ORDER_TWO_IMAGES = frozenset(
@@ -40,12 +49,9 @@ NEW_ORDER_TWO_IMAGES = frozenset(
 )
 
 
-class IncompleteRowError(ValueError):
-    """A row violates the lift obligation: zero projection but no lift found."""
-
-
 class MissingPremiseError(ValueError):
-    """A row's family verdict reads a dataset entry that the chart leaves out."""
+    """A row's family verdict reads a dataset entry that the chart leaves out:
+    the i₁-lift, its Hurewicz flag or its order."""
 
 
 def _single(value: Optional[Value]) -> Optional[Element]:
@@ -140,7 +146,6 @@ def build_table(store: FactStore, chart: ChartFile) -> List[TableRow]:
 
 class FamilyReport(NamedTuple):
     base_stem: int
-    period: int
     kind: str  # caseI | caseII | directP1
     witness: Element  # the p₃-image class anchoring the family
     hurewicz_image_name: Optional[str]
@@ -149,7 +154,7 @@ class FamilyReport(NamedTuple):
         name = f" image {self.hurewicz_image_name}" if self.hurewicz_image_name else ""
         torsion = ", simple 2-torsion" if self.kind == "directP1" else ""
         return (
-            f"{self.kind}: stems {self.base_stem} + {self.period}k{name}{torsion} "
+            f"{self.kind}: stems {self.base_stem} + {PERIOD}k{name}{torsion} "
             f"(witness {self.witness.key})"
         )
 
@@ -167,7 +172,7 @@ class FamiliesResult:
     def golden_diff(self) -> List[str]:
         """Differences against the frozen family sets; empty means acceptance."""
         diff: List[str] = []
-        got_stems = {r.base_stem % 192 for r in self.case_ii}
+        got_stems = {r.base_stem % PERIOD for r in self.case_ii}
         if got_stems != TRIVIAL_HUREWICZ_BASE_STEMS:
             missing = sorted(TRIVIAL_HUREWICZ_BASE_STEMS - got_stems)
             extra = sorted(got_stems - TRIVIAL_HUREWICZ_BASE_STEMS)
@@ -182,18 +187,6 @@ class FamiliesResult:
         return diff
 
 
-def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyReport]:
-    """Apply the three-way family construction to one table row.
-
-    Requires a nonzero Moore-level projection.  A zero sphere projection with
-    no recorded lift is an error: exactness guarantees a lift exists, so its
-    absence means the dataset is incomplete.  An absent entry is no verdict:
-    a lift with no Hurewicz flag, or one flagged true in stem > 3 with no
-    order, raises ``MissingPremiseError`` naming the entry.
-    """
-    return _classify(row, row.p2_element, row.p1_element, chart)
-
-
 def missing_lift(row: TableRow) -> Optional[str]:
     """Why ``row`` is incomplete when its p₁ image vanishes but no i₁-lift is
     recorded (exactness says one exists, so the dataset lacks it); else None."""
@@ -202,46 +195,37 @@ def missing_lift(row: TableRow) -> Optional[str]:
     return None
 
 
-def _classify(row: TableRow, m: Optional[Element], s: Optional[Element], chart: ChartFile) -> Optional[FamilyReport]:
-    """``classify_three_options`` with the row's p₂ and p₁ elements given."""
-    if m is None:
+def classify_three_options(row: TableRow, chart: ChartFile) -> Optional[FamilyReport]:
+    """Apply the three-way family construction to one table row.
+
+    Requires a nonzero Moore-level projection.  An absent entry is no
+    verdict: a zero sphere projection with no recorded lift (exactness
+    guarantees one, so the dataset lacks it), a lift with no Hurewicz flag,
+    or one flagged true in stem > 3 with no order, raises
+    ``MissingPremiseError`` naming the entry.  A lift flagged true in stem
+    ≤ 3 lies outside the case-I hypotheses and gives None.
+    """
+    if row.p2_element is None:
         return None
+    s = row.p1_element
     if s is not None:
-        return FamilyReport(
-            base_stem=s.stem,
-            period=192,
-            kind="directP1",
-            witness=row.img_p3,
-            hurewicz_image_name=row.tmf_name,
-        )
+        return FamilyReport(s.stem, "directP1", row.img_p3, row.tmf_name)
     if row.img_p1 is None or not row.img_p1.is_zero:
         return None
     lift = row.lift_i1
     if lift is None:
-        raise IncompleteRowError(missing_lift(row))
+        raise MissingPremiseError(missing_lift(row))
     in_hurewicz = chart.hurewicz.get(lift.key)
     if in_hurewicz is None:
         raise MissingPremiseError(f"no Hurewicz flag for {lift.key} (hurewiczFlags), witness {row.img_p3.key}")
-    order = chart.orders.get(lift.key)
-    if in_hurewicz and order is None and lift.stem > 3:
-        raise MissingPremiseError(f"no order for {lift.key} (elements.order), witness {row.img_p3.key}")
-    if in_hurewicz and order != "inf" and lift.stem > 3:
-        return FamilyReport(
-            base_stem=lift.stem,
-            period=192,
-            kind="caseI",
-            witness=row.img_p3,
-            hurewicz_image_name=row.tmf_name,
-        )
     if not in_hurewicz:
-        return FamilyReport(
-            base_stem=lift.stem - 1,
-            period=192,
-            kind="caseII",
-            witness=row.img_p3,
-            hurewicz_image_name=None,
-        )
-    return None
+        return FamilyReport(lift.stem - 1, "caseII", row.img_p3, None)
+    if lift.stem <= 3:
+        return None
+    order = chart.orders.get(lift.key)
+    if order is None:
+        raise MissingPremiseError(f"no order for {lift.key} (elements.order), witness {row.img_p3.key}")
+    return FamilyReport(lift.stem, "caseI", row.img_p3, row.tmf_name) if order != "inf" else None
 
 
 @acyclic
@@ -255,44 +239,37 @@ def emit_families(rows: List[TableRow], chart: ChartFile) -> FamiliesResult:
     surfaced for human review instead of being merged.
     """
     result = FamiliesResult()
-    seen: Dict[Tuple[str, int], Tuple[FamilyReport, Optional[Element]]] = {}  # with the row's p₁ element
+    seen: Dict[Tuple[str, int], Tuple[FamilyReport, Element]] = {}  # with the class it reports on
     names_by_element: Dict[str, set] = {}
     for row in rows:
-        m = row.p2_element
-        if m is None:
-            continue
-        s, lift, img_p1 = row.p1_element, row.lift_i1, row.img_p1
-        if (
-            img_p1 is not None
-            and img_p1.is_zero
-            and lift is not None
-            and chart.hurewicz.get(lift.key, False)
-            and lift.stem <= 3
-        ):
-            result.outside_hypotheses.append(
-                f"row {row.img_p3.key}: lift {lift.key} in stem ≤ 3, outside the "
-                f"case-I hypotheses"
-            )
         try:
-            report = _classify(row, m, s, chart)
+            report = classify_three_options(row, chart)
         except MissingPremiseError as exc:
             result.undetermined.append(str(exc))
             continue
+        lift = row.lift_i1
         if report is None:
+            # A lift with no verdict is flagged true: a false flag gives
+            # caseII and a missing one an undetermined line.
+            if lift is not None and lift.stem <= 3:
+                result.outside_hypotheses.append(
+                    f"row {row.img_p3.key}: lift {lift.key} in stem ≤ 3, outside the "
+                    f"case-I hypotheses"
+                )
             continue
-        for element in (s, lift):
-            if element is not None and row.tmf_name:
-                names_by_element.setdefault(element.key, set()).add(row.tmf_name)
-        key = (report.kind, report.base_stem % 192)
+        element = row.p1_element if lift is None else lift
+        if row.tmf_name:
+            names_by_element.setdefault(element.key, set()).add(row.tmf_name)
+        key = (report.kind, report.base_stem % PERIOD)
         previous = seen.get(key)
         if previous is None or report.base_stem < previous[0].base_stem:
-            seen[key] = (report, s)
-    for report, s in sorted(seen.values(), key=lambda kept: (kept[0].kind, kept[0].base_stem)):
+            seen[key] = (report, element)
+    for report, element in sorted(seen.values(), key=lambda kept: (kept[0].kind, kept[0].base_stem)):
         if report.kind == "caseI":
             result.case_i.append(report)
         elif report.kind == "caseII":
             result.case_ii.append(report)
-        elif s.key in chart.prior_order_two:
+        elif element.key in chart.prior_order_two:
             result.suppressed_direct_p1.append(report)
         else:
             result.direct_p1.append(report)
@@ -319,31 +296,35 @@ def _cell(value: Optional[Value]) -> str:
     return ", ".join(sorted(e.name for e in value.span))
 
 
-def _lift_cell(row: TableRow) -> str:
-    """The lift's name; "?" when the row needs a lift and none is recorded."""
+def _cells(row: TableRow) -> List[str]:
+    """The seven table cells of ``row``, shared by the markdown and the CSV.
+    The p₁ cell is blank on a row with no Moore-level element, and the lift
+    cell is "?" on a row that needs a lift and has none recorded."""
     if row.lift_i1 is not None:
-        return row.lift_i1.name
-    return "?" if missing_lift(row) else ""
+        lift = row.lift_i1.name
+    else:
+        lift = "?" if missing_lift(row) else ""
+    return [
+        row.img_p3.name,
+        _cell(row.img_p2),
+        ",".join(row.tech_p2),
+        "" if row.p2_element is None else _cell(row.img_p1),
+        lift,
+        ",".join(row.tech_p1),
+        row.tmf_name or "",
+    ]
 
 
 def render_table_markdown(rows: List[TableRow]) -> str:
-    header = "| img(p₃) | img(p₂) | (T) | img(p₁) | i₁⁻¹(−) | (T) | name in tmf₊ |"
-    sep = "|---|---|---|---|---|---|---|"
-    lines = [header, sep]
+    lines = [
+        "| img(p₃) | img(p₂) | (T) | img(p₁) | i₁⁻¹(−) | (T) | name in tmf₊ |",
+        "|---|---|---|---|---|---|---|",
+    ]
     for row in rows:
-        p2 = _cell(row.img_p2)
-        t2 = ",".join(row.tech_p2)
-        if row.p2_element is None:
-            p1 = lift = t1 = name = ""
-        else:
-            p1 = _cell(row.img_p1)
-            lift = _lift_cell(row)
-            t1 = ",".join(row.tech_p1)
-            name = row.tmf_name or ""
-        mark = " ⚠" if row.flagged else ""
-        lines.append(
-            f"| {row.img_p3.name}{mark} | {p2} | {t2} | {p1} | {lift} | {t1} | {name} |"
-        )
+        cells = _cells(row)
+        if row.flagged:
+            cells[0] += " ⚠"
+        lines.append(f"| {' | '.join(cells)} |")
     return "\n".join(lines) + "\n"
 
 
@@ -352,18 +333,7 @@ def render_table_csv(rows: List[TableRow]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["imgP3", "imgP2", "techP2", "imgP1", "liftI1", "techP1", "tmfName", "flagged"])
     for row in rows:
-        writer.writerow(
-            [
-                row.img_p3.name,
-                _cell(row.img_p2),
-                ",".join(row.tech_p2),
-                _cell(row.img_p1) if row.p2_element is not None else "",
-                _lift_cell(row),
-                ",".join(row.tech_p1),
-                row.tmf_name or "",
-                "1" if row.flagged else "",
-            ]
-        )
+        writer.writerow([*_cells(row), "1" if row.flagged else ""])
     return buffer.getvalue()
 
 

@@ -1,13 +1,16 @@
 """Command-line surface: subcommands, formats, exit codes, env fallback."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from les_deduce import chartdata
 from les_deduce.cli import main
 
-from conftest import DATA
+from conftest import DATA, REPO, TESTS
 
 
 def run(capsys, *argv):
@@ -182,17 +185,44 @@ class TestFamilies:
         assert err == ""
 
     def test_missing_lift_is_undetermined(self, tmp_path, chart_document, capsys):
-        # Without ranks[80] the chart still validates, but y_{82,6}'s p₁
-        # image vanishes with no i₁-lift recorded: no verdict, no traceback.
+        # Without ranks[80] the chart still validates, but the p₁ images of
+        # y_{82,6} and y_{102,10} vanish with no i₁-lift recorded: both rows
+        # are named, every other family is printed, no traceback.
         doc = json.loads(json.dumps(chart_document))
         del doc["ranks"][80]
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         assert run(capsys, "validate", str(broken))[0] == 0
         code, out, err = run(capsys, "families", str(broken))
-        assert code == 4
-        assert out == "undetermined: row Y:y_{82,6}: p1 image vanishes but no i1-lift of M:m_{80,16} is recorded\n"
-        assert err == ""
+        golden = (TESTS / "golden" / "families.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [
+            line for line in golden
+            if not line.startswith(("caseI: stems 80 ", "caseI: stems 100 ", "ok: "))
+        ]
+        assert len(kept) == len(golden) - 3
+        assert out == "".join(kept) + (
+            "undetermined: row Y:y_{82,6}: p1 image vanishes but no i1-lift of M:m_{80,16} is recorded\n"
+            "undetermined: row Y:y_{102,10}: p1 image vanishes but no i1-lift of M:m_{100,20} is recorded\n"
+        )
+        assert (code, err) == (4, "")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["families", "table", "check", "validate"])
+    def test_reader_gone(self, command):
+        # A reader that exits early (``les-deduce families DATA | head -2``)
+        # ends the command with exit 1 and nothing on standard error.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "les_deduce.cli", command, str(DATA)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestCheck:

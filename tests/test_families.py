@@ -8,7 +8,7 @@ import pytest
 
 from les_deduce import chartdata
 from les_deduce.families import (
-    IncompleteRowError,
+    MissingPremiseError,
     TRIVIAL_HUREWICZ_BASE_STEMS,
     NEW_ORDER_TWO_IMAGES,
     build_table,
@@ -82,12 +82,15 @@ class TestClassifyThreeOptions:
         assert classify_three_options(row_by_name(rows, "y_{3,1}"), chart) is None
 
     def test_missing_lift_is_an_error(self, rows, chart):
+        # The lift is a premise like its flag: no verdict, and a line naming it.
         row = row_by_name(rows, "y_{26,4}")
         broken = row._replace(lift_i1=None)
-        with pytest.raises(IncompleteRowError):
+        line = "row Y:y_{26,4}: p1 image vanishes but no i1-lift of M:m_{24,6} is recorded"
+        with pytest.raises(MissingPremiseError, match=re.escape(line)):
             classify_three_options(broken, chart)
-        with pytest.raises(IncompleteRowError):
-            emit_families([broken], chart)
+        result = emit_families([broken], chart)
+        assert result.undetermined == [line]
+        assert result.case_ii == [] and result.outside_hypotheses == []
 
     def test_low_stem_lift_reported_not_dropped(self, rows, chart):
         # A Hurewicz-image torsion lift in stem ≤ 3 falls outside the case-I
@@ -134,6 +137,24 @@ class TestEmitFamilies:
         result = emit_families(build_table(store, ext), ext)
         assert {r.base_stem % 192 for r in result.case_ii} == TRIVIAL_HUREWICZ_BASE_STEMS
         assert result.undetermined == []
+
+    def test_every_row_missing_a_lift_is_named(self, rows, chart, chart_document):
+        # Without ranks[80], y_{82,6} and y_{102,10} lose their lifts: both
+        # rows are named, and every other family is still reported.
+        doc = json.loads(json.dumps(chart_document))
+        del doc["ranks"][80]
+        broken = chartdata.from_document(doc)
+        result = emit_families(build_table(saturate(broken), broken), broken)
+        assert result.undetermined == [
+            "row Y:y_{82,6}: p1 image vanishes but no i1-lift of M:m_{80,16} is recorded",
+            "row Y:y_{102,10}: p1 image vanishes but no i1-lift of M:m_{100,20} is recorded",
+        ]
+        full = emit_families(rows, chart)
+        dropped = {"Y:y_{82,6}", "Y:y_{102,10}"}
+        assert result.case_i == [r for r in full.case_i if r.witness.key not in dropped]
+        assert (result.case_ii, result.direct_p1) == (full.case_ii, full.direct_p1)
+        assert result.suppressed_direct_p1 == full.suppressed_direct_p1
+        assert result.review_notes == full.review_notes
 
     def test_prior_known_images_reported_separately(self, rows, chart):
         result = emit_families(rows, chart)
