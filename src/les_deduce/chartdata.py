@@ -5,10 +5,9 @@ keys {schemaVersion, maxStem, hurewiczFlags} plus the record lists of
 ``SCHEMA``, which states each record field's JSON kind and default once.
 Element references everywhere use the key format "MODULE:name".  Unknown
 top-level or record fields are rejected so golden files stay byte-stable.
-``_records`` reads, inline, a value of its field's exact JSON type, a known
-enum value or element key, and a list of known, distinct element keys;
-``_read`` takes nulls, the order's two types and defects.  An action or axiom value with an empty span is the shared
-``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are too.
+``_records`` reads every valid record value inline; ``_read`` takes top-level
+values and names defects.  An action or axiom value with an empty span is the
+shared ``Value.zero()`` or ``Value.nonzero_unknown()``, and its Δ⁸ copies are too.
 
 A ``ranks`` record is one degree of a derived SES, a slice of LES-2.3
 (SES-2.7, SES-2.8) or LES-2.4 (SES-2.9).  ``SesRecord`` reads its maps, the
@@ -30,8 +29,8 @@ filtration 0, so each copy of an element moves 192 stems up and keeps its
 filtration, and the copies of the other records refer to the shifted
 elements.  Every record check runs once, as the record enters, in the one
 ``_ChartRecords`` method that adds its record list: the loader and each Δ⁸
-copy feed it a whole list.  A check builds its message only when it fails;
-the tests pin every message in full.
+copy feed it a whole list.  A check builds its message, location included,
+only when it fails; the tests pin every message in full.
 """
 
 from __future__ import annotations
@@ -279,6 +278,9 @@ class ChartFile:
         return self.tmf_name_overrides.get((row_key, column)) or self.tmf_names.get(element.key)
 
 
+_NO_RECORDS = ChartFile(0, {}, ActionTable(), [], {}, {}, {}, {}, frozenset(), frozenset(), [], [])
+
+
 class ChartValidationError(ValueError):
     """A structural or referential defect in a dataset, with its location."""
 
@@ -341,10 +343,10 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
 
 
 def _read(value, name: str, kind, where: str, elements=None):
-    """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``)
-    where ``_records`` does not read it inline: a top-level value, a null, an
-    order, or a defect, which raises.  JSON types match exactly (``"6"`` is not
-    an integer), no string is empty, and no list of element keys repeats one."""
+    """``value``, the field ``name`` of an object, read as ``kind`` (see ``SCHEMA``):
+    a top-level value, or a record value ``_records`` found defective, which
+    raises.  JSON types match exactly (``"6"`` is not an integer), no string is
+    empty, and no list of element keys repeats one."""
     if type(value) is list and kind in (ELEMENTS, BASIS):
         for index, key in enumerate(value):
             if type(key) is not str or key not in elements:
@@ -367,66 +369,72 @@ def _read(value, name: str, kind, where: str, elements=None):
     return value
 
 
-def _field(obj: dict, name: str, kind, where: str, default=REQUIRED):
+def _field(obj: dict, name: str, kind, where: str, default=REQUIRED, elements=None):
     """``obj[name]`` read as ``kind``, or ``default`` if absent."""
     if name in obj:
-        return _read(obj[name], name, kind, where)
+        return _read(obj[name], name, kind, where, elements)
     if default is REQUIRED:
         raise ChartValidationError(f"{where}: missing field {name!r}")
     return default
 
 
-def _records(doc: dict, name: str, elements: Dict[str, Element]) -> Iterator[tuple[str, dict]]:
-    """The top-level list ``name`` as (location, fields) pairs: each record read
-    against ``SCHEMA[name]``, with the defaults of its absent fields.  A value of
-    its field's exact JSON type, a known enum value or element key, and a list of
-    known, distinct element keys are read inline; ``_read`` takes the rest."""
+def _records(doc: dict, name: str, elements: Dict[str, Element]) -> Iterator[dict]:
+    """The fields of each record of the top-level list ``name``, read against
+    ``SCHEMA[name]``, with the defaults of its absent fields.  Valid values are
+    read inline, an enum value or element key with one lookup; only a defect
+    formats the record's location, and ``_field`` names it."""
     kinds, defaults = _READERS[name]
     # An element key reads like an enum value, with the elements for members.
     members = {field: elements if kind is ELEMENT else kind for field, kind in kinds.items()}
     for index, record in enumerate(_field(doc, name, list, "top level", [])):
-        where = f"{name}[{index}]"
         if type(record) is not dict:
-            raise ChartValidationError(f"{where}: must be an object")
+            raise ChartValidationError(f"{name}[{index}]: must be an object")
         fields = defaults.copy()
         try:
             for field, value in record.items():
                 kind = members[field]  # a KeyError for an unknown field
                 if type(value) is kind and value != "":
                     fields[field] = value
-                elif type(value) is str and type(kind) is dict and value in kind:
+                elif type(kind) is dict:  # a KeyError or TypeError for an unknown value
                     fields[field] = kind[value]
                 elif type(value) is list and (kind is ELEMENTS or kind is BASIS):
-                    try:
-                        fields[field] = [elements[key] for key in value]
-                    except (KeyError, TypeError):  # a dangling or unhashable key
-                        _read(value, field, kind, where, elements)
-                    if len(set(value)) < len(value):
-                        _read(value, field, kind, where, elements)
+                    fields[field] = [elements[key] for key in value]
+                    if len(value) > 1 and len(set(value)) < len(value):
+                        break  # a repeated key
+                elif value is None and kind is BASIS or type(kind) is tuple and type(value) in kind and value != "":
+                    fields[field] = value
                 else:
-                    fields[field] = _read(value, field, kinds[field], where, elements)
-        except (KeyError, ChartValidationError):
-            _require_keys(record, kinds, where)  # unknown fields are reported first
-            raise
-        if len(fields) < len(kinds):
-            missing = next(field for field in kinds if field not in fields)
-            raise ChartValidationError(f"{where}: missing field {missing!r}")
-        yield where, fields
+                    break  # a wrong type, or ""
+            else:
+                if len(fields) == len(kinds):
+                    yield fields
+                    continue
+                field = next(field for field in kinds if field not in fields)  # a missing field
+        except (KeyError, TypeError):  # an unknown field, value or key, or an unhashable one
+            pass
+        where = f"{name}[{index}]"
+        _require_keys(record, kinds, where)
+        _field(record, field, kinds[field], where, REQUIRED, elements)
 
 
-def _off_degree(element: Element, module: ModuleId, stem: int, where: str) -> ChartValidationError:
-    """The error for ``element``, which should live in ``module`` at ``stem``."""
-    return ChartValidationError(f"{where}: {element.key} should live in module {module.value} at stem {stem}")
+def _defect(where: str, i, message: str) -> ChartValidationError:
+    """The error for ``message`` about the record at ``where.format(i)``."""
+    return ChartValidationError(f"{where.format(i)}: {message}")
 
 
-def _value(fields: dict, where: str, head: str) -> Value:
+def _off_degree(element: Element, module: ModuleId, stem: int) -> str:
+    """The defect of ``element``, which should live in ``module`` at ``stem``."""
+    return f"{element.key} should live in module {module.value} at stem {stem}"
+
+
+def _value(fields: dict, where: str, i: int, head: str) -> Value:
     """The ``value``/``nonzero`` pair of an action or axiom record: a span,
     where an absent or empty one is the shared ``Value.zero()``, or the
     shared bare nonzero mark, never both.  A defect's message names the
     record by ``head`` formatted with its fields, e.g. ``axiom {map}``."""
     members = fields["value"]
     if fields["nonzero"] and members is not ABSENT:
-        raise ChartValidationError(f"{where}: {head.format(**fields)}: both value and nonzero set")
+        raise _defect(where, i, f"{head.format(**fields)}: both value and nonzero set")
     if fields["nonzero"]:
         return Value.nonzero_unknown()
     if members is ABSENT or not members:
@@ -434,7 +442,7 @@ def _value(fields: dict, where: str, head: str) -> Value:
     try:
         return Value.known(span_of(*members))
     except DegreeMismatchError as exc:
-        raise ChartValidationError(f"{where}: {head.format(**fields)}: {exc}") from exc
+        raise _defect(where, i, f"{head.format(**fields)}: {exc}") from exc
 
 
 def _value_fields(value: Value) -> dict:
@@ -465,26 +473,27 @@ class _ChartRecords:
     """The record containers of a chart being built, and every check that a typed
     record passes, run once as it enters.  ``from_document`` fills empty ones;
     ``delta8_extend`` adds each copy to ``_ChartRecords(chart)``, whose records it
-    does not check again.  One method adds each record list, from rows led by the
-    record's location; it checks each record on its own, then against the records
+    does not check again.  One method adds each record list, one row per record,
+    at a location such as ``"ranks[{}]"`` that a failed check formats with the
+    row's index.  It checks each record on its own, then against the records
     present (elements enter first, then actions, classifications and ``ranks``),
     with one dict lookup per identity key.  A record that repeats the identity key
     of one present (``_DUPLICATE``) is rejected, except that when ``merge`` is set,
     one equal to it is skipped, and an axiom equal to one present too."""
 
-    def __init__(self, chart: Optional[ChartFile] = None) -> None:
+    def __init__(self, chart: ChartFile = _NO_RECORDS) -> None:
         """Empty containers, or copies of ``chart``'s that merge what is added."""
-        self.merge = chart is not None
-        self.elements = dict(chart.elements) if chart else {}
-        self.orders = dict(chart.orders) if chart else {}
-        self.tmf_names = dict(chart.tmf_names) if chart else {}
-        self.nu_multiples = set(chart.nu_multiples) if chart else set()
-        self.prior_order_two = set(chart.prior_order_two) if chart else set()
-        self.actions = chart.actions.copy() if chart else ActionTable()
-        self.classifications = list(chart.classifications) if chart else []
-        self.ses_records = list(chart.ses_records) if chart else []
-        self.axioms = list(chart.axioms) if chart else []
-        self.tmf_name_overrides = dict(chart.tmf_name_overrides) if chart else {}
+        self.merge = chart is not _NO_RECORDS
+        self.elements = dict(chart.elements)
+        self.orders = dict(chart.orders)
+        self.tmf_names = dict(chart.tmf_names)
+        self.nu_multiples = set(chart.nu_multiples)
+        self.prior_order_two = set(chart.prior_order_two)
+        self.actions = chart.actions.copy()
+        self.classifications = list(chart.classifications)
+        self.ses_records = list(chart.ses_records)
+        self.axioms = list(chart.axioms)
+        self.tmf_name_overrides = dict(chart.tmf_name_overrides)
         self._classified = {(c.element.key, c.context): c for c in self.classifications}
         self._ranked = {(r.context, r.stem): r for r in self.ses_records}
         self._axiom_set = set(self.axioms)
@@ -498,30 +507,30 @@ class _ChartRecords:
             axioms=self.axioms, tmf_name_overrides=self.tmf_name_overrides,
         )
 
-    def _clash(self, name: str, key: tuple, present, record, where: str) -> None:
+    def _clash(self, name: str, key: tuple, present, record, where: str, i: int) -> None:
         """``record`` repeats the ``key`` of ``present``: a merge skips it if equal."""
         if not (self.merge and present == record):
-            raise ChartValidationError(f"{where}: " + _DUPLICATE[name].format(*key))
+            raise _defect(where, i, _DUPLICATE[name].format(*key))
 
-    def add_elements(self, rows: Iterable[tuple]) -> None:
-        """Rows (where, element, order, tmf name, ν-multiple, prior order 2)."""
+    def add_elements(self, rows: Iterable[tuple], where: str) -> None:
+        """Rows (element, order, tmf name, ν-multiple, prior order 2)."""
         elements, orders, tmf_names = self.elements, self.orders, self.tmf_names
         nu_multiples, prior_order_two = self.nu_multiples, self.prior_order_two
-        for row in rows:
-            where, element, order, tmf_name, nu_multiple, prior = row
+        for i, row in enumerate(rows):
+            element, order, tmf_name, nu_multiple, prior = row
             key = element.key
             if element.stem < 0 or element.filtration < 0:
-                raise ChartValidationError(f"{where}: element {key}: negative degree")
+                raise _defect(where, i, f"element {key}: negative degree")
             try:
                 element.check_name_convention()
             except ValueError as exc:
-                raise ChartValidationError(f"{where}: {exc}") from exc
+                raise _defect(where, i, str(exc)) from exc
             if order is not None and order != "inf" and order not in ALLOWED_ORDERS:
-                raise ChartValidationError(f"{where}: element {key}: bad order {order!r}")
+                raise _defect(where, i, f"element {key}: bad order {order!r}")
             present = elements.get(key)
             if present is not None:
                 present = present, orders.get(key), tmf_names.get(key), key in nu_multiples, key in prior_order_two
-                self._clash("elements", (key,), present, row[1:], where)
+                self._clash("elements", (key,), present, row, where, i)
                 continue
             elements[key] = element
             if order is not None:
@@ -533,42 +542,40 @@ class _ChartRecords:
             if prior:
                 prior_order_two.add(key)
 
-    def add_actions(self, rows: Iterable[tuple]) -> None:
-        """Rows (where, generator, source, value)."""
+    def add_actions(self, rows: Iterable[tuple], where: str) -> None:
+        """Rows (generator, source, value)."""
         by_key = self.actions.by_key
-        for where, generator, source, value in rows:
+        for i, (generator, source, value) in enumerate(rows):
             try:
                 fact = ActionFact(generator, source, value)
             except ValueError as exc:
-                raise ChartValidationError(f"{where}: action {generator.name}·{source.key}: {exc}") from exc
+                raise _defect(where, i, f"action {generator.name}·{source.key}: {exc}") from exc
             key = (generator.name, source.key)
             present = by_key.get(key)
             if present is None:
                 by_key[key] = fact
             else:
-                self._clash("actions", key, present, fact, where)
+                self._clash("actions", key, present, fact, where, i)
 
-    def add_classifications(self, rows: Iterable[tuple]) -> None:
-        """Rows (where, classification): a torsion Y class in LES-2.3 with its
-        v₁ action, an exceptional class where an exceptional listing can hold it."""
+    def add_classifications(self, rows: Iterable[tuple], where: str) -> None:
+        """Classifications: a torsion Y class in LES-2.3 with its v₁ action, an
+        exceptional class where an exceptional listing can hold it."""
         actions, classified, classifications = self.actions.by_key, self._classified, self.classifications
-        for where, classification in rows:
+        for i, classification in enumerate(rows):
             element, context, kind = classification
             if kind is _TORSION and context is _LES_23 and element.module is _MODULE_Y:
                 if ("v₁", element.key) not in actions:
-                    raise ChartValidationError(
-                        f"{where}: torsion class {element.key} in {context.value} has no v₁ action"
-                    )
+                    raise _defect(where, i, f"torsion class {element.key} in {context.value} has no v₁ action")
             elif kind is _EXCEPTIONAL:
                 route = EXCEPTIONAL_LISTINGS.get((context, element.module))
                 if route is None:
-                    raise ChartValidationError(
-                        f"{where}: {element.key} marked exceptional in {context.value}, "
+                    raise _defect(
+                        where, i, f"{element.key} marked exceptional in {context.value}, "
                         f"but no exceptional listing there holds {element.module.value} classes"
                     )
                 if element.stem % 192 not in route[1]:
-                    raise ChartValidationError(
-                        f"{where}: {element.key} marked exceptional in {context.value} but no "
+                    raise _defect(
+                        where, i, f"{element.key} marked exceptional in {context.value} but no "
                         f"{route[0]} monomial lives in stem {element.stem} (mod 192)"
                     )
             key = (element.key, context)
@@ -577,15 +584,14 @@ class _ChartRecords:
                 classified[key] = classification
                 classifications.append(classification)
             else:
-                self._clash("classifications", key, present, classification, where)
+                self._clash("classifications", key, present, classification, where, i)
 
-    def add_ranks(self, rows: Iterable[tuple]) -> None:
-        """Rows (where, ``ranks`` record): each basis in its module and stem, the
-        ranks adding up where both sides are known; in SES-2.8 and SES-2.9 each
-        middle class classified torsion or exceptional, and each sphere kernel
-        class of order 2."""
+    def add_ranks(self, rows: Iterable[tuple], where: str) -> None:
+        """``ranks`` records: each basis in its module and stem, the ranks adding
+        up where both sides are known; in SES-2.8 and SES-2.9 each middle class
+        classified torsion or exceptional, and each sphere kernel class of order 2."""
         classified, orders, ranked, ses_records = self._classified, self.orders, self._ranked, self.ses_records
-        for where, ses in rows:
+        for i, ses in enumerate(rows):
             name, stem, middle, cokernel, kernel, ref, (include, project, _) = ses
             side = include.source
             for basis, module, basis_stem in (
@@ -594,25 +600,25 @@ class _ChartRecords:
             ):
                 for element in basis:
                     if element.module is not module or element.stem != basis_stem:
-                        raise _off_degree(element, module, basis_stem, f"{where}: ranks {ref}")
+                        raise _defect(where, i, f"ranks {ref}: " + _off_degree(element, module, basis_stem))
             if cokernel is not None and kernel is not None and len(middle) != len(cokernel) + len(kernel):
-                raise ChartValidationError(
-                    f"{where}: ranks {ref}: rank mismatch |middle|={len(middle)} != "
+                raise _defect(
+                    where, i, f"ranks {ref}: rank mismatch |middle|={len(middle)} != "
                     f"|cokernel|={len(cokernel)} + |kernel|={len(kernel)}"
                 )
             context, restricted = SES_CONTEXTS[name]
             for element in middle if restricted else ():
                 present = classified.get((element.key, context))
                 if present is None or present.kind is _NONEXCEPTIONAL:
-                    raise ChartValidationError(
-                        f"{where}: ranks {ref}: middle element {element.key} "
+                    raise _defect(
+                        where, i, f"ranks {ref}: middle element {element.key} "
                         f"must be classified torsion or exceptional in {context.value}"
                     )
             # A sphere kernel class lies in ker(·2), which the dataset states as order 2.
             for element in (kernel or ()) if restricted and side is _MODULE_S else ():
                 if orders.get(element.key) != 2:
-                    raise ChartValidationError(
-                        f"{where}: ranks {ref}: kernel element {element.key} must carry order 2 (it lies in ker(·2))"
+                    raise _defect(
+                        where, i, f"ranks {ref}: kernel element {element.key} must carry order 2 (it lies in ker(·2))"
                     )
             key = (name, stem)
             present = ranked.get(key)
@@ -620,37 +626,37 @@ class _ChartRecords:
                 ranked[key] = ses
                 ses_records.append(ses)
             else:
-                self._clash("ranks", key, present, ses, where)
+                self._clash("ranks", key, present, ses, where, i)
 
-    def add_axioms(self, rows: Iterable[tuple]) -> None:
-        """Rows (where, axiom): its source and value classes where its map puts them."""
+    def add_axioms(self, rows: Iterable[tuple], where: str) -> None:
+        """Axioms, with source and value classes where their maps put them."""
         axioms, present = self.axioms, self._axiom_set
-        for where, axiom in rows:
+        for i, axiom in enumerate(rows):
             map_name, source, value = axiom
             spec = MAP_SPECS[map_name]
             if source.module is not spec.source:
-                raise ChartValidationError(
-                    f"{where}: axiom {map_name}({source.key}): source must live in module {spec.source.value}"
+                raise _defect(
+                    where, i, f"axiom {map_name}({source.key}): source must live in module {spec.source.value}"
                 )
-            stem = source.stem + spec.stem_shift
+            stem, target = source.stem + spec.stem_shift, spec.target
             for element in value.span:
-                if element.module is not spec.target or element.stem != stem:
-                    raise _off_degree(element, spec.target, stem, f"{where}: axiom {map_name}({source.key})")
+                if element.module is not target or element.stem != stem:
+                    raise _defect(where, i, f"axiom {map_name}({source.key}): " + _off_degree(element, target, stem))
             if self.merge:
                 if axiom in present:
                     continue
                 present.add(axiom)
             axioms.append(axiom)
 
-    def add_overrides(self, rows: Iterable[tuple]) -> None:
-        """Rows (where, (row key, column), name)."""
+    def add_overrides(self, rows: Iterable[tuple], where: str) -> None:
+        """Rows ((row key, column), name)."""
         overrides = self.tmf_name_overrides
-        for where, cell, name in rows:
+        for i, (cell, name) in enumerate(rows):
             present = overrides.get(cell)
             if present is None:
                 overrides[cell] = name
             else:
-                self._clash("tmfNameOverrides", cell, present, name, where)
+                self._clash("tmfNameOverrides", cell, present, name, where, i)
 
 
 @acyclic
@@ -685,42 +691,42 @@ def from_document(doc: dict) -> ChartFile:
 
     records = _ChartRecords()
     elements = records.elements
-    records.add_elements(
-        (where, Element(f["module"], f["stem"], f["filtration"], f["name"]),
+    records.add_elements((
+        (Element(f["module"], f["stem"], f["filtration"], f["name"]),
          f["order"], f["tmfName"], f["nuMultiple"], f["priorOrderTwo"])
-        for where, f in _records(doc, "elements", elements)
-    )
-    records.add_actions(
-        (where, f["generator"], f["source"], _value(f, where, "action {generator.name}·{source.key}"))
-        for where, f in _records(doc, "actions", elements)
-    )
-    records.add_classifications(
-        (where, Classification(f["element"], f["context"], f["kind"]))
-        for where, f in _records(doc, "classifications", elements)
-    )
+        for f in _records(doc, "elements", elements)
+    ), "elements[{}]")
+    records.add_actions((
+        (f["generator"], f["source"], _value(f, "actions[{}]", i, "action {generator.name}·{source.key}"))
+        for i, f in enumerate(_records(doc, "actions", elements))
+    ), "actions[{}]")
+    records.add_classifications((
+        new_tuple(Classification, (f["element"], f["context"], f["kind"]))
+        for f in _records(doc, "classifications", elements)
+    ), "classifications[{}]")
 
     hurewicz: Dict[str, bool] = {}
+    where = "hurewiczFlags[{!r}]"
     for key, flag in _field(doc, "hurewiczFlags", dict, "top level", {}).items():
-        where = f"hurewiczFlags[{key!r}]"
         if key not in elements:
-            raise ChartValidationError(f"{where}: unknown element {key!r}")
-        if elements[key].module is not ModuleId.S:
-            raise ChartValidationError(f"{where}: hurewicz flag on non-sphere element {key}")
+            raise _defect(where, key, f"unknown element {key!r}")
+        if elements[key].module is not _MODULE_S:
+            raise _defect(where, key, f"hurewicz flag on non-sphere element {key}")
         if type(flag) is not bool:
-            raise ChartValidationError(f"{where}: must be a boolean, got {flag!r}")
+            raise _defect(where, key, f"must be a boolean, got {flag!r}")
         hurewicz[key] = flag
 
-    records.add_ranks(
-        (where, SesRecord(f["context"], f["stem"], f["middle"], f["cokernel"], f["kernel"]))
-        for where, f in _records(doc, "ranks", elements)
-    )
-    records.add_axioms(
-        (where, MapAxiom(f["map"], f["source"], _value(f, where, "axiom {map}({source.key})")))
-        for where, f in _records(doc, "axioms", elements)
-    )
-    records.add_overrides(
-        (where, (f["row"].key, f["column"]), f["name"]) for where, f in _records(doc, "tmfNameOverrides", elements)
-    )
+    records.add_ranks((
+        SesRecord(f["context"], f["stem"], f["middle"], f["cokernel"], f["kernel"])
+        for f in _records(doc, "ranks", elements)
+    ), "ranks[{}]")
+    records.add_axioms((
+        new_tuple(MapAxiom, (f["map"], f["source"], _value(f, "axioms[{}]", i, "axiom {map}({source.key})")))
+        for i, f in enumerate(_records(doc, "axioms", elements))
+    ), "axioms[{}]")
+    records.add_overrides((
+        ((f["row"].key, f["column"]), f["name"]) for f in _records(doc, "tmfNameOverrides", elements)
+    ), "tmfNameOverrides[{}]")
 
     return ChartFile(max_stem=max_stem, hurewicz=hurewicz, **records.fields())
 
@@ -832,41 +838,37 @@ def expand_periodic(module: ModuleId, stem_bound: int) -> List[Monomial]:
 # --- Δ⁸ extension ---
 
 def _name_letter(element: Element) -> Optional[str]:
-    """The x of an x_{i,j} name, which ``_shifted`` re-encodes, else None."""
-    m = NAME_CONVENTION.match(element.name)
+    """The x of an x_{i,j} name, which a Δ⁸ copy re-encodes, else None; a name
+    that spells its own degree is read without the regex."""
+    name = element.name
+    letter = name[:1]
+    if name == f"{letter}_{{{element.stem},{element.filtration}}}" and "a" <= letter <= "z":
+        return letter
+    m = NAME_CONVENTION.match(name)
     return m.group(1) if m else None
 
 
-def _shifted(element: Element, letter: Optional[str], k: int) -> Element:
-    """The k-th Δ⁸ copy of ``element``, whose ``_name_letter`` is ``letter``:
-    192k stems up in the same filtration, with an x_{i,j} name re-encoding
-    the new stem and any other name suffixed ·Δ⁸ k times."""
-    stem = element.stem + 192 * k
-    name = f"{letter}_{{{stem},{element.filtration}}}" if letter else element.name + "·Δ⁸" * k
-    return Element(element.module, stem, element.filtration, name)
-
-
-def _shifted_value(value: Value, shifted: Dict[Element, Element]) -> Value:
-    """``value`` with each class of its span replaced by its copy; an empty
-    span (the zero or the bare nonzero mark) leaves ``value`` as it is."""
+def _shifted_value(value: Value, shift) -> Value:
+    """``value`` with each class of its span replaced by its copy, ``shift(class)``;
+    an empty span (the zero or the bare nonzero mark) leaves ``value`` as it is."""
     if not value.span:
         return value
-    return Value.known(span_of(*(shifted[e] for e in value.span)))
+    return Value.known(span_of(*map(shift, value.span)))
 
 
 @acyclic
 def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     """``chart`` with a Δ⁸-shifted copy of every record for each k ≤ copies.
 
-    The k-th copy of an element is ``_shifted``: Δ⁸ has filtration 0, so the
-    copy keeps the original's filtration, and also its order and
-    prior-order-2 mark, and prefixes its tmf name with Δ⁸· k times; copies
-    of ν-multiples are not marked as such and have Hurewicz flag false,
-    unless a flag is already present.  The copies of the other records
-    (``ranks`` records at stem + 192k) refer to the shifted elements.  Each
-    copy of a record list goes through the ``_ChartRecords`` method the loader
-    uses, so it passes every check there and the constructors' own checks
-    once; only the JSON-type checks of ``_records`` are skipped.  Each
+    The k-th copy of an element is 192k stems up in the same filtration, with
+    the same order and prior-order-2 mark; an x_{i,j} name re-encodes the
+    stem, another gains ·Δ⁸ k times, and the tmf name Δ⁸· k times.  Copies of
+    ν-multiples are not marked as such and have Hurewicz flag false, unless a
+    flag is already present.  The copies of the other records (``ranks``
+    records at stem + 192k) refer to the shifted elements.
+    Each copy of a record list goes through the ``_ChartRecords`` method the
+    loader uses, so it passes every check there and the constructors' own
+    checks once; only the JSON-type checks of ``_records`` are skipped.  Each
     container holds the chart's records first, then copy 1, copy 2 and so on.
     A copy equal to the record under its identity key, or an axiom equal to
     one present, is skipped; any other clash is a ``ChartValidationError``.
@@ -888,34 +890,39 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
         for key, element in chart.elements.items() if key in chart.hurewicz
     ]
     for k in range(1, copies + 1):
-        where, prefix = f"Δ⁸ copy {k}", "Δ⁸·" * k
-        shifted = {element: _shifted(element, letter, k) for element, letter, _, _, _ in kept}
-        shift = shifted.__getitem__
-        records.add_elements(
-            (where, shifted[element], order, tmf_name and prefix + tmf_name, False, prior)
-            for element, _, order, tmf_name, prior in kept
-        )
+        where, prefix, up = f"Δ⁸ copy {k}", "Δ⁸·" * k, 192 * k
+        shifted, rows = {}, []
+        for element, letter, order, tmf_name, prior in kept:
+            module, stem, filtration, name = element[:4]
+            stem += up
+            copy = shifted[element] = Element(
+                module, stem, filtration, f"{letter}_{{{stem},{filtration}}}" if letter else name + "·Δ⁸" * k
+            )
+            rows.append((copy, order, tmf_name and prefix + tmf_name, False, prior))
+        records.add_elements(rows, where)
         for element, flag in flags:
             hurewicz.setdefault(shifted[element].key, flag)
-        records.add_actions(
-            (where, fact.generator, shifted[fact.source], _shifted_value(fact.value, shifted)) for fact in facts
-        )
-        records.add_classifications(
-            (where, Classification(shifted[c.element], c.context, c.kind)) for c in chart.classifications
-        )
-        records.add_ranks(
-            (where, SesRecord(
-                ses.context, ses.stem + 192 * k, [*map(shift, ses.middle)],
-                ses.cokernel and [*map(shift, ses.cokernel)], ses.kernel and [*map(shift, ses.kernel)],
-            ))
-            for ses in chart.ses_records
-        )
-        records.add_axioms(
-            (where, MapAxiom(axiom.map, shifted[axiom.source], _shifted_value(axiom.value, shifted)))
-            for axiom in chart.axioms
-        )
-        records.add_overrides(
-            (where, (shifted[chart.elements[row]].key, column), prefix + name)
+        shift = shifted.__getitem__
+        records.add_actions([
+            (fact.generator, shifted[fact.source], _shifted_value(fact.value, shift)) for fact in facts
+        ], where)
+        records.add_classifications([
+            new_tuple(Classification, (shifted[element], context, kind))
+            for element, context, kind in chart.classifications
+        ], where)
+        records.add_ranks([
+            SesRecord(
+                context, stem + up, [*map(shift, middle)],
+                cokernel and [*map(shift, cokernel)], kernel and [*map(shift, kernel)],
+            )
+            for context, stem, middle, cokernel, kernel, _, _ in chart.ses_records
+        ], where)
+        records.add_axioms([
+            new_tuple(MapAxiom, (map_name, shifted[source], _shifted_value(value, shift)))
+            for map_name, source, value in chart.axioms
+        ], where)
+        records.add_overrides([
+            ((shifted[chart.elements[row]].key, column), prefix + name)
             for (row, column), name in chart.tmf_name_overrides.items()
-        )
+        ], where)
     return replace(chart, max_stem=chart.max_stem + 192 * copies, hurewicz=hurewicz, **records.fields())

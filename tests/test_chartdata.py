@@ -436,16 +436,17 @@ class TestIngestSharesValues:
     def test_equal_classification_is_skipped_when_merging(self, chart):
         records = chartdata._ChartRecords(chart)
         present = chart.classifications[0]
-        records.add_classifications([("here", Classification(*present))])
+        records.add_classifications([present, Classification(*present)], "here[{}]")
         assert records.classifications == chart.classifications
 
     def test_clashing_classification_is_rejected_when_merging(self, chart):
         records = chartdata._ChartRecords(chart)
         present = chart.classifications[0]
         assert present.kind is ClassificationKind.TORSION
+        clashing = present._replace(kind=ClassificationKind.PERIODIC_NONEXCEPTIONAL)
         with pytest.raises(ChartValidationError) as error:
-            records.add_classifications([("here", present._replace(kind=ClassificationKind.PERIODIC_NONEXCEPTIONAL))])
-        assert str(error.value) == "here: duplicate classification for M:m_{100,20} in LES-2.3"
+            records.add_classifications([present, clashing], "here[{}]")
+        assert str(error.value) == "here[1]: duplicate classification for M:m_{100,20} in LES-2.3"
 
 _DELETE = object()
 
