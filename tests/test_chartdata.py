@@ -1,5 +1,6 @@
 """Dataset loading, validation, periodic expansion, and the Δ⁸ extension."""
 
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -504,6 +505,7 @@ def _in_les23(key):
 Y50_IN_LES23, Y3_IN_LES23, M100_IN_LES23 = map(_in_les23, ("Y:y_{50,4}", "Y:y_{3,1}", "M:m_{100,20}"))
 S8 = next(("elements", i) for i, e in enumerate(SHIPPED["elements"]) if (e["module"], e["name"]) == ("S", "s_{8,2}"))
 SES29_AT_6 = next(i for i, r in enumerate(SHIPPED["ranks"]) if (r["context"], r["stem"]) == ("SES-2.9", 6))
+LAST_AXIOM = ("axioms", len(SHIPPED["axioms"]) - 1)
 
 
 def _repeat_basis(doc):
@@ -676,6 +678,16 @@ MALFORMED = {
         _set(KBAR_ON_M105 + ("value",), ["M:m_{125,21}", "M:m_{125,21}"]),
         "actions[104]: value repeats M:m_{125,21}",
     ),
+    # The last axiom, so that a location past index 0 is pinned for both a
+    # reader defect and an ``add_axioms`` check.
+    "last-axiom-dangling-value": (
+        _set(LAST_AXIOM + ("value",), ["M:nosuch"]),
+        "axioms[10]: dangling element reference 'M:nosuch'",
+    ),
+    "last-axiom-value-off-degree": (
+        _set(LAST_AXIOM + ("value",), ["M:m_{6,2}"]),
+        "axioms[10]: axiom eta(M:m_{156,18}): M:m_{6,2} should live in module M at stem 157",
+    ),
 }
 
 
@@ -759,6 +771,20 @@ class TestMalformedDocuments:
         except ChartValidationError:
             return
         saturate(chart)
+
+    @pytest.mark.parametrize("name", [None, "rank-mismatch"])
+    def test_document_is_left_unchanged(self, name):
+        """The loader writes none of the values it reads back into the caller's
+        document, whether it loads or rejects it."""
+        doc = json.loads(SHIPPED_TEXT)
+        if name is not None:
+            MALFORMED[name][0](doc)
+        before = copy.deepcopy(doc)
+        try:
+            chartdata.from_document(doc)
+        except ChartValidationError:
+            assert name is not None
+        assert doc == before
 
     def test_single_mutation_outcomes_are_pinned(self):
         """A fixed slice of the single mutations, and what the loader makes of
