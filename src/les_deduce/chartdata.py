@@ -849,8 +849,8 @@ def _name_letter(element: Element) -> Optional[str]:
 
 
 def _shifted_value(value: Value, shift) -> Value:
-    """``value`` with each class of its span replaced by its copy, ``shift(class)``;
-    an empty span (the zero or the bare nonzero mark) leaves ``value`` as it is."""
+    """``value`` with each class of its span replaced by its copy ``shift(class)``;
+    an empty span (the zero or the bare nonzero mark) keeps ``value``."""
     if not value.span:
         return value
     return Value.known(span_of(*map(shift, value.span)))
@@ -865,13 +865,13 @@ def delta8_extend(chart: ChartFile, copies: int) -> ChartFile:
     stem, another gains ·Δ⁸ k times, and the tmf name Δ⁸· k times.  Copies of
     ν-multiples are not marked as such and have Hurewicz flag false, unless a
     flag is already present.  The copies of the other records (``ranks``
-    records at stem + 192k) refer to the shifted elements.
-    Each copy of a record list goes through the ``_ChartRecords`` method the
-    loader uses, so it passes every check there and the constructors' own
-    checks once; only the JSON-type checks of ``_records`` are skipped.  Each
-    container holds the chart's records first, then copy 1, copy 2 and so on.
-    A copy equal to the record under its identity key, or an axiom equal to
-    one present, is skipped; any other clash is a ``ChartValidationError``.
+    records at stem + 192k) refer to the shifted elements.  Each copy of a
+    record list goes through the ``_ChartRecords`` method the loader uses, so
+    it passes every check there and the constructors' own checks once; only
+    the JSON-type checks of ``_records`` are skipped.  Each container holds
+    the chart's records first, then copy 1, copy 2 and so on.  A copy equal to
+    the record under its identity key, or an axiom equal to one present, is
+    skipped; any other clash is a ``ChartValidationError``.
     """
     if copies < 0:
         raise ValueError("copies must be ≥ 0")
